@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.constants import c, h
 
 from .numerics import AttenuationCoefficient
 from .owc import BulbNoiseModel, RoomScenario, bulb_noise_count, los_dc_gain
-from .raman import RamanCrossSectionTable, RamanQuery, raman_backward, raman_forward
+from .raman import RamanCrossSectionTable, backward_power, forward_power
 
 __all__ = [
     "DEFAULT_SENSITIVITY_DBM",
@@ -238,15 +239,25 @@ def fiber_transmittance(
     return 10.0 ** (-(alpha_db_per_km * (feeder_km + drop_km) + 2.0 * awg_db) / 10.0)
 
 
-def _query(plan: DwdmPlan, intensity_mw, length_km, pump_nm, rx_bandwidth_nm) -> RamanQuery:
-    return RamanQuery(
-        intensity_mw=intensity_mw,
-        length_km=length_km,
-        pump_nm=pump_nm,
-        rx_nm=plan.quantum_nm[0],
-        rx_bandwidth_nm=rx_bandwidth_nm,
-        attenuation=plan.attenuation,
-    )
+def _channels(plan: DwdmPlan, table: RamanCrossSectionTable, rx_bandwidth_nm: float):
+    """Per-channel inputs of the Raman sums, one entry per data channel.
+
+    Returns (alpha per km, launch powers in mW, drop attenuations
+    exp(-alpha L_k), cross sections into user 1's quantum channel).  The
+    transcendentals are scalar libm calls so the sums keep their last bit.
+    """
+    if rx_bandwidth_nm <= 0.0:
+        raise ValueError(f"receiver bandwidth must be > 0, got {rx_bandwidth_nm}")
+    alpha = plan.attenuation.per_km
+    power = np.array([plan.launch_power_mw(k) for k in range(plan.n_users)])
+    drop_att = np.array([math.exp(-alpha * km) for km in plan.drop_km])
+    return alpha, power, drop_att, table.gammas(plan.data_nm, plan.quantum_nm[0])
+
+
+def _running_sum(*parts) -> float:
+    """Left-to-right sum of the concatenated terms (0.0 when there are none)."""
+    terms = np.concatenate([np.atleast_1d(part) for part in parts])
+    return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
 
 
 def raman_totals_setup1(
@@ -263,26 +274,17 @@ def raman_totals_setup1(
     noise comes from the downstream transmitters at the central office,
     whose light enters the feeder unattenuated.
     """
-    alpha = plan.attenuation.per_km
-    feeder, drops = plan.feeder_km, plan.drop_km
+    alpha, power, drop_att, gamma = _channels(plan, table, rx_bandwidth_nm)
+    feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], rx_bandwidth_nm
     awg = 10.0 ** (-2.0 * plan.awg_insertion_loss_db / 10.0)
-
-    own = plan.launch_power_mw(0)
-    fwd = raman_forward(
-        _query(plan, own, feeder + drops[0], plan.data_nm[0], rx_bandwidth_nm), table
+    fwd = _running_sum(
+        forward_power(power[0], own_km, alpha, gamma[0], bw),
+        forward_power(power[1:] * drop_att[1:], feeder, alpha, gamma[1:], bw),
     )
-    bwd = raman_backward(
-        _query(plan, own, feeder + drops[0], plan.data_nm[0], rx_bandwidth_nm), table
+    bwd = _running_sum(
+        backward_power(power[0], own_km, alpha, gamma[0], bw),
+        backward_power(power[1:], feeder, alpha, gamma[1:], bw),
     )
-    for k in range(1, plan.n_users):
-        power = plan.launch_power_mw(k)
-        fwd += raman_forward(
-            _query(plan, power * math.exp(-alpha * drops[k]), feeder, plan.data_nm[k], rx_bandwidth_nm),
-            table,
-        )
-        bwd += raman_backward(
-            _query(plan, power, feeder, plan.data_nm[k], rx_bandwidth_nm), table
-        )
     return fwd * awg, bwd * awg
 
 
@@ -298,30 +300,17 @@ def raman_totals_setup3(
     contributions start from launch powers already attenuated over the
     contributing user's drop.
     """
-    alpha = plan.attenuation.per_km
-    feeder, drops = plan.feeder_km, plan.drop_km
+    alpha, power, drop_att, gamma = _channels(plan, table, rx_bandwidth_nm)
+    feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], rx_bandwidth_nm
     awg = 10.0 ** (-2.0 * plan.awg_insertion_loss_db / 10.0)
-    drop_loss = math.exp(-alpha * drops[0])
-
-    own = plan.launch_power_mw(0)
-    fwd = raman_forward(
-        _query(plan, own, feeder + drops[0], plan.data_nm[0], rx_bandwidth_nm), table
+    fwd = forward_power(power[0], own_km, alpha, gamma[0], bw)
+    bwd = backward_power(power[0], own_km, alpha, gamma[0], bw)
+    fwd_rest = _running_sum(forward_power(power[1:], feeder, alpha, gamma[1:], bw))
+    bwd_rest = _running_sum(backward_power(power[1:] * drop_att[1:], feeder, alpha, gamma[1:], bw))
+    return (
+        float((fwd + drop_att[0] * fwd_rest) * awg),
+        float((bwd + drop_att[0] * bwd_rest) * awg),
     )
-    bwd = raman_backward(
-        _query(plan, own, feeder + drops[0], plan.data_nm[0], rx_bandwidth_nm), table
-    )
-    fwd_rest = 0.0
-    bwd_rest = 0.0
-    for k in range(1, plan.n_users):
-        power = plan.launch_power_mw(k)
-        fwd_rest += raman_forward(
-            _query(plan, power, feeder, plan.data_nm[k], rx_bandwidth_nm), table
-        )
-        bwd_rest += raman_backward(
-            _query(plan, power * math.exp(-alpha * drops[k]), feeder, plan.data_nm[k], rx_bandwidth_nm),
-            table,
-        )
-    return (fwd + drop_loss * fwd_rest) * awg, (bwd + drop_loss * bwd_rest) * awg
 
 
 def raman_totals_setup4(
@@ -337,33 +326,16 @@ def raman_totals_setup4(
     upstream channels' backscatter over the feeder and the downstream
     user-1 channel's backscatter over the drop.
     """
-    alpha = plan.attenuation.per_km
-    feeder, drops = plan.feeder_km, plan.drop_km
+    alpha, power, drop_att, gamma = _channels(plan, table, rx_bandwidth_nm)
+    feeder, drop, bw = plan.feeder_km, plan.drop_km[0], rx_bandwidth_nm
     awg = 10.0 ** (-2.0 * plan.awg_insertion_loss_db / 10.0)
-
-    own = plan.launch_power_mw(0)
-    fwd_mux = raman_forward(_query(plan, own, feeder, plan.data_nm[0], rx_bandwidth_nm), table)
-    bwd = raman_backward(
-        _query(plan, own * math.exp(-alpha * drops[0]), feeder, plan.data_nm[0], rx_bandwidth_nm),
-        table,
+    fwd_mux = _running_sum(forward_power(power, feeder, alpha, gamma, bw))
+    bwd = _running_sum(
+        backward_power(power * drop_att, feeder, alpha, gamma, bw),
+        backward_power(power[0] * math.exp(-alpha * feeder), drop, alpha, gamma[0], bw),
     )
-    for k in range(1, plan.n_users):
-        power = plan.launch_power_mw(k)
-        fwd_mux += raman_forward(
-            _query(plan, power, feeder, plan.data_nm[k], rx_bandwidth_nm), table
-        )
-        bwd += raman_backward(
-            _query(plan, power * math.exp(-alpha * drops[k]), feeder, plan.data_nm[k], rx_bandwidth_nm),
-            table,
-        )
-    bwd += raman_backward(
-        _query(plan, own * math.exp(-alpha * feeder), drops[0], plan.data_nm[0], rx_bandwidth_nm),
-        table,
-    )
-    fwd_direct = raman_forward(
-        _query(plan, own, drops[0], plan.data_nm[0], rx_bandwidth_nm), table
-    )
-    return fwd_mux * awg + fwd_direct, bwd * awg
+    fwd_direct = forward_power(power[0], drop, alpha, gamma[0], bw)
+    return float(fwd_mux * awg + fwd_direct), bwd * awg
 
 
 def _photons_per_gate(power_mw: float, rx_nm: float, gate_s: float) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .budget import DetectorParams, DwdmPlan
 from .numerics import AttenuationCoefficient
@@ -136,9 +136,16 @@ def _parse_override_value(text: str):
 
 @dataclass
 class SimulationConfig:
-    """Validated configuration plus builders for the model objects."""
+    """Validated configuration plus builders for the model objects.
+
+    The Raman table is parsed on first use and kept for the life of the
+    instance, so ``data["raman_table"]`` must not change after that.
+    """
 
     data: dict
+    _table: RamanCrossSectionTable | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_dict(cls, overrides: dict | None = None) -> "SimulationConfig":
@@ -181,10 +188,8 @@ class SimulationConfig:
         return cfg
 
     def validate(self):
-        if self.data["case"] not in CASE_PRESETS:
-            raise ConfigError(f"case must be one of {sorted(CASE_PRESETS)}, got {self.data['case']}")
         try:
-            self.scenario()
+            self.scenario()  # also rejects an unknown case
             self.plan()
             self.detectors()
             self.bb84_params()
@@ -201,8 +206,28 @@ class SimulationConfig:
                 raise ConfigError("clock rates must be positive")
         except ConfigError:
             raise
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+
+    def replaced(self, values: dict) -> "SimulationConfig":
+        """Unvalidated copy with ``section.key`` (or top-level) leaves set to new values.
+
+        Only the sections on those paths are copied.  The others, and the
+        parsed Raman table unless the ``raman_table`` section changes, are
+        shared with this config.
+        """
+        data = dict(self.data)
+        for dotted, value in values.items():
+            *sections, key = dotted.split(".")
+            node = data
+            for name in sections:
+                node[name] = dict(node[name])
+                node = node[name]
+            node[key] = value
+        cfg = SimulationConfig(data)
+        if data["raman_table"] is self.data["raman_table"]:
+            cfg._table = self.raman_table()
+        return cfg
 
     @property
     def canonical_json(self) -> str:
@@ -313,14 +338,18 @@ class SimulationConfig:
             beta=cv["beta"],
             receiver_efficiency=cv["receiver_efficiency"],
             electronic_noise=cv["electronic_noise"],
-            repetition_hz=cv["clock_hz"],
         )
 
     def raman_table(self) -> RamanCrossSectionTable:
-        source = self.data["raman_table"]
-        if source["path"] is None:
-            return builtin_cross_section_table()
-        return RamanCrossSectionTable.from_csv_file(source["path"], source["reference_pump_nm"])
+        if self._table is None:
+            source = self.data["raman_table"]
+            if source["path"] is None:
+                self._table = builtin_cross_section_table()
+            else:
+                self._table = RamanCrossSectionTable.from_csv_file(
+                    source["path"], source["reference_pump_nm"]
+                )
+        return self._table
 
     def n_b1_override(self) -> float | None:
         return self.data["bulb"]["n_b1_per_pulse"]

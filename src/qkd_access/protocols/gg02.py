@@ -47,7 +47,6 @@ class Gg02Params:
     beta: float = 0.95  # reconciliation efficiency
     receiver_efficiency: float = 0.6  # eta_B, Bob's overall efficiency
     electronic_noise: float = 0.015  # v_elec in SNU
-    repetition_hz: float = 25e6
 
     def __post_init__(self):
         if self.modulation_variance is not None and self.modulation_variance <= 0.0:
@@ -58,8 +57,6 @@ class Gg02Params:
             raise ValueError("receiver efficiency must be in (0, 1]")
         if self.electronic_noise < 0.0:
             raise ValueError("electronic noise must be >= 0")
-        if self.repetition_hz < 0.0:
-            raise ValueError("repetition rate must be >= 0")
 
 
 def _noise_terms(transmissivity, excess, receiver_eff, electronic):

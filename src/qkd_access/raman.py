@@ -32,6 +32,8 @@ __all__ = [
     "RamanCrossSectionTable",
     "RamanQuery",
     "builtin_cross_section_table",
+    "forward_power",
+    "backward_power",
     "raman_forward",
     "raman_backward",
     "raman_photon_count",
@@ -111,17 +113,24 @@ class RamanCrossSectionTable:
 
     def gamma(self, pump_nm: float, rx_nm: float) -> float:
         """Cross section (per km per nm) for a pump/receiver wavelength pair."""
-        if pump_nm <= 0.0 or rx_nm <= 0.0:
+        return float(self.gammas((pump_nm,), rx_nm)[0])
+
+    def gammas(self, pumps_nm, rx_nm: float) -> np.ndarray:
+        """Cross sections for many pumps into one receiver, in one lookup."""
+        pumps = np.asarray(pumps_nm, dtype=float)
+        if rx_nm <= 0.0 or np.any(pumps <= 0.0):
             raise ValueError("wavelengths must be > 0")
-        detuning = c / (rx_nm * 1e-9) - c / (pump_nm * 1e-9)
+        detuning = c / (rx_nm * 1e-9) - c / (pumps * 1e-9)
         lo, hi = self._detuning_hz[0], self._detuning_hz[-1]
-        if not lo <= detuning <= hi:
+        outside = ~((lo <= detuning) & (detuning <= hi))
+        if outside.any():
+            i = int(np.argmax(outside))
             raise ValueError(
-                f"pump {pump_nm} nm / receiver {rx_nm} nm detuning "
-                f"{detuning / 1e12:.3f} THz outside table range "
+                f"pump {pumps_nm[i]} nm / receiver {rx_nm} nm detuning "
+                f"{detuning[i] / 1e12:.3f} THz outside table range "
                 f"[{lo / 1e12:.3f}, {hi / 1e12:.3f}] THz"
             )
-        return float(np.interp(detuning, self._detuning_hz, self._gamma_by_detuning))
+        return np.interp(detuning, self._detuning_hz, self._gamma_by_detuning)
 
 
 def builtin_cross_section_table() -> RamanCrossSectionTable:
@@ -161,32 +170,40 @@ class RamanQuery:
             raise ValueError(f"receiver bandwidth must be > 0, got {self.rx_bandwidth_nm}")
 
 
-def raman_forward(query: RamanQuery, table: RamanCrossSectionTable) -> float:
-    """Forward-scattered power (mW) arriving with the signal."""
-    alpha = query.attenuation.per_km
-    gamma = table.gamma(query.pump_nm, query.rx_nm)
-    return (
-        query.intensity_mw
-        * math.exp(-alpha * query.length_km)
-        * query.length_km
-        * gamma
-        * query.rx_bandwidth_nm
-    )
+def forward_power(intensity_mw, length_km: float, alpha_per_km: float, gamma,
+                  rx_bandwidth_nm: float):
+    """Forward-scattered power (mW); intensities and cross sections may be arrays."""
+    return intensity_mw * math.exp(-alpha_per_km * length_km) * length_km * gamma * rx_bandwidth_nm
 
 
-def raman_backward(query: RamanQuery, table: RamanCrossSectionTable) -> float:
-    """Backward-scattered power (mW) returning against the pump.
+def backward_power(intensity_mw, length_km: float, alpha_per_km: float, gamma,
+                   rx_bandwidth_nm: float):
+    """Backward-scattered power (mW); intensities and cross sections may be arrays.
 
     (1 - e^(-2 alpha L)) / (2 alpha) is evaluated through expm1 so the
     alpha -> 0 limit degrades gracefully to L.
     """
-    alpha = query.attenuation.per_km
-    gamma = table.gamma(query.pump_nm, query.rx_nm)
-    if alpha == 0.0:
-        effective_km = query.length_km
+    if alpha_per_km == 0.0:
+        effective_km = length_km
     else:
-        effective_km = -math.expm1(-2.0 * alpha * query.length_km) / (2.0 * alpha)
-    return query.intensity_mw * effective_km * gamma * query.rx_bandwidth_nm
+        effective_km = -math.expm1(-2.0 * alpha_per_km * length_km) / (2.0 * alpha_per_km)
+    return intensity_mw * effective_km * gamma * rx_bandwidth_nm
+
+
+def raman_forward(query: RamanQuery, table: RamanCrossSectionTable) -> float:
+    """Forward-scattered power (mW) arriving with the signal."""
+    gamma = table.gamma(query.pump_nm, query.rx_nm)
+    return forward_power(
+        query.intensity_mw, query.length_km, query.attenuation.per_km, gamma, query.rx_bandwidth_nm
+    )
+
+
+def raman_backward(query: RamanQuery, table: RamanCrossSectionTable) -> float:
+    """Backward-scattered power (mW) returning against the pump."""
+    gamma = table.gamma(query.pump_nm, query.rx_nm)
+    return backward_power(
+        query.intensity_mw, query.length_km, query.attenuation.per_km, gamma, query.rx_bandwidth_nm
+    )
 
 
 def raman_photon_count(power_mw: float, rx_nm: float, gate_s: float, det_efficiency: float) -> float:

@@ -2,8 +2,8 @@
 
 A sweep evaluates one (setup, protocol) pair over a grid of one variable,
 holding everything else at the configured values.  Points are independent
-pure evaluations, so they run on a thread pool and are reassembled in
-sorted order; two runs of the same configuration produce byte-identical
+pure evaluations made in grid order; every point shares the run's parsed
+Raman table, and two runs of the same configuration produce byte-identical
 CSV output.
 
 Conventions used in the result rows:
@@ -24,11 +24,8 @@ Conventions used in the result rows:
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +78,14 @@ _SETUP_PROTOCOLS = {
 }
 
 CROSSOVER_CLOCK_RANGE_HZ = (1e6, 1e10)
+
+# Config leaf each swept variable replaces; clock_rate_hz picks dv or cv by
+# protocol, and background_noise replaces modelled noise instead of a leaf.
+_SWEPT_LEAVES = {
+    "coupling_loss_db": "link.coupling_loss_db",
+    "L0_km": "network.feeder_km",
+    "psd_w_per_nm": "bulb.psd_w_per_nm",
+}
 
 
 @dataclass(frozen=True)
@@ -349,23 +354,13 @@ def _cv_noise_counts(cfg: SimulationConfig, setup: int, background: float | None
 
 
 def _evaluate_point(spec: SweepSpec, base_config: SimulationConfig, value: float) -> SweepPoint:
-    data = copy.deepcopy(base_config.data)
-    data["case"] = spec.case
-    background = None
-    if spec.variable == "coupling_loss_db":
-        data["link"]["coupling_loss_db"] = value
-    elif spec.variable == "L0_km":
-        data["network"]["feeder_km"] = value
-    elif spec.variable == "psd_w_per_nm":
-        data["bulb"]["psd_w_per_nm"] = value
-    elif spec.variable == "background_noise":
-        background = value
-    elif spec.variable == "clock_rate_hz":
-        if spec.protocol == "GG02":
-            data["cv"]["clock_hz"] = value
-        else:
-            data["dv"]["clock_hz"] = value
-    cfg = SimulationConfig(data)
+    changes = {"case": spec.case}
+    background = value if spec.variable == "background_noise" else None
+    if spec.variable == "clock_rate_hz":
+        changes["cv.clock_hz" if spec.protocol == "GG02" else "dv.clock_hz"] = value
+    elif background is None:
+        changes[_SWEPT_LEAVES[spec.variable]] = value
+    cfg = base_config.replaced(changes)
 
     if spec.protocol in ("DS-BB84", "SPP-BB84"):
         rate_fn = ds_bb84_rate if spec.protocol == "DS-BB84" else spp_bb84_rate
@@ -410,13 +405,9 @@ def _evaluate_point(spec: SweepSpec, base_config: SimulationConfig, value: float
     )
 
 
-def run_sweep(spec: SweepSpec, config: SimulationConfig, max_workers: int | None = None) -> SweepResult:
-    """Evaluate the sweep on a worker pool and return rows sorted by value."""
-    values = spec.values()
-    workers = max_workers or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda v: _evaluate_point(spec, config, v), values))
-    rows.sort(key=lambda r: r.value)
+def run_sweep(spec: SweepSpec, config: SimulationConfig) -> SweepResult:
+    """Evaluate the sweep point by point and return rows sorted by value."""
+    rows = sorted((_evaluate_point(spec, config, v) for v in spec.values()), key=lambda r: r.value)
     run_hash = hashlib.sha256(
         (config.canonical_json + repr(sorted(spec.as_dict().items()))).encode()
     ).hexdigest()
@@ -440,9 +431,7 @@ def noise_breakdown(
         raise ValueError(f"setup must be 1-4, got {setup}")
     rows = []
     for l0 in sorted(l0_values_km):
-        data = copy.deepcopy(config.data)
-        data["network"]["feeder_km"] = float(l0)
-        cfg = SimulationConfig(data)
+        cfg = config.replaced({"network.feeder_km": float(l0)})
         if setup in (1, 2):
             link = _dv_budget(cfg, setup, None)
             if setup == 1:
@@ -463,44 +452,32 @@ def dv_cv_crossover(config: SimulationConfig, setup: int = 2) -> float:
 
     Both protocols are evaluated at the configured operating point on the
     given setup; the coherent clock stays fixed at its configured value
-    while the direct-detection clock is swept.  Returns the crossover
-    clock in Hz, 0.0 when the coherent link yields no key at all, and
-    ``math.inf`` when no crossover exists inside the search range.
+    while the direct-detection clock varies.  The rate gap is linear in
+    that clock, so the crossover is ``cv_bps / dv_rate``.  Returns it in
+    Hz, 0.0 when the coherent link yields no key at all, and ``math.inf``
+    when the crossover lies above ``CROSSOVER_CLOCK_RANGE_HZ``.  A
+    crossover below the range is returned as is.
     """
-    data = copy.deepcopy(config.data)
-    cfg = SimulationConfig(data)
-    dv_links = _dv_budget(cfg, setup, None)
-    params = cfg.bb84_params()
+    dv_links = _dv_budget(config, setup, None)
+    params = config.bb84_params()
     if setup == 1:
         dv_rate = min(ds_bb84_rate(dv_links[0], params), ds_bb84_rate(dv_links[1], params))
     else:
         dv_rate = ds_bb84_rate(dv_links, params)
-    cv_links = _cv_budget(cfg, setup, None)
-    gg = cfg.gg02_params()
+    cv_links = _cv_budget(config, setup, None)
+    gg = config.gg02_params()
     if setup == 1:
         cv_rate = min(gg02_rate(cv_links[0], gg), gg02_rate(cv_links[1], gg))
     else:
         cv_rate = gg02_rate(cv_links, gg)
-    cv_bps = cv_rate * cfg.data["cv"]["clock_hz"]
+    cv_bps = cv_rate * config.data["cv"]["clock_hz"]
 
     if cv_bps == 0.0:
         return 0.0
     if dv_rate == 0.0:
         return math.inf
-    lo, hi = CROSSOVER_CLOCK_RANGE_HZ
-    gap = lambda clock: dv_rate * clock - cv_bps
-    if gap(hi) < 0.0:
-        return math.inf
-    if gap(lo) > 0.0:
-        # crossover sits below the search range; the linear gap pins it exactly
-        return cv_bps / dv_rate
-    while (hi - lo) > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    clock = cv_bps / dv_rate
+    return math.inf if clock > CROSSOVER_CLOCK_RANGE_HZ[1] else clock
 
 
 def emit_csv(result: SweepResult | NoiseBreakdownResult, path: str) -> None:

@@ -1,5 +1,7 @@
 """Per-setup link budgets against term-by-term oracles."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,14 @@ from qkd_access.budget import (
 )
 from qkd_access.numerics import AttenuationCoefficient
 from qkd_access.owc import BulbNoiseModel, RoomScenario, bulb_noise_count, los_dc_gain
-from qkd_access.raman import RamanCrossSectionTable
+from qkd_access.raman import (
+    BUILTIN_REFERENCE_PUMP_NM,
+    BUILTIN_TABLE_RESOURCE,
+    RamanCrossSectionTable,
+    builtin_cross_section_table,
+)
 
-from oracles import FlatRamanData, raman_totals_oracle
+from oracles import CsvRamanData, FlatRamanData, raman_totals_oracle
 
 PLANCK = 6.62607015e-34
 LIGHTSPEED = 299792458.0
@@ -98,8 +105,8 @@ class TestRamanTotals:
         oracle = raman_totals_oracle(
             1, FlatRamanData(3e-9), plan.quantum_nm, plan.data_nm, 10.0, (0.5,), 0.2, 2.0, 0.8
         )
-        assert fwd == pytest.approx(oracle[0], rel=1e-12)
-        assert bwd == pytest.approx(oracle[1], rel=1e-12)
+        assert fwd == pytest.approx(oracle[0], rel=1e-12, abs=0.0)
+        assert bwd == pytest.approx(oracle[1], rel=1e-12, abs=0.0)
 
     def test_flat_table_symmetry(self):
         # equal drops and a flat cross section: the k>=2 terms are all equal
@@ -122,8 +129,28 @@ class TestRamanTotals:
             setup, FlatRamanData(2.2e-9), plan.quantum_nm, plan.data_nm,
             plan.feeder_km, plan.drop_km, 0.2, 2.0, 0.8,
         )
-        assert got[0] == pytest.approx(want[0], rel=1e-12)
-        assert got[1] == pytest.approx(want[1], rel=1e-12)
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("setup,fn", [(1, raman_totals_setup1), (3, raman_totals_setup3), (4, raman_totals_setup4)])
+    def test_builtin_table_distinct_drops_against_oracle(self, setup, fn):
+        drops = tuple(float(km) for km in np.random.default_rng(11).uniform(0.0, 5.0, 32))
+        plan = nominal_plan(drop_km=drops, feeder_km=23.0)
+        got = fn(plan, builtin_cross_section_table(), 0.8)
+        csv_path = resources.files("qkd_access").joinpath("data", BUILTIN_TABLE_RESOURCE)
+        want = raman_totals_oracle(
+            setup, CsvRamanData(str(csv_path), BUILTIN_REFERENCE_PUMP_NM), plan.quantum_nm,
+            plan.data_nm, 23.0, drops, 0.2, 2.0, 0.8,
+        )
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("fn", [raman_totals_setup1, raman_totals_setup3, raman_totals_setup4])
+    def test_pump_outside_table_rejected(self, fn):
+        # user 2's data channel sits far beyond the tabulated detuning range
+        plan = DwdmPlan(quantum_nm=(1555.62, 1554.82), data_nm=(1585.2, 2500.0))
+        with pytest.raises(ValueError, match="pump 2500.0 nm .* outside table range"):
+            fn(plan, flat_table(), 0.8)
 
     def test_setup4_drop_zero_collapses_toward_setup1_structure(self):
         plan = DwdmPlan.from_grid(n_users=8, drop_km=(0.0,) * 8)
@@ -132,7 +159,7 @@ class TestRamanTotals:
         want = raman_totals_oracle(
             4, FlatRamanData(3e-9), plan.quantum_nm, plan.data_nm, 10.0, (0.0,) * 8, 0.2, 2.0, 0.8
         )
-        assert fwd4 == pytest.approx(want[0], rel=1e-12)
+        assert fwd4 == pytest.approx(want[0], rel=1e-12, abs=0.0)
 
 
 class TestDvBudgets:

@@ -46,6 +46,14 @@ class TestValidateConfig:
         assert run_cli("validate-config", "--set", "dv.nonsense=1") == 2
 
 
+    def test_non_numeric_override_fails(self, capsys):
+        assert run_cli("validate-config", "--set", "dv.mu=nan") == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_list_for_scalar_override_fails(self, capsys):
+        assert run_cli("validate-config", "--set", "network.drop_km=[1,2]") == 2
+        assert "error:" in capsys.readouterr().err
+
 class TestSweepCommand:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"

@@ -57,6 +57,12 @@ class TestCrossSectionTable:
         with pytest.raises(ValueError):
             table.gamma(1585.2, 1500.0)
 
+    def test_vector_lookup_rejects_any_pump_out_of_range(self):
+        table = flat_table(lo=1540.0, hi=1560.0)
+        assert table.gammas([1550.0, 1549.2], 1550.0).tolist() == [3e-9, 3e-9]
+        with pytest.raises(ValueError, match="pump 1585.2 nm / receiver 1550.0 nm"):
+            table.gammas([1550.0, 1585.2], 1550.0)
+
     def test_required_header(self):
         with pytest.raises(ValueError):
             RamanCrossSectionTable.from_csv_text("a,b\n1,2\n", 1550.0)

@@ -18,6 +18,7 @@ from qkd_access import (
     noise_breakdown,
     run_sweep,
 )
+from qkd_access.raman import RamanCrossSectionTable
 from qkd_access.sweep import _evaluate_point
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_sweep.csv"
@@ -86,12 +87,11 @@ class TestRunSweep:
         emit_csv(run_sweep(spec, cfg), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_count_does_not_change_results(self):
+    def test_rows_are_pointwise_evaluations(self):
         spec = small_spec(points=9)
         cfg = default_config()
-        serial = run_sweep(spec, cfg, max_workers=1)
-        parallel = run_sweep(spec, cfg, max_workers=8)
-        assert serial == parallel
+        pointwise = [_evaluate_point(spec, cfg, v) for v in spec.values()]
+        assert list(run_sweep(spec, cfg).rows) == pointwise
 
     def test_point_evaluation_order_independent(self):
         spec = small_spec(points=6)
@@ -118,6 +118,32 @@ class TestRunSweep:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
+
+def count_table_parses(monkeypatch):
+    calls = []
+    parse = RamanCrossSectionTable.from_csv_text.__func__
+
+    def counting(cls, text, reference_pump_nm):
+        calls.append(reference_pump_nm)
+        return parse(cls, text, reference_pump_nm)
+
+    monkeypatch.setattr(RamanCrossSectionTable, "from_csv_text", classmethod(counting))
+    return calls
+
+
+class TestTableParsedOncePerRun:
+    @pytest.mark.parametrize("setup,protocol", [(1, "DS-BB84"), (1, "GG02"), (4, "MDI-SPP")])
+    def test_sweep(self, monkeypatch, setup, protocol):
+        calls = count_table_parses(monkeypatch)
+        spec = SweepSpec(setup=setup, protocol=protocol, case=3, variable="L0_km",
+                         start=1.0, stop=50.0, points=50)
+        run_sweep(spec, default_config())
+        assert len(calls) <= 1
+
+    def test_noise_breakdown(self, monkeypatch):
+        calls = count_table_parses(monkeypatch)
+        noise_breakdown(3, default_config(), [float(v) for v in np.linspace(1.0, 50.0, 50)])
+        assert len(calls) <= 1
 
 class TestSetupOneComposition:
     def test_rows_report_min_of_links(self):
