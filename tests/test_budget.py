@@ -206,9 +206,9 @@ class TestDvBudgets:
         )
         photon_j = PLANCK * LIGHTSPEED / (1555.62e-9)
         scale = 0.3 / 2.0 * 1e-3 * 100e-12 / photon_j
-        assert link.frs == pytest.approx(scale * fwd, rel=1e-12)
-        assert link.brs == pytest.approx(scale * bwd, rel=1e-12)
-        assert link.noise_per_detector == pytest.approx(scale * (fwd + bwd) + 1e-7, rel=1e-12)
+        assert link.frs == pytest.approx(scale * fwd, rel=1e-12, abs=0.0)
+        assert link.brs == pytest.approx(scale * bwd, rel=1e-12, abs=0.0)
+        assert link.noise_per_detector == pytest.approx(scale * (fwd + bwd) + 1e-7, rel=1e-12, abs=0.0)
 
     def test_setup2_huge_coupling_loss_kills_bulb_and_signal(self):
         link = budget_setup2(
@@ -229,8 +229,8 @@ class TestDvBudgets:
         photon_j = PLANCK * LIGHTSPEED / (1555.62e-9)
         count = 0.15 * 1e-3 * 100e-12 / photon_j
         eta_fib = fiber_transmittance(10.0, 0.5, 0.2, 2.0)
-        assert link.frs == pytest.approx(count * fwd, rel=1e-12)
-        assert link.brs == pytest.approx(count * bwd, rel=1e-12)
+        assert link.frs == pytest.approx(count * fwd, rel=1e-12, abs=0.0)
+        assert link.brs == pytest.approx(count * bwd, rel=1e-12, abs=0.0)
         assert link.bulb == pytest.approx(0.15 * bulb_noise_count(bulb) * eta_fib * 0.1, rel=1e-12)
         assert link.transmissivity == pytest.approx(
             los_dc_gain(case_scenario(3)) * 0.1 * eta_fib * 0.15, rel=1e-12
@@ -271,8 +271,8 @@ class TestMdiBudgets:
         )
         photon_j = PLANCK * LIGHTSPEED / (1555.62e-9)
         quarter_count = 0.3 / 4.0 * 1e-3 * 100e-12 / photon_j
-        assert link.frs == pytest.approx(quarter_count * fwd, rel=1e-12)
-        assert link.brs == pytest.approx(quarter_count * bwd, rel=1e-12)
+        assert link.frs == pytest.approx(quarter_count * fwd, rel=1e-12, abs=0.0)
+        assert link.brs == pytest.approx(quarter_count * bwd, rel=1e-12, abs=0.0)
         assert link.bulb == pytest.approx(0.075 * bulb_noise_count(bulb) * 0.1, rel=1e-12)
         assert link.eta_alice == pytest.approx(
             los_dc_gain(case_scenario(3)) * 0.3 * 0.1 * 0.5, rel=1e-12
@@ -291,8 +291,8 @@ class TestMdiBudgets:
         photon_j = PLANCK * LIGHTSPEED / (1555.62e-9)
         quarter_count = 0.075 * 1e-3 * 100e-12 / photon_j
         drop_loss = 10.0 ** (-0.2 * 0.5 / 10.0)
-        assert link.frs == pytest.approx(quarter_count * fwd, rel=1e-12)
-        assert link.brs == pytest.approx(quarter_count * bwd, rel=1e-12)
+        assert link.frs == pytest.approx(quarter_count * fwd, rel=1e-12, abs=0.0)
+        assert link.brs == pytest.approx(quarter_count * bwd, rel=1e-12, abs=0.0)
         assert link.eta_alice == pytest.approx(
             los_dc_gain(case_scenario(3)) * 0.3 * 0.1 * drop_loss * 0.5, rel=1e-12
         )

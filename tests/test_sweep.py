@@ -162,7 +162,7 @@ class TestSetupOneComposition:
             expected = min(ds_bb84_rate(wireless, params), ds_bb84_rate(fiber, params))
             assert row.rate_per_pulse == pytest.approx(expected, rel=1e-12)
             # breakdown reports the fiber link
-            assert row.frs == pytest.approx(fiber.frs, rel=1e-12)
+            assert row.frs == pytest.approx(fiber.frs, rel=1e-12, abs=0.0)
             assert row.bulb == 0.0
 
 
@@ -176,6 +176,30 @@ class TestBackgroundSweep:
             assert row.frs == 0.0 and row.brs == 0.0
             assert row.bulb == pytest.approx(row.value, rel=1e-12)
             assert row.dark == pytest.approx(1e-7)
+
+    @pytest.mark.parametrize("coupling_loss_db", [0.0, 5.0, 12.0])
+    @pytest.mark.parametrize("setup,protocol", [
+        (1, "DS-BB84"), (1, "SPP-BB84"), (2, "DS-BB84"), (2, "SPP-BB84"),
+        (3, "MDI-DS"), (3, "MDI-SPP"), (4, "MDI-DS"), (4, "MDI-SPP"),
+    ])
+    def test_modelled_noise_as_background_reproduces_rate(self, setup, protocol, coupling_loss_db):
+        cfg = default_config(link={"coupling_loss_db": coupling_loss_db})
+        grid = dict(setup=setup, protocol=protocol, case=3, points=2)
+        modelled = _evaluate_point(
+            SweepSpec(variable="coupling_loss_db", start=0.0, stop=30.0, **grid),
+            cfg, coupling_loss_db,
+        )
+        if setup == 1:  # the background replaces the wireless link's noise
+            link = budget_setup1_wireless(
+                cfg.scenario(3), cfg.bulb_model(cfg.data["link"]["wireless_wavelength_nm"]),
+                cfg.detectors(),
+            )
+        else:
+            link = modelled
+        value = link.frs + link.brs + link.bulb
+        spec = SweepSpec(variable="background_noise", start=value / 2.0, stop=value * 2.0,
+                         log_spacing=True, **grid)
+        assert _evaluate_point(spec, cfg, value).rate_per_pulse == modelled.rate_per_pulse
 
     def test_cv_background_enters_per_mode(self):
         cfg = default_config()
