@@ -26,11 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c, h
 
 from .numerics import AttenuationCoefficient
 from .owc import BulbNoiseModel, RoomScenario, bulb_noise_count, los_dc_gain
-from .raman import RamanCrossSectionTable, backward_power, forward_power
+from .raman import RamanCrossSectionTable, backward_power, forward_power, photons_per_gate
 
 __all__ = [
     "DEFAULT_SENSITIVITY_DBM",
@@ -133,6 +132,13 @@ class DwdmPlan:
     def n_users(self) -> int:
         return len(self.quantum_nm)
 
+    @property
+    def transmittance(self) -> float:
+        """User 1's fiber transmittance: feeder, drop and two multiplexer passes."""
+        return fiber_transmittance(
+            self.feeder_km, self.drop_km[0], self.attenuation.db_per_km, self.awg_insertion_loss_db
+        )
+
     def launch_power_mw(self, user: int) -> float:
         """Launch power of a user's data transmitter under the sensitivity rule."""
         total_km = self.feeder_km + self.drop_km[user]
@@ -196,12 +202,20 @@ class MdiLinkBudget:
 
 @dataclass(frozen=True)
 class CvLinkBudget:
-    """Channel transmissivity and input-referred excess noise (shot-noise units)."""
+    """Channel transmissivity and input-referred excess noise (shot-noise units).
+
+    ``frs``, ``brs`` and ``bulb`` are the photon counts per gate behind the
+    Raman and bulb terms, the bulb count already filtered to the local
+    oscillator's mode.
+    """
 
     transmissivity: float
     eps_bulb: float = 0.0
     eps_raman: float = 0.0
     eps_receiver: float = 0.0
+    frs: float = 0.0
+    brs: float = 0.0
+    bulb: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.transmissivity <= 1.0:
@@ -212,6 +226,11 @@ class CvLinkBudget:
     @property
     def excess_noise(self) -> float:
         return self.eps_bulb + self.eps_raman + self.eps_receiver
+
+    @property
+    def dark(self) -> float:
+        """Homodyne detection has no dark counts."""
+        return 0.0
 
 
 def launch_power(
@@ -338,11 +357,6 @@ def raman_totals_setup4(
     return float(fwd_mux * awg + fwd_direct), bwd * awg
 
 
-def _photons_per_gate(power_mw: float, rx_nm: float, gate_s: float) -> float:
-    """Photons per gate in an ideal detector for a given optical power."""
-    return power_mw * 1e-3 * gate_s * (rx_nm * 1e-9) / (h * c)
-
-
 def budget_setup1_wireless(
     scenario: RoomScenario,
     bulb: BulbNoiseModel,
@@ -370,12 +384,9 @@ def budget_setup1_fiber(
 ) -> LinkBudget:
     """Budget of the relay-to-central-office fiber link."""
     fwd, bwd = raman_totals_setup1(plan, table, rx_bandwidth_nm)
-    count = det.eta_telecom / 2.0 * _photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
-    eta_fib = fiber_transmittance(
-        plan.feeder_km, plan.drop_km[0], plan.attenuation.db_per_km, plan.awg_insertion_loss_db
-    )
+    count = det.eta_telecom / 2.0 * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
     return LinkBudget(
-        transmissivity=eta_fib * det.eta_telecom / 2.0,
+        transmissivity=plan.transmittance * det.eta_telecom / 2.0,
         frs=count * fwd,
         brs=count * bwd,
         dark=det.dark_count_per_pulse,
@@ -401,11 +412,9 @@ def budget_setup2(
     fwd, bwd = raman_totals_setup1(plan, table, rx_bandwidth_nm)  # same totals as setup 1
     n_b1 = bulb_noise_count(bulb) if n_b1_override is None else n_b1_override
     eta_coup = 10.0 ** (-coupling_loss_db / 10.0)
-    eta_fib = fiber_transmittance(
-        plan.feeder_km, plan.drop_km[0], plan.attenuation.db_per_km, plan.awg_insertion_loss_db
-    )
+    eta_fib = plan.transmittance
     half_det = det.eta_telecom / 2.0
-    count = half_det * _photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
+    count = half_det * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
     return LinkBudget(
         transmissivity=los_dc_gain(scenario) * eta_coup * eta_fib * half_det,
         frs=count * fwd,
@@ -435,14 +444,11 @@ def budget_setup3(
     fwd, bwd = raman_totals_setup3(plan, table, rx_bandwidth_nm)
     n_b1 = bulb_noise_count(bulb) if n_b1_override is None else n_b1_override
     eta_coup = 10.0 ** (-coupling_loss_db / 10.0)
-    eta_fib = fiber_transmittance(
-        plan.feeder_km, plan.drop_km[0], plan.attenuation.db_per_km, plan.awg_insertion_loss_db
-    )
     quarter = det.eta_telecom / 4.0
-    count = quarter * _photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
+    count = quarter * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
     return MdiLinkBudget(
         eta_alice=los_dc_gain(scenario) * det.eta_telecom * eta_coup * polarization_factor,
-        eta_bob=det.eta_telecom * eta_fib * polarization_factor,
+        eta_bob=det.eta_telecom * plan.transmittance * polarization_factor,
         frs=count * fwd,
         brs=count * bwd,
         bulb=quarter * n_b1 * eta_coup,
@@ -473,7 +479,7 @@ def budget_setup4(
     drop_loss = 10.0 ** (-alpha_db * plan.drop_km[0] / 10.0)
     eta_coup = 10.0 ** (-coupling_loss_db / 10.0)
     quarter = det.eta_telecom / 4.0
-    count = quarter * _photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
+    count = quarter * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
     eta_bob = 10.0 ** (-(alpha_db * plan.feeder_km + 2.0 * plan.awg_insertion_loss_db) / 10.0)
     return MdiLinkBudget(
         eta_alice=los_dc_gain(scenario) * det.eta_telecom * eta_coup * drop_loss * polarization_factor,
@@ -507,39 +513,32 @@ def cv_budget(
     filters the background to a single matched mode, which takes half the
     raw count, so the bulb term comes out as n_B / H_dc.  The residual
     receiver noise measured at the detector is referred back through both
-    the channel and the receiver efficiency.
+    the channel and the receiver efficiency.  The budget also carries the
+    photon counts behind these terms.
     """
     if setup not in ("1-wireless", "1-fiber", "2"):
         raise ValueError(f"coherent detection applies to setups 1 and 2 only, got {setup!r}")
 
-    eps_bulb = 0.0
-    eps_raman = 0.0
-    if setup == "1-wireless":
+    eps_bulb = eps_raman = frs = brs = bulb_count = 0.0
+    if setup != "1-fiber":
         h_dc = los_dc_gain(scenario)
-        transmissivity = h_dc
-        n_b1 = bulb_noise_count(bulb) if n_b1_override is None else n_b1_override
-        if transmissivity <= 0.0:
+        if h_dc <= 0.0:
             raise ValueError("channel transmissivity is zero; budget undefined")
+        n_b1 = bulb_noise_count(bulb) if n_b1_override is None else n_b1_override
         eps_bulb = n_b1 / h_dc
+        bulb_count = n_b1 / 2.0
+    if setup == "1-wireless":
+        transmissivity = h_dc
     else:
         fwd, bwd = raman_totals_setup1(plan, table, rx_bandwidth_nm)
-        raman_count = _photons_per_gate(1.0, plan.quantum_nm[0], gate_s) * (fwd + bwd)
-        eta_fib = fiber_transmittance(
-            plan.feeder_km, plan.drop_km[0], plan.attenuation.db_per_km, plan.awg_insertion_loss_db
-        )
-        if setup == "1-fiber":
-            transmissivity = eta_fib
-        else:
-            h_dc = los_dc_gain(scenario)
-            eta_coup = 10.0 ** (-coupling_loss_db / 10.0)
-            transmissivity = h_dc * eta_coup * eta_fib
-            n_b1 = bulb_noise_count(bulb) if n_b1_override is None else n_b1_override
-            if h_dc <= 0.0:
-                raise ValueError("channel transmissivity is zero; budget undefined")
-            eps_bulb = n_b1 / h_dc
+        count = photons_per_gate(1.0, plan.quantum_nm[0], gate_s)
+        frs, brs = count * fwd, count * bwd
+        transmissivity = plan.transmittance
+        if setup == "2":
+            transmissivity = h_dc * 10.0 ** (-coupling_loss_db / 10.0) * transmissivity
         if transmissivity <= 0.0:
             raise ValueError("channel transmissivity is zero; budget undefined")
-        eps_raman = raman_count / transmissivity
+        eps_raman = count * (fwd + bwd) / transmissivity
 
     eps_receiver = eps_receiver_measured / (transmissivity * receiver_efficiency)
     return CvLinkBudget(
@@ -547,4 +546,7 @@ def cv_budget(
         eps_bulb=eps_bulb,
         eps_raman=eps_raman,
         eps_receiver=eps_receiver,
+        frs=frs,
+        brs=brs,
+        bulb=bulb_count,
     )

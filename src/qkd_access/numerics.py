@@ -3,7 +3,7 @@
 Everything in here is a pure scalar function used by the channel-noise and
 key-rate formulas: Shannon binary entropy, the bosonic entropy function
 g(x) entering Holevo bounds, the modified Bessel function I0, and dB/linear
-power conversions.
+power conversions; plus the two physical constants the photon counts need.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "PLANCK_J_S",
+    "LIGHTSPEED_M_S",
     "AttenuationCoefficient",
     "binary_entropy",
     "holevo_g",
@@ -19,6 +21,10 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
 ]
+
+# Exact by definition in the 2019 SI.
+PLANCK_J_S = 6.62607015e-34
+LIGHTSPEED_M_S = 299792458.0
 
 # x < 1 by at most this much is treated as floating-point noise in a
 # symplectic eigenvalue and clamped to 1.

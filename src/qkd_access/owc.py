@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import c, h
+from .numerics import LIGHTSPEED_M_S, PLANCK_J_S
+
 
 __all__ = [
     "RoomScenario",
@@ -208,7 +209,7 @@ class BulbNoiseModel:
 
 def bulb_noise_count(model: BulbNoiseModel) -> float:
     """Background photons per gate collected from the light source."""
-    photon_energy_j = h * c / model.wavelength_m
+    photon_energy_j = PLANCK_J_S * LIGHTSPEED_M_S / model.wavelength_m
     collected_j = (
         model.collection_factor
         * model.psd_w_per_nm

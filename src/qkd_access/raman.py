@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.constants import c, h
 
-from .numerics import AttenuationCoefficient
+from .numerics import LIGHTSPEED_M_S, PLANCK_J_S, AttenuationCoefficient
 
 __all__ = [
     "RamanCrossSectionTable",
@@ -36,6 +35,7 @@ __all__ = [
     "backward_power",
     "raman_forward",
     "raman_backward",
+    "photons_per_gate",
     "raman_photon_count",
 ]
 
@@ -71,8 +71,8 @@ class RamanCrossSectionTable:
         self.reference_pump_nm = float(reference_pump_nm)
         # Detuning axis (receiver freq minus reference pump freq, Hz),
         # increasing as wavelength decreases; stored flipped for interp.
-        nu_ref = c / (self.reference_pump_nm * 1e-9)
-        detuning = c / (wl * 1e-9) - nu_ref
+        nu_ref = LIGHTSPEED_M_S / (self.reference_pump_nm * 1e-9)
+        detuning = LIGHTSPEED_M_S / (wl * 1e-9) - nu_ref
         self._detuning_hz = detuning[::-1].copy()
         self._gamma_by_detuning = ga[::-1].copy()
 
@@ -120,7 +120,7 @@ class RamanCrossSectionTable:
         pumps = np.asarray(pumps_nm, dtype=float)
         if rx_nm <= 0.0 or np.any(pumps <= 0.0):
             raise ValueError("wavelengths must be > 0")
-        detuning = c / (rx_nm * 1e-9) - c / (pumps * 1e-9)
+        detuning = LIGHTSPEED_M_S / (rx_nm * 1e-9) - LIGHTSPEED_M_S / (pumps * 1e-9)
         lo, hi = self._detuning_hz[0], self._detuning_hz[-1]
         outside = ~((lo <= detuning) & (detuning <= hi))
         if outside.any():
@@ -206,9 +206,13 @@ def raman_backward(query: RamanQuery, table: RamanCrossSectionTable) -> float:
     )
 
 
+def photons_per_gate(power_mw: float, rx_nm: float, gate_s: float) -> float:
+    """Photons per gate reaching an ideal detector for a given optical power."""
+    return power_mw * 1e-3 * gate_s * (rx_nm * 1e-9) / (PLANCK_J_S * LIGHTSPEED_M_S)
+
+
 def raman_photon_count(power_mw: float, rx_nm: float, gate_s: float, det_efficiency: float) -> float:
     """Average detected photons per gate for a given scattered power."""
     if min(power_mw, rx_nm, gate_s, det_efficiency) < 0.0:
         raise ValueError("raman_photon_count arguments must be >= 0")
-    photon_energy_j = h * c / (rx_nm * 1e-9)
-    return det_efficiency * power_mw * 1e-3 * gate_s / photon_energy_j
+    return det_efficiency * photons_per_gate(power_mw, rx_nm, gate_s)

@@ -9,9 +9,9 @@ CSV output.
 Conventions used in the result rows:
 
 * setup 1 combines its two links by XOR, so its key rate is the minimum of
-  the wireless and fiber link rates; the reported noise breakdown is that
-  of the fiber link (the wireless link has no dependence on the swept
-  fiber quantities).
+  the wireless and fiber link rates; for every protocol the reported noise
+  breakdown is that of the fiber link (the wireless link has no dependence
+  on the swept fiber quantities).
 * For the coherent protocol the frs/brs/bulb columns report the photon
   counts feeding the excess-noise mapping (the bulb count already filtered
   to the local oscillator's mode), and the dark column is zero because
@@ -19,33 +19,28 @@ Conventions used in the result rows:
 * In ``background_noise`` sweeps the swept count replaces the modelled
   bulb and Raman noise: it is the total background per detector for the
   direct-detection protocols and per spatio-temporal mode for the coherent
-  one; it lands in the bulb column of the breakdown.
+  one; it lands in the bulb column of the breakdown.  On setup 1 it
+  replaces only the wireless link's noise; the fiber link, which the row
+  reports, stays modelled.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c as _lightspeed, h as _planck
 
 from .budget import (
-    CvLinkBudget,
-    LinkBudget,
-    MdiLinkBudget,
     budget_setup1_fiber,
     budget_setup1_wireless,
     budget_setup2,
     budget_setup3,
     budget_setup4,
     cv_budget,
-    fiber_transmittance,
-    raman_totals_setup1,
 )
 from .config import SimulationConfig
-from .owc import bulb_noise_count, los_dc_gain
 from .protocols import (
     ds_bb84_rate,
     gg02_rate,
@@ -206,151 +201,51 @@ class NoiseBreakdownResult:
         return "\n".join(lines) + "\n"
 
 
-def _dv_budget(cfg: SimulationConfig, setup: int, background: float | None):
-    """Link budget(s) for the direct-detection protocols.
+def _links(cfg: SimulationConfig, setup: int, coherent: bool = False) -> tuple:
+    """User 1's link budgets on ``setup``: (wireless, fiber) for setup 1, else (link,).
 
-    Returns a single budget for setup 2 and a (wireless, fiber) pair for
-    setup 1.
+    ``coherent`` selects the coherent-detection budgets of setups 1-2 over
+    the direct-detection (setups 1-2) or MDI (setups 3-4) ones.
     """
-    det = cfg.detectors()
-    dark = det.dark_count_per_pulse
     plan = cfg.plan()
-    scenario = cfg.scenario()
-    if setup == 1:
-        if background is None:
-            wireless = budget_setup1_wireless(
-                scenario,
-                cfg.bulb_model(cfg.data["link"]["wireless_wavelength_nm"]),
-                det,
-                n_b1_override=cfg.n_b1_override(),
-            )
-        else:
-            wireless = LinkBudget(
-                transmissivity=los_dc_gain(scenario) * det.eta_wireless / 2.0,
-                bulb=background,
-                dark=dark,
-            )
-        fiber = budget_setup1_fiber(plan, det, cfg.raman_table(), cfg.data["network"]["rx_bandwidth_nm"])
-        return wireless, fiber
-    if setup == 2:
-        if background is None:
-            return budget_setup2(
-                scenario,
-                cfg.bulb_model(plan.quantum_nm[0]),
-                plan,
-                det,
-                cfg.raman_table(),
-                coupling_loss_db=cfg.data["link"]["coupling_loss_db"],
-                rx_bandwidth_nm=cfg.data["network"]["rx_bandwidth_nm"],
-                n_b1_override=cfg.n_b1_override(),
-            )
-        eta_coup = 10.0 ** (-cfg.data["link"]["coupling_loss_db"] / 10.0)
-        eta_fib = fiber_transmittance(
-            plan.feeder_km, plan.drop_km[0], plan.attenuation.db_per_km, plan.awg_insertion_loss_db
-        )
-        return LinkBudget(
-            transmissivity=los_dc_gain(scenario) * eta_coup * eta_fib * det.eta_telecom / 2.0,
-            bulb=background,
-            dark=dark,
-        )
-    raise ValueError(f"direct-detection budgets exist for setups 1-2, not {setup}")
-
-
-def _mdi_budget(cfg: SimulationConfig, setup: int, background: float | None) -> MdiLinkBudget:
-    det = cfg.detectors()
-    plan = cfg.plan()
-    scenario = cfg.scenario()
-    builder = budget_setup3 if setup == 3 else budget_setup4
-    link = builder(
-        scenario,
-        cfg.bulb_model(plan.quantum_nm[0]),
-        plan,
-        det,
-        cfg.raman_table(),
-        coupling_loss_db=cfg.data["link"]["coupling_loss_db"],
-        rx_bandwidth_nm=cfg.data["network"]["rx_bandwidth_nm"],
-        polarization_factor=cfg.data["link"]["polarization_factor"],
-        n_b1_override=cfg.n_b1_override(),
-    )
-    if background is None:
-        return link
-    return MdiLinkBudget(
-        eta_alice=link.eta_alice,
-        eta_bob=link.eta_bob,
-        bulb=background,
-        dark=det.dark_count_per_pulse,
-        polarization_factor=link.polarization_factor,
-    )
-
-
-def _cv_budget(cfg: SimulationConfig, setup: int, background: float | None):
-    """CV budget(s): single for setup 2, (wireless, fiber) pair for setup 1."""
-    cv = cfg.data["cv"]
-    plan = cfg.plan()
-    scenario = cfg.scenario()
-    common = dict(
-        receiver_efficiency=cv["receiver_efficiency"],
-        eps_receiver_measured=cv["eps_receiver_measured"],
-        gate_s=cfg.gate_s,
-        rx_bandwidth_nm=cfg.data["network"]["rx_bandwidth_nm"],
-    )
-    if setup == 1:
-        if background is None:
-            wireless = cv_budget(
-                "1-wireless",
-                scenario=scenario,
-                bulb=cfg.bulb_model(cfg.data["link"]["wireless_wavelength_nm"]),
-                n_b1_override=cfg.n_b1_override(),
-                **common,
-            )
-        else:
-            h_dc = los_dc_gain(scenario)
-            wireless = CvLinkBudget(
-                transmissivity=h_dc,
-                eps_bulb=2.0 * background / h_dc,
-                eps_receiver=cv["eps_receiver_measured"] / (h_dc * cv["receiver_efficiency"]),
-            )
-        fiber = cv_budget("1-fiber", plan=plan, table=cfg.raman_table(), **common)
-        return wireless, fiber
-    if setup == 2:
-        if background is None:
-            return cv_budget(
-                "2",
-                scenario=scenario,
-                bulb=cfg.bulb_model(plan.quantum_nm[0]),
-                plan=plan,
-                table=cfg.raman_table(),
-                coupling_loss_db=cfg.data["link"]["coupling_loss_db"],
-                n_b1_override=cfg.n_b1_override(),
-                **common,
-            )
-        eta_coup = 10.0 ** (-cfg.data["link"]["coupling_loss_db"] / 10.0)
-        eta_fib = fiber_transmittance(
-            plan.feeder_km, plan.drop_km[0], plan.attenuation.db_per_km, plan.awg_insertion_loss_db
-        )
-        eta_ch = los_dc_gain(scenario) * eta_coup * eta_fib
-        return CvLinkBudget(
-            transmissivity=eta_ch,
-            eps_bulb=2.0 * background / eta_ch,
-            eps_receiver=cv["eps_receiver_measured"] / (eta_ch * cv["receiver_efficiency"]),
-        )
-    raise ValueError(f"the coherent protocol runs on setups 1-2, not {setup}")
-
-
-def _cv_noise_counts(cfg: SimulationConfig, setup: int, background: float | None):
-    """(frs, brs, bulb) photon counts reported for coherent-protocol rows."""
-    if background is not None:
-        return 0.0, 0.0, background
-    plan = cfg.plan()
-    fwd, bwd = raman_totals_setup1(plan, cfg.raman_table(), cfg.data["network"]["rx_bandwidth_nm"])
-    per_mw = 1e-3 * cfg.gate_s * (plan.quantum_nm[0] * 1e-9) / (_planck * _lightspeed)
+    link = cfg.data["link"]
+    bandwidth = cfg.data["network"]["rx_bandwidth_nm"]
     n_b1 = cfg.n_b1_override()
-    if n_b1 is None:
-        wavelength = (
-            cfg.data["link"]["wireless_wavelength_nm"] if setup == 1 else plan.quantum_nm[0]
+    if coherent:
+        cv = cfg.data["cv"]
+        common = dict(
+            receiver_efficiency=cv["receiver_efficiency"],
+            eps_receiver_measured=cv["eps_receiver_measured"],
+            gate_s=cfg.gate_s,
+            rx_bandwidth_nm=bandwidth,
         )
-        n_b1 = bulb_noise_count(cfg.bulb_model(wavelength))
-    return fwd * per_mw, bwd * per_mw, n_b1 / 2.0
+        if setup == 1:
+            return (
+                cv_budget("1-wireless", scenario=cfg.scenario(),
+                          bulb=cfg.bulb_model(link["wireless_wavelength_nm"]),
+                          n_b1_override=n_b1, **common),
+                cv_budget("1-fiber", plan=plan, table=cfg.raman_table(), **common),
+            )
+        return (
+            cv_budget(str(setup), scenario=cfg.scenario(), bulb=cfg.bulb_model(plan.quantum_nm[0]),
+                      plan=plan, table=cfg.raman_table(), coupling_loss_db=link["coupling_loss_db"],
+                      n_b1_override=n_b1, **common),
+        )
+    det = cfg.detectors()
+    if setup == 1:
+        return (
+            budget_setup1_wireless(cfg.scenario(), cfg.bulb_model(link["wireless_wavelength_nm"]),
+                                   det, n_b1_override=n_b1),
+            budget_setup1_fiber(plan, det, cfg.raman_table(), bandwidth),
+        )
+    args = (cfg.scenario(), cfg.bulb_model(plan.quantum_nm[0]), plan, det, cfg.raman_table())
+    kwargs = dict(
+        coupling_loss_db=link["coupling_loss_db"], rx_bandwidth_nm=bandwidth, n_b1_override=n_b1
+    )
+    if setup == 2:
+        return (budget_setup2(*args, **kwargs),)
+    builder = budget_setup3 if setup == 3 else budget_setup4
+    return (builder(*args, polarization_factor=link["polarization_factor"], **kwargs),)
 
 
 def _evaluate_point(spec: SweepSpec, base_config: SimulationConfig, value: float) -> SweepPoint:
@@ -362,46 +257,32 @@ def _evaluate_point(spec: SweepSpec, base_config: SimulationConfig, value: float
         changes[_SWEPT_LEAVES[spec.variable]] = value
     cfg = base_config.replaced(changes)
 
-    if spec.protocol in ("DS-BB84", "SPP-BB84"):
-        rate_fn = ds_bb84_rate if spec.protocol == "DS-BB84" else spp_bb84_rate
-        params = cfg.bb84_params()
-        clock = cfg.data["dv"]["clock_hz"]
-        budget = _dv_budget(cfg, spec.setup, background)
-        if spec.setup == 1:
-            wireless, fiber = budget
-            rate = min(rate_fn(wireless, params), rate_fn(fiber, params))
-            report = fiber
-        else:
-            rate = rate_fn(budget, params)
-            report = budget
-        frs, brs, bulb, dark = report.frs, report.brs, report.bulb, report.dark
-    elif spec.protocol == "GG02":
-        params = cfg.gg02_params()
-        clock = cfg.data["cv"]["clock_hz"]
-        budget = _cv_budget(cfg, spec.setup, background)
-        if spec.setup == 1:
-            wireless, fiber = budget
-            rate = min(gg02_rate(wireless, params), gg02_rate(fiber, params))
-        else:
-            rate = gg02_rate(budget, params)
-        frs, brs, bulb = _cv_noise_counts(cfg, spec.setup, background)
-        dark = 0.0
-    else:  # MDI-DS / MDI-SPP
+    if spec.protocol == "GG02":
+        rate_fn, params = gg02_rate, cfg.gg02_params()
+    elif spec.protocol in ("MDI-DS", "MDI-SPP"):
         rate_fn = mdi_rate_ds if spec.protocol == "MDI-DS" else mdi_rate_spp
         params = cfg.mdi_params()
-        clock = cfg.data["dv"]["clock_hz"]
-        link = _mdi_budget(cfg, spec.setup, background)
-        rate = rate_fn(link, params)
-        frs, brs, bulb, dark = link.frs, link.brs, link.bulb, link.dark
+    else:
+        rate_fn = ds_bb84_rate if spec.protocol == "DS-BB84" else spp_bb84_rate
+        params = cfg.bb84_params()
+    clock = cfg.data["cv" if spec.protocol == "GG02" else "dv"]["clock_hz"]
 
+    links = _links(cfg, spec.setup, coherent=spec.protocol == "GG02")
+    if background is not None:
+        noise = dict(frs=0.0, brs=0.0, bulb=background)
+        if spec.protocol == "GG02":
+            noise.update(eps_bulb=2.0 * background / links[0].transmissivity, eps_raman=0.0)
+        links = (replace(links[0], **noise),) + links[1:]
+    rate = min(rate_fn(link, params) for link in links)
+    report = links[-1]
     return SweepPoint(
         value=value,
         rate_per_pulse=rate,
         rate_bps=rate * clock,
-        frs=frs,
-        brs=brs,
-        bulb=bulb,
-        dark=dark,
+        frs=report.frs,
+        brs=report.brs,
+        bulb=report.bulb,
+        dark=report.dark,
     )
 
 
@@ -431,13 +312,7 @@ def noise_breakdown(
         raise ValueError(f"setup must be 1-4, got {setup}")
     rows = []
     for l0 in sorted(l0_values_km):
-        cfg = config.replaced({"network.feeder_km": float(l0)})
-        if setup in (1, 2):
-            link = _dv_budget(cfg, setup, None)
-            if setup == 1:
-                link = link[1]
-        else:
-            link = _mdi_budget(cfg, setup, None)
+        link = _links(config.replaced({"network.feeder_km": float(l0)}), setup)[-1]
         rows.append((float(l0), link.frs, link.brs, link.bulb, link.dark, link.noise_per_detector))
     return NoiseBreakdownResult(
         setup=setup,
@@ -458,18 +333,12 @@ def dv_cv_crossover(config: SimulationConfig, setup: int = 2) -> float:
     when the crossover lies above ``CROSSOVER_CLOCK_RANGE_HZ``.  A
     crossover below the range is returned as is.
     """
-    dv_links = _dv_budget(config, setup, None)
+    if setup not in (1, 2):
+        raise ValueError(f"the crossover compares links on setups 1-2, not {setup}")
     params = config.bb84_params()
-    if setup == 1:
-        dv_rate = min(ds_bb84_rate(dv_links[0], params), ds_bb84_rate(dv_links[1], params))
-    else:
-        dv_rate = ds_bb84_rate(dv_links, params)
-    cv_links = _cv_budget(config, setup, None)
+    dv_rate = min(ds_bb84_rate(link, params) for link in _links(config, setup))
     gg = config.gg02_params()
-    if setup == 1:
-        cv_rate = min(gg02_rate(cv_links[0], gg), gg02_rate(cv_links[1], gg))
-    else:
-        cv_rate = gg02_rate(cv_links, gg)
+    cv_rate = min(gg02_rate(link, gg) for link in _links(config, setup, coherent=True))
     cv_bps = cv_rate * config.data["cv"]["clock_hz"]
 
     if cv_bps == 0.0:

@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 
 from qkd_access import (
+    CvLinkBudget,
     SimulationConfig,
     SweepSpec,
     budget_setup1_fiber,
     budget_setup1_wireless,
+    cv_budget,
     ds_bb84_rate,
     dv_cv_crossover,
     emit_csv,
+    fiber_transmittance,
     gg02_rate,
+    los_dc_gain,
     noise_breakdown,
     run_sweep,
 )
@@ -165,6 +169,21 @@ class TestSetupOneComposition:
             assert row.frs == pytest.approx(fiber.frs, rel=1e-12, abs=0.0)
             assert row.bulb == 0.0
 
+    @pytest.mark.parametrize("variable,start,stop", [
+        ("L0_km", 5.0, 50.0), ("coupling_loss_db", 0.0, 20.0), ("background_noise", 1e-8, 1e-4),
+    ])
+    def test_gg02_rows_report_fiber_link(self, variable, start, stop):
+        cfg = default_config()
+        spec = SweepSpec(setup=1, protocol="GG02", case=3, variable=variable,
+                         start=start, stop=stop, points=3)
+        for row in run_sweep(spec, cfg).rows:
+            feeder = row.value if variable == "L0_km" else cfg.data["network"]["feeder_km"]
+            plan = default_config(network={"feeder_km": feeder}).plan()
+            fiber = cv_budget("1-fiber", plan=plan, table=cfg.raman_table(), gate_s=cfg.gate_s,
+                              rx_bandwidth_nm=cfg.data["network"]["rx_bandwidth_nm"])
+            assert fiber.frs > 0.0 and fiber.brs > 0.0
+            assert (row.frs, row.brs, row.bulb, row.dark) == (fiber.frs, fiber.brs, 0.0, 0.0)
+
 
 class TestBackgroundSweep:
     def test_background_replaces_modelled_noise(self):
@@ -206,14 +225,23 @@ class TestBackgroundSweep:
         spec = SweepSpec(setup=2, protocol="GG02", case=3, variable="background_noise",
                          start=1e-7, stop=1e-3, points=3, log_spacing=True)
         result = run_sweep(spec, cfg)
-        from qkd_access.sweep import _cv_budget
-
+        net, cv = cfg.data["network"], cfg.data["cv"]
+        eta_ch = (
+            los_dc_gain(cfg.scenario(3))
+            * 10.0 ** (-cfg.data["link"]["coupling_loss_db"] / 10.0)
+            * fiber_transmittance(net["feeder_km"], net["drop_km"], net["attenuation_db_per_km"],
+                                  net["awg_insertion_loss_db"])
+        )
         for row in result.rows:
-            link = _cv_budget(cfg, 2, row.value)
-            assert link.eps_bulb == pytest.approx(2.0 * row.value / link.transmissivity, rel=1e-12)
+            link = CvLinkBudget(
+                transmissivity=eta_ch,
+                eps_bulb=2.0 * row.value / eta_ch,
+                eps_receiver=cv["eps_receiver_measured"] / (eta_ch * cv["receiver_efficiency"]),
+            )
             assert row.rate_per_pulse == pytest.approx(
                 gg02_rate(link, cfg.gg02_params()), rel=1e-12
             )
+            assert (row.frs, row.brs, row.bulb) == (0.0, 0.0, row.value)
 
 
 class TestNoiseBreakdown:
