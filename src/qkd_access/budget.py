@@ -23,7 +23,7 @@ stays constant, which is why Raman noise grows with fiber length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class DwdmPlan:
     ``quantum_nm[0]`` / ``data_nm[0]`` belong to user 1, the user whose key
     rate is evaluated.  ``drop_km[k]`` is the distance of user k+1 from the
     splitting point; ``feeder_km`` is the shared feeder to the central
-    office.
+    office.  ``raman_totals`` computes each kind of Raman totals once per plan.
     """
 
     quantum_nm: tuple[float, ...]
@@ -93,6 +93,7 @@ class DwdmPlan:
     awg_insertion_loss_db: float = 2.0
     attenuation: AttenuationCoefficient = AttenuationCoefficient(0.2)
     sensitivity_dbm: float = DEFAULT_SENSITIVITY_DBM
+    _raman: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if len(self.quantum_nm) != len(self.data_nm) or not self.quantum_nm:
@@ -138,6 +139,14 @@ class DwdmPlan:
         return fiber_transmittance(
             self.feeder_km, self.drop_km[0], self.attenuation.db_per_km, self.awg_insertion_loss_db
         )
+
+    def raman_totals(self, totals, table: RamanCrossSectionTable,
+                     rx_bandwidth_nm: float) -> tuple[float, float]:
+        """``totals(self, table, rx_bandwidth_nm)``, computed once per plan and arguments."""
+        key = (totals, table, rx_bandwidth_nm)
+        if key not in self._raman:
+            self._raman[key] = totals(self, table, rx_bandwidth_nm)
+        return self._raman[key]
 
     def launch_power_mw(self, user: int) -> float:
         """Launch power of a user's data transmitter under the sensitivity rule."""
@@ -383,7 +392,7 @@ def budget_setup1_fiber(
     rx_bandwidth_nm: float = 0.8,
 ) -> LinkBudget:
     """Budget of the relay-to-central-office fiber link."""
-    fwd, bwd = raman_totals_setup1(plan, table, rx_bandwidth_nm)
+    fwd, bwd = plan.raman_totals(raman_totals_setup1, table, rx_bandwidth_nm)
     count = det.eta_telecom / 2.0 * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
     return LinkBudget(
         transmissivity=plan.transmittance * det.eta_telecom / 2.0,
@@ -409,7 +418,8 @@ def budget_setup2(
     air-to-fiber coupling loss and the full fiber attenuation before the
     receiver.
     """
-    fwd, bwd = raman_totals_setup1(plan, table, rx_bandwidth_nm)  # same totals as setup 1
+    # same totals as setup 1
+    fwd, bwd = plan.raman_totals(raman_totals_setup1, table, rx_bandwidth_nm)
     n_b1 = bulb_noise_count(bulb) if n_b1_override is None else n_b1_override
     eta_coup = 10.0 ** (-coupling_loss_db / 10.0)
     eta_fib = plan.transmittance
@@ -441,7 +451,7 @@ def budget_setup3(
     enters the measurement; ``polarization_factor`` models the matching
     loss (0.5 for passive filtering, 1.0 for active stabilization).
     """
-    fwd, bwd = raman_totals_setup3(plan, table, rx_bandwidth_nm)
+    fwd, bwd = plan.raman_totals(raman_totals_setup3, table, rx_bandwidth_nm)
     n_b1 = bulb_noise_count(bulb) if n_b1_override is None else n_b1_override
     eta_coup = 10.0 ** (-coupling_loss_db / 10.0)
     quarter = det.eta_telecom / 4.0
@@ -473,7 +483,7 @@ def budget_setup4(
     Relative to setup 3, everything coming from the room additionally
     crosses user 1's drop fiber, and the office side is one drop shorter.
     """
-    fwd, bwd = raman_totals_setup4(plan, table, rx_bandwidth_nm)
+    fwd, bwd = plan.raman_totals(raman_totals_setup4, table, rx_bandwidth_nm)
     n_b1 = bulb_noise_count(bulb) if n_b1_override is None else n_b1_override
     alpha_db = plan.attenuation.db_per_km
     drop_loss = 10.0 ** (-alpha_db * plan.drop_km[0] / 10.0)
@@ -530,7 +540,7 @@ def cv_budget(
     if setup == "1-wireless":
         transmissivity = h_dc
     else:
-        fwd, bwd = raman_totals_setup1(plan, table, rx_bandwidth_nm)
+        fwd, bwd = plan.raman_totals(raman_totals_setup1, table, rx_bandwidth_nm)
         count = photons_per_gate(1.0, plan.quantum_nm[0], gate_s)
         frs, brs = count * fwd, count * bwd
         transmissivity = plan.transmittance

@@ -15,13 +15,14 @@ FILE`` to use an external Raman cross-section CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
 import numpy as np
 
-from .config import ConfigError, SimulationConfig
+from .config import ConfigError, SimulationConfig, apply_assignments, read_overrides
 from .sweep import (
     PROTOCOLS,
     SWEEP_VARIABLES,
@@ -88,18 +89,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use.  It holds no parsed values."""
+    return build_parser()
+
+
 def _load_config(args) -> SimulationConfig:
-    cfg = SimulationConfig.from_file(args.config)
-    overrides = list(args.overrides)
+    assignments = list(args.overrides)
     if args.table:
-        overrides.append(f"raman_table.path={args.table}")
-    if overrides:
-        cfg = cfg.override(overrides)
-    return cfg
+        assignments.append(f"raman_table.path={args.table}")
+    return SimulationConfig.from_dict(apply_assignments(read_overrides(args.config), assignments))
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args)
 

@@ -17,8 +17,10 @@ Three transmitter placements are selected by ``case``:
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .budget import DetectorParams, DwdmPlan
@@ -134,18 +136,99 @@ def _parse_override_value(text: str):
         return text
 
 
+def read_overrides(path: str | None) -> dict:
+    """The JSON object in the config file at ``path`` ({} for None), unmerged."""
+    if path is None:
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            overrides = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"config file {path} must contain a JSON object")
+    return overrides
+
+
+def apply_assignments(overrides: dict, assignments: list[str]) -> dict:
+    """``overrides`` with ``section.key=value`` assignments set in place, later ones winning.
+
+    Paths are checked against ``DEFAULTS``; the result is still to be merged
+    by ``SimulationConfig.from_dict``.
+    """
+    for item in assignments:
+        if "=" not in item:
+            raise ConfigError(f"override must look like section.key=value, got {item!r}")
+        dotted, text = item.split("=", 1)
+        *sections, leaf = dotted.strip().split(".")
+        node, default = overrides, DEFAULTS
+        for key in sections:
+            if not isinstance(default.get(key), dict):
+                raise ConfigError(f"unknown configuration section: {dotted}")
+            default = default[key]
+            node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"{key} must be a section, got {node!r}")
+        if leaf not in default:
+            raise ConfigError(f"unknown configuration key: {dotted}")
+        node[leaf] = _parse_override_value(text)
+    return overrides
+
+
+def _non_finite(node, path: str = "") -> str | None:
+    """Dotted path of the first NaN or infinite number in ``node``, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    if isinstance(node, dict):
+        items = ((f"{path}.{key}" if path else key, value) for key, value in node.items())
+    elif isinstance(node, (list, tuple)):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(node))
+    else:
+        return None
+    for here, value in items:
+        bad = _non_finite(value, here)
+        if bad is not None:
+            return bad
+    return None
+
+
+def _memoized(*sections: str):
+    """Keep a builder's result in the config's memo, keyed by the builder's
+    name and arguments, while the ``data`` sections it reads are the same
+    objects."""
+
+    def wrap(build):
+        @functools.wraps(build)
+        def built(self, *args):
+            inputs = tuple(self.data[name] for name in sections)
+            key = (build.__name__, *args)
+            entry = self._memo.get(key)
+            if entry is None or any(old is not new for old, new in zip(entry[0], inputs)):
+                entry = self._memo[key] = (inputs, build(self, *args))
+            return entry[1]
+
+        return built
+
+    return wrap
+
+
 @dataclass
 class SimulationConfig:
     """Validated configuration plus builders for the model objects.
 
-    The Raman table is parsed on first use and kept for the life of the
-    instance, so ``data["raman_table"]`` must not change after that.
+    The builders ``raman_table()``, ``plan()``, ``scenario()``,
+    ``detectors()`` and ``bulb_model()`` keep what they build in a memo,
+    with the ``data`` sections it was built from (and the case, for the
+    scenario).  An entry is reused while those sections are still the same
+    dict objects.  ``replaced()`` copies only the sections it changes and
+    hands the memo on, so a per-point config rebuilds only what reads a
+    changed section.  Hence ``data`` must not be mutated in place once a
+    builder has run: build a new config with ``replaced()`` or
+    ``from_dict()`` instead.
     """
 
     data: dict
-    _table: RamanCrossSectionTable | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, overrides: dict | None = None) -> "SimulationConfig":
@@ -156,38 +239,16 @@ class SimulationConfig:
 
     @classmethod
     def from_file(cls, path: str | None) -> "SimulationConfig":
-        if path is None:
-            return cls.from_dict({})
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                overrides = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"config file {path} must contain a JSON object")
-        return cls.from_dict(overrides)
+        return cls.from_dict(read_overrides(path))
 
     def override(self, assignments: list[str]) -> "SimulationConfig":
         """New config with ``section.key=value`` assignments applied."""
-        data = copy.deepcopy(self.data)
-        for item in assignments:
-            if "=" not in item:
-                raise ConfigError(f"override must look like section.key=value, got {item!r}")
-            dotted, text = item.split("=", 1)
-            keys = dotted.strip().split(".")
-            node = data
-            for key in keys[:-1]:
-                if key not in node or not isinstance(node[key], dict):
-                    raise ConfigError(f"unknown configuration section: {dotted}")
-                node = node[key]
-            if keys[-1] not in node:
-                raise ConfigError(f"unknown configuration key: {dotted}")
-            node[keys[-1]] = _parse_override_value(text)
-        cfg = SimulationConfig(_merge(DEFAULTS, data))
-        cfg.validate()
-        return cfg
+        return SimulationConfig.from_dict(apply_assignments(copy.deepcopy(self.data), assignments))
 
     def validate(self):
+        bad = _non_finite(self.data)
+        if bad is not None:
+            raise ConfigError(f"{bad} must be a finite number")
         try:
             self.scenario()  # also rejects an unknown case
             self.plan()
@@ -213,8 +274,7 @@ class SimulationConfig:
         """Unvalidated copy with ``section.key`` (or top-level) leaves set to new values.
 
         Only the sections on those paths are copied.  The others, and the
-        parsed Raman table unless the ``raman_table`` section changes, are
-        shared with this config.
+        memo of built objects, are shared with this config.
         """
         data = dict(self.data)
         for dotted, value in values.items():
@@ -225,8 +285,7 @@ class SimulationConfig:
                 node = node[name]
             node[key] = value
         cfg = SimulationConfig(data)
-        if data["raman_table"] is self.data["raman_table"]:
-            cfg._table = self.raman_table()
+        cfg._memo = self._memo
         return cfg
 
     @property
@@ -240,8 +299,11 @@ class SimulationConfig:
     # ---- builders -------------------------------------------------------
 
     def scenario(self, case: int | None = None) -> RoomScenario:
+        return self._scenario(self.data["case"] if case is None else case)
+
+    @_memoized("room")
+    def _scenario(self, case: int) -> RoomScenario:
         room = self.data["room"]
-        case = self.data["case"] if case is None else case
         if case not in CASE_PRESETS:
             raise ConfigError(f"case must be one of {sorted(CASE_PRESETS)}, got {case}")
         preset = CASE_PRESETS[case]
@@ -262,6 +324,7 @@ class SimulationConfig:
             case=case,
         )
 
+    @_memoized("bulb", "dv")
     def bulb_model(self, wavelength_nm: float) -> BulbNoiseModel:
         bulb = self.data["bulb"]
         return BulbNoiseModel(
@@ -276,6 +339,7 @@ class SimulationConfig:
     def gate_s(self) -> float:
         return self.data["dv"]["gate_ps"] * 1e-12
 
+    @_memoized("network")
     def plan(self) -> DwdmPlan:
         net = self.data["network"]
         attenuation = AttenuationCoefficient(net["attenuation_db_per_km"])
@@ -302,6 +366,7 @@ class SimulationConfig:
             **common,
         )
 
+    @_memoized("dv")
     def detectors(self) -> DetectorParams:
         dv = self.data["dv"]
         return DetectorParams(
@@ -340,16 +405,12 @@ class SimulationConfig:
             electronic_noise=cv["electronic_noise"],
         )
 
+    @_memoized("raman_table")
     def raman_table(self) -> RamanCrossSectionTable:
-        if self._table is None:
-            source = self.data["raman_table"]
-            if source["path"] is None:
-                self._table = builtin_cross_section_table()
-            else:
-                self._table = RamanCrossSectionTable.from_csv_file(
-                    source["path"], source["reference_pump_nm"]
-                )
-        return self._table
+        source = self.data["raman_table"]
+        if source["path"] is None:
+            return builtin_cross_section_table()
+        return RamanCrossSectionTable.from_csv_file(source["path"], source["reference_pump_nm"])
 
     def n_b1_override(self) -> float | None:
         return self.data["bulb"]["n_b1_per_pulse"]

@@ -1,10 +1,20 @@
 """Parameter sweeps, noise decomposition and CSV emission.
 
 A sweep evaluates one (setup, protocol) pair over a grid of one variable,
-holding everything else at the configured values.  Points are independent
-pure evaluations made in grid order; every point shares the run's parsed
-Raman table, and two runs of the same configuration produce byte-identical
-CSV output.
+holding everything else at the configured values.  Points are pure
+evaluations made in grid order, and two runs of the same configuration
+produce byte-identical CSV output.  What a point does not change, a run
+evaluates once:
+
+* each model object (Raman table, fiber plan, room scenario, detectors,
+  bulb model) once per distinct value of the config sections it reads, so
+  only ``L0_km`` points build a new plan (see ``SimulationConfig``);
+* a plan's Raman totals once, so only ``L0_km`` sweeps redo the 32-channel
+  Raman pass;
+* each link's rate once per distinct (link budget, protocol parameters)
+  pair, so a ``clock_rate_hz`` sweep rates each link once, and setup 1's
+  wireless link is rated once unless the swept variable is the bulb PSD or
+  the background count.
 
 Conventions used in the result rows:
 
@@ -117,6 +127,12 @@ class SweepSpec:
             raise ValueError("sweep range must satisfy start < stop")
         if self.log_spacing and self.start <= 0.0:
             raise ValueError("log spacing needs a positive start value")
+        if not math.isfinite(self.stop):
+            raise ValueError("sweep range must be finite")
+        if self.variable == "clock_rate_hz" and self.start <= 0.0:
+            raise ValueError(f"clock_rate_hz sweeps need start > 0, got {self.start}")
+        if self.start < 0.0:
+            raise ValueError(f"{self.variable} sweeps need start >= 0, got {self.start}")
 
     def values(self) -> list[float]:
         if self.log_spacing:
@@ -248,7 +264,15 @@ def _links(cfg: SimulationConfig, setup: int, coherent: bool = False) -> tuple:
     return (builder(*args, polarization_factor=link["polarization_factor"], **kwargs),)
 
 
-def _evaluate_point(spec: SweepSpec, base_config: SimulationConfig, value: float) -> SweepPoint:
+def _evaluate_point(
+    spec: SweepSpec, base_config: SimulationConfig, value: float, rates: dict | None = None
+) -> SweepPoint:
+    """One row of ``spec`` at ``value``.
+
+    ``rates`` maps (link budget, protocol parameters) to the rate already
+    evaluated for them in this sweep; it is filled as points are evaluated.
+    """
+    rates = {} if rates is None else rates
     changes = {"case": spec.case}
     background = value if spec.variable == "background_noise" else None
     if spec.variable == "clock_rate_hz":
@@ -273,7 +297,10 @@ def _evaluate_point(spec: SweepSpec, base_config: SimulationConfig, value: float
         if spec.protocol == "GG02":
             noise.update(eps_bulb=2.0 * background / links[0].transmissivity, eps_raman=0.0)
         links = (replace(links[0], **noise),) + links[1:]
-    rate = min(rate_fn(link, params) for link in links)
+    for link in links:
+        if (link, params) not in rates:
+            rates[link, params] = rate_fn(link, params)
+    rate = min(rates[link, params] for link in links)
     report = links[-1]
     return SweepPoint(
         value=value,
@@ -288,7 +315,10 @@ def _evaluate_point(spec: SweepSpec, base_config: SimulationConfig, value: float
 
 def run_sweep(spec: SweepSpec, config: SimulationConfig) -> SweepResult:
     """Evaluate the sweep point by point and return rows sorted by value."""
-    rows = sorted((_evaluate_point(spec, config, v) for v in spec.values()), key=lambda r: r.value)
+    rates: dict = {}
+    rows = sorted(
+        (_evaluate_point(spec, config, v, rates) for v in spec.values()), key=lambda r: r.value
+    )
     run_hash = hashlib.sha256(
         (config.canonical_json + repr(sorted(spec.as_dict().items()))).encode()
     ).hexdigest()

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qkd_access.cli import main
 
 
@@ -54,6 +56,30 @@ class TestValidateConfig:
         assert run_cli("validate-config", "--set", "network.drop_km=[1,2]") == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment,key", [
+        ("dv.mu=NaN", "dv.mu"), ("bulb.psd_w_per_nm=Infinity", "bulb.psd_w_per_nm"),
+    ])
+    def test_non_finite_override_fails(self, capsys, assignment, key):
+        assert run_cli("validate-config", "--set", assignment) == 2
+        assert f"error: {key} must be a finite number" in capsys.readouterr().err
+
+    def test_set_does_not_leak_into_next_call(self, capsys):
+        def sha():
+            out = capsys.readouterr().out
+            return next(line for line in out.splitlines() if line.startswith("config sha256"))
+
+        assert run_cli("validate-config", "--set", "dv.mu=0.4") == 0
+        with_set = sha()
+        assert run_cli("validate-config") == 0
+        assert sha() != with_set
+
+    def test_set_overrides_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dv": {"mu": 0.4, "nu": 0.3}}))
+        assert run_cli("validate-config", "--config", str(path), "--set", "dv.mu=0.25") == 0
+        data = json.loads(capsys.readouterr().out.split("\n", 2)[2])
+        assert (data["dv"]["mu"], data["dv"]["nu"]) == (0.25, 0.3)
+
 class TestSweepCommand:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"
@@ -82,6 +108,28 @@ class TestSweepCommand:
             "--out", str(tmp_path / "missing" / "x.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("var,start", [("clock_rate_hz", -5), ("coupling_loss_db", -5)])
+    def test_swept_value_outside_domain_fails(self, tmp_path, capsys, var, start):
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "sweep", "--setup", "2", "--protocol", "DS-BB84", "--var", var,
+            "--start", str(start), "--stop", "20", "--points", "3", "--out", str(out),
+        )
+        assert code == 2
+        assert var in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_config_value_fails(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "sweep", "--setup", "2", "--protocol", "GG02", "--var", "coupling_loss_db",
+            "--start", "0", "--stop", "20", "--points", "3", "--out", str(out),
+            "--set", "bulb.psd_w_per_nm=Infinity",
+        )
+        assert code == 2
+        assert "bulb.psd_w_per_nm must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_external_table_flag(self, tmp_path):
         table = tmp_path / "table.csv"

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qkd_access import (
     CvLinkBudget,
@@ -23,7 +25,7 @@ from qkd_access import (
     run_sweep,
 )
 from qkd_access.raman import RamanCrossSectionTable
-from qkd_access.sweep import _evaluate_point
+from qkd_access.sweep import _SETUP_PROTOCOLS, SWEEP_VARIABLES, _evaluate_point
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_sweep.csv"
 
@@ -55,6 +57,18 @@ class TestSweepSpec:
             small_spec(start=10.0, stop=10.0)
         with pytest.raises(ValueError):
             small_spec(start=0.0, stop=10.0, log_spacing=True)
+
+    @pytest.mark.parametrize("variable,start", [
+        ("clock_rate_hz", -5.0), ("clock_rate_hz", 0.0), ("coupling_loss_db", -5.0),
+        ("L0_km", -5.0), ("psd_w_per_nm", -1e-6), ("background_noise", -1e-6),
+    ])
+    def test_swept_values_outside_domain_rejected(self, variable, start):
+        with pytest.raises(ValueError, match=variable):
+            small_spec(variable=variable, start=start, stop=1e9)
+
+    def test_infinite_stop_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            small_spec(stop=float("inf"))
 
     def test_log_grid(self):
         spec = small_spec(variable="psd_w_per_nm", start=1e-8, stop=1e-5, points=4,
@@ -121,6 +135,45 @@ class TestRunSweep:
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+# Grids inside each swept variable's domain and the model's regime.
+MEMO_GRIDS = {
+    "coupling_loss_db": (0.0, 30.0, False),
+    "L0_km": (0.0, 100.0, False),
+    "psd_w_per_nm": (1e-8, 1e-3, True),
+    "background_noise": (1e-10, 1e-4, True),
+    "clock_rate_hz": (1e6, 1e10, True),
+}
+PAIRS = [(setup, protocol) for setup, protocols in sorted(_SETUP_PROTOCOLS.items())
+         for protocol in sorted(protocols)]
+
+
+class TestMemo:
+    @settings(max_examples=40, deadline=None)
+    @given(variable=st.sampled_from(SWEEP_VARIABLES), pair=st.sampled_from(PAIRS),
+           case=st.sampled_from((1, 2, 3)), lo=st.floats(0.0, 0.5), hi=st.floats(0.5, 1.0),
+           points=st.integers(2, 5))
+    def test_rows_equal_fresh_config_per_point(self, variable, pair, case, lo, hi, points):
+        start, stop, log = MEMO_GRIDS[variable]
+        if log:
+            start, stop = (start * (stop / start) ** f for f in (lo, hi))
+        else:
+            start, stop = (start + (stop - start) * f for f in (lo, hi))
+        assume(start < stop)
+        setup, protocol = pair
+        spec = SweepSpec(setup=setup, protocol=protocol, case=case, variable=variable,
+                         start=start, stop=stop, points=points, log_spacing=log)
+        fresh = [_evaluate_point(spec, SimulationConfig.from_dict({}), v) for v in spec.values()]
+        assert list(run_sweep(spec, default_config()).rows) == fresh
+
+    def test_plan_rebuilt_only_for_its_section(self):
+        cfg = default_config()
+        plan = cfg.plan()
+        assert cfg.replaced({"link.coupling_loss_db": 3.0}).plan() is plan
+        longer = cfg.replaced({"network.feeder_km": 25.0}).plan()
+        assert longer is not plan
+        assert (longer.feeder_km, plan.feeder_km) == (25.0, 10.0)
 
 
 def count_table_parses(monkeypatch):
