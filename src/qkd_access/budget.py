@@ -273,13 +273,21 @@ def _channels(plan: DwdmPlan, table: RamanCrossSectionTable, rx_bandwidth_nm: fl
     Returns (alpha per km, launch powers in mW, drop attenuations
     exp(-alpha L_k), cross sections into user 1's quantum channel).  The
     transcendentals are scalar libm calls so the sums keep their last bit.
+    Launch power and drop attenuation depend on a user only through its
+    drop length, so each is computed once per distinct drop; the cross
+    sections depend only on the wavelength grid and come from the table's
+    per-grid lookup.
     """
     if rx_bandwidth_nm <= 0.0:
         raise ValueError(f"receiver bandwidth must be > 0, got {rx_bandwidth_nm}")
     alpha = plan.attenuation.per_km
-    power = np.array([plan.launch_power_mw(k) for k in range(plan.n_users)])
-    drop_att = np.array([math.exp(-alpha * km) for km in plan.drop_km])
-    return alpha, power, drop_att, table.gammas(plan.data_nm, plan.quantum_nm[0])
+    drops = np.array(plan.drop_km)
+    power, drop_att = np.empty_like(drops), np.empty_like(drops)
+    for km in set(plan.drop_km):
+        users = drops == km
+        power[users] = plan.launch_power_mw(plan.drop_km.index(km))
+        drop_att[users] = math.exp(-alpha * km)
+    return alpha, power, drop_att, table.grid_gammas(plan.data_nm, plan.quantum_nm[0])
 
 
 def _running_sum(*parts) -> float:

@@ -195,16 +195,24 @@ def _non_finite(node, path: str = "") -> str | None:
 def _memoized(*sections: str):
     """Keep a builder's result in the config's memo, keyed by the builder's
     name and arguments, while the ``data`` sections it reads are the same
-    objects."""
+    objects.
+
+    A config looks in its own entries, then in the family's shared memo.  It
+    stores a result in the shared memo unless the shared memo already holds
+    an entry for that key, built from other sections; it then keeps the
+    result as its own, so a per-point config never evicts its base config's
+    entry and its result goes away with it.
+    """
 
     def wrap(build):
         @functools.wraps(build)
         def built(self, *args):
             inputs = tuple(self.data[name] for name in sections)
             key = (build.__name__, *args)
-            entry = self._memo.get(key)
+            entry = self._own.get(key) or self._memo.get(key)
             if entry is None or any(old is not new for old, new in zip(entry[0], inputs)):
-                entry = self._memo[key] = (inputs, build(self, *args))
+                entry = (inputs, build(self, *args))
+                (self._own if key in self._memo else self._memo)[key] = entry
             return entry[1]
 
         return built
@@ -222,13 +230,19 @@ class SimulationConfig:
     scenario).  An entry is reused while those sections are still the same
     dict objects.  ``replaced()`` copies only the sections it changes and
     hands the memo on, so a per-point config rebuilds only what reads a
-    changed section.  Hence ``data`` must not be mutated in place once a
-    builder has run: build a new config with ``replaced()`` or
+    changed section.  What it rebuilds over an entry of the config it came
+    from stays with the new config (``_own``), so the original config's
+    entries survive a sweep.  Hence ``data`` must not be mutated in place
+    once a builder has run: build a new config with ``replaced()`` or
     ``from_dict()`` instead.
     """
 
     data: dict
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _own: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._own = self._memo
 
     @classmethod
     def from_dict(cls, overrides: dict | None = None) -> "SimulationConfig":
@@ -274,7 +288,8 @@ class SimulationConfig:
         """Unvalidated copy with ``section.key`` (or top-level) leaves set to new values.
 
         Only the sections on those paths are copied.  The others, and the
-        memo of built objects, are shared with this config.
+        memo of built objects, are shared with this config; objects the copy
+        rebuilds over this config's entries are kept by the copy alone.
         """
         data = dict(self.data)
         for dotted, value in values.items():
@@ -285,7 +300,7 @@ class SimulationConfig:
                 node = node[name]
             node[key] = value
         cfg = SimulationConfig(data)
-        cfg._memo = self._memo
+        cfg._memo, cfg._own = self._memo, {}
         return cfg
 
     @property

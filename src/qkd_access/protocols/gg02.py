@@ -68,17 +68,34 @@ def _noise_terms(transmissivity, excess, receiver_eff, electronic):
     return chi_line, chi_hom, chi_tot
 
 
-def mutual_information(
-    v_a: float,
-    transmissivity: float,
-    excess: float,
-    receiver_eff: float = 0.6,
-    electronic: float = 0.015,
-) -> float:
-    """Alice-Bob mutual information in bits per pulse (homodyne detection)."""
-    _, _, chi_tot = _noise_terms(transmissivity, excess, receiver_eff, electronic)
-    v = v_a + 1.0
-    return 0.5 * math.log2((v + chi_tot) / (1.0 + chi_tot))
+def _fraction_terms(transmissivity, excess, receiver_eff, electronic):
+    """I_AB(V_A) and chi_BE(V_A) at one operating point, as two functions of V_A.
+
+    The terms that do not depend on V_A are computed here, once, so a
+    modulation-variance search pays for them once per operating point.
+    """
+    chi_line, chi_hom, chi_tot = _noise_terms(transmissivity, excess, receiver_eff, electronic)
+    t = transmissivity
+    one_minus_2t, two_t, t_sq, info_den = 1.0 - 2.0 * t, 2.0 * t, t * t, 1.0 + chi_tot
+
+    def information(v_a: float) -> float:
+        v = v_a + 1.0
+        return 0.5 * math.log2((v + chi_tot) / info_den)
+
+    def holevo(v_a: float) -> float:
+        v = v_a + 1.0
+        a_inv = v * v * one_minus_2t + two_t + t_sq * (v + chi_line) ** 2
+        b_inv = (t * (v * chi_line + 1.0)) ** 2
+        root_b = math.sqrt(b_inv)
+        denom = t * (v + chi_tot)
+        c_inv = (v * root_b + t * (v + chi_line) + a_inv * chi_hom) / denom
+        d_inv = root_b * (v + root_b * chi_hom) / denom
+
+        lam1, lam2 = _sym_eigs(a_inv, b_inv)
+        lam3, lam4 = _sym_eigs(c_inv, d_inv)
+        return holevo_g(lam1) + holevo_g(lam2) - holevo_g(lam3) - holevo_g(lam4)
+
+    return information, holevo
 
 
 def _sym_eigs(a: float, b: float) -> tuple[float, float]:
@@ -92,6 +109,17 @@ def _sym_eigs(a: float, b: float) -> tuple[float, float]:
     return math.sqrt((a + root) / 2.0), math.sqrt(max((a - root) / 2.0, 0.0))
 
 
+def mutual_information(
+    v_a: float,
+    transmissivity: float,
+    excess: float,
+    receiver_eff: float = 0.6,
+    electronic: float = 0.015,
+) -> float:
+    """Alice-Bob mutual information in bits per pulse (homodyne detection)."""
+    return _fraction_terms(transmissivity, excess, receiver_eff, electronic)[0](v_a)
+
+
 def holevo_bound(
     v_a: float,
     transmissivity: float,
@@ -100,28 +128,20 @@ def holevo_bound(
     electronic: float = 0.015,
 ) -> float:
     """Holevo information of the eavesdropper about Bob's measurement, bits/pulse."""
-    chi_line, chi_hom, chi_tot = _noise_terms(transmissivity, excess, receiver_eff, electronic)
-    v = v_a + 1.0
-    t = transmissivity
-
-    a_inv = v * v * (1.0 - 2.0 * t) + 2.0 * t + t * t * (v + chi_line) ** 2
-    b_inv = (t * (v * chi_line + 1.0)) ** 2
-    root_b = math.sqrt(b_inv)
-    denom = t * (v + chi_tot)
-    c_inv = (v * root_b + t * (v + chi_line) + a_inv * chi_hom) / denom
-    d_inv = root_b * (v + root_b * chi_hom) / denom
-
-    lam1, lam2 = _sym_eigs(a_inv, b_inv)
-    lam3, lam4 = _sym_eigs(c_inv, d_inv)
-    return holevo_g(lam1) + holevo_g(lam2) - holevo_g(lam3) - holevo_g(lam4)
+    return _fraction_terms(transmissivity, excess, receiver_eff, electronic)[1](v_a)
 
 
-def _secret_fraction(v_a, transmissivity, excess, params: Gg02Params) -> float:
-    return params.beta * mutual_information(
-        v_a, transmissivity, excess, params.receiver_efficiency, params.electronic_noise
-    ) - holevo_bound(
-        v_a, transmissivity, excess, params.receiver_efficiency, params.electronic_noise
+def _secret_fraction(transmissivity, excess, params: Gg02Params):
+    """K(V_A) = beta * I_AB - chi_BE at one operating point, as a function of V_A."""
+    information, holevo = _fraction_terms(
+        transmissivity, excess, params.receiver_efficiency, params.electronic_noise
     )
+    beta = params.beta
+
+    def secret_fraction(v_a: float) -> float:
+        return beta * information(v_a) - holevo(v_a)
+
+    return secret_fraction
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
@@ -148,12 +168,8 @@ def optimal_modulation_variance(
 ) -> float:
     """Modulation variance maximizing the secret fraction at this operating point."""
     lo, hi = MODULATION_SEARCH_RANGE
-    return _golden_max(
-        lambda v_a: _secret_fraction(v_a, transmissivity, excess, params),
-        lo,
-        hi,
-        MODULATION_SEARCH_TOL,
-    )
+    return _golden_max(_secret_fraction(transmissivity, excess, params), lo, hi,
+                       MODULATION_SEARCH_TOL)
 
 
 def gg02_rate_at(transmissivity: float, excess: float, params: Gg02Params) -> float:
@@ -161,7 +177,7 @@ def gg02_rate_at(transmissivity: float, excess: float, params: Gg02Params) -> fl
     v_a = params.modulation_variance
     if v_a is None:
         v_a = optimal_modulation_variance(transmissivity, excess, params)
-    return max(0.0, _secret_fraction(v_a, transmissivity, excess, params))
+    return max(0.0, _secret_fraction(transmissivity, excess, params)(v_a))
 
 
 def gg02_rate(link: CvLinkBudget, params: Gg02Params) -> float:

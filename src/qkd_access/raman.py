@@ -75,6 +75,7 @@ class RamanCrossSectionTable:
         detuning = LIGHTSPEED_M_S / (wl * 1e-9) - nu_ref
         self._detuning_hz = detuning[::-1].copy()
         self._gamma_by_detuning = ga[::-1].copy()
+        self._grid_gammas: dict = {}
 
     @classmethod
     def from_csv_text(cls, text: str, reference_pump_nm: float) -> "RamanCrossSectionTable":
@@ -131,6 +132,16 @@ class RamanCrossSectionTable:
                 f"[{lo / 1e12:.3f}, {hi / 1e12:.3f}] THz"
             )
         return np.interp(detuning, self._detuning_hz, self._gamma_by_detuning)
+
+    def grid_gammas(self, pumps_nm: tuple[float, ...], rx_nm: float) -> np.ndarray:
+        """``gammas(pumps_nm, rx_nm)`` for a fixed wavelength grid, looked up once per
+        (grid, receiver) pair; the array is shared by the callers, so it is read-only."""
+        key = (pumps_nm, rx_nm)
+        if key not in self._grid_gammas:
+            gammas = self.gammas(pumps_nm, rx_nm)
+            gammas.flags.writeable = False
+            self._grid_gammas[key] = gammas
+        return self._grid_gammas[key]
 
 
 def builtin_cross_section_table() -> RamanCrossSectionTable:

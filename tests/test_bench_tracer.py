@@ -32,9 +32,10 @@ DV_SETUP1_CLOCK = ["sweep", "--setup", "1", "--protocol", "DS-BB84", "--var", "c
 
 @pytest.mark.parametrize("argv,expected", [
     # one Raman pass per plan: the fiber budget carries its own photon counts,
-    # and the wireless link, which no feeder length changes, is rated once
+    # and the wireless link, which no feeder length changes, is rated (and its
+    # modulation variance searched) once
     (GG02_SETUP1_L0, {"budget.raman_totals.calls": 3, "budget.calls": 6,
-                      "protocols.rate.calls": 4}),
+                      "protocols.rate.calls": 4, "protocols.gg02_search.calls": 4}),
     # the background override goes through the budget builder
     (DV_SETUP2_BACKGROUND, {"budget.calls": 3}),
     (NOISE_SETUP4, {"budget.calls": 3}),

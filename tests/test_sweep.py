@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qkd_access import budget
 from qkd_access import (
     CvLinkBudget,
     SimulationConfig,
@@ -174,6 +175,16 @@ class TestMemo:
         longer = cfg.replaced({"network.feeder_km": 25.0}).plan()
         assert longer is not plan
         assert (longer.feeder_km, plan.feeder_km) == (25.0, 10.0)
+        # the longer feeder's plan did not evict the base config's
+        assert cfg.replaced({"link.coupling_loss_db": 3.0}).plan() is plan
+        assert cfg.plan() is plan
+
+    def test_base_plan_survives_l0_sweep(self):
+        cfg = default_config()
+        plan = cfg.plan()
+        run_sweep(SweepSpec(setup=2, protocol="DS-BB84", case=3, variable="L0_km",
+                            start=1.0, stop=50.0, points=3), cfg)
+        assert cfg.plan() is plan
 
 
 def count_table_parses(monkeypatch):
@@ -201,6 +212,28 @@ class TestTableParsedOncePerRun:
         calls = count_table_parses(monkeypatch)
         noise_breakdown(3, default_config(), [float(v) for v in np.linspace(1.0, 50.0, 50)])
         assert len(calls) <= 1
+
+def counted(calls, fn):
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return counting
+
+
+class TestPerPlanWork:
+    @pytest.mark.parametrize("setup,protocol", [(1, "GG02"), (2, "DS-BB84"), (4, "MDI-DS")])
+    def test_l0_sweep(self, monkeypatch, setup, protocol):
+        launches, lookups = [], []
+        monkeypatch.setattr(budget, "launch_power", counted(launches, budget.launch_power))
+        monkeypatch.setattr(RamanCrossSectionTable, "gammas",
+                            counted(lookups, RamanCrossSectionTable.gammas))
+        spec = SweepSpec(setup=setup, protocol=protocol, case=3, variable="L0_km",
+                         start=1.0, stop=50.0, points=3)
+        run_sweep(spec, default_config())
+        # all users share one drop length, so one launch power per plan
+        assert (len(launches), len(lookups)) == (3, 1)
+
 
 class TestSetupOneComposition:
     def test_rows_report_min_of_links(self):
