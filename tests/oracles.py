@@ -3,8 +3,9 @@
 Everything in here re-derives expected values without calling the package
 code under test: Monte-Carlo click simulations for the BB84 and MDI
 acceptance formulas, a covariance-matrix computation of the CV Holevo
-bound, a 30-term Bessel series, and a from-scratch summation of the
-per-channel Raman noise totals.
+bound, a golden-section search for the CV modulation variance, a 30-term
+Bessel series, and a from-scratch summation of the per-channel Raman
+noise totals.
 """
 
 from __future__ import annotations
@@ -231,6 +232,29 @@ def holevo_bound_cm(v_a, transmissivity, excess, receiver_eff, electronic):
     conditional = sigma_keep - cross @ pseudo @ cross.T
     entropy_cond = sum(_g_entropy(x) for x in _symplectic_eigerrvalues(conditional))
     return entropy_e - entropy_cond
+
+
+def golden_section_max(fn, lo: float, hi: float, tol: float) -> float:
+    """Argmax of a unimodal function on [lo, hi] by golden-section search.
+
+    Shrinks the bracket by the golden ratio per evaluation until it is
+    narrower than ``tol`` and returns its midpoint.
+    """
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------
