@@ -112,17 +112,6 @@ def _fraction_terms(transmissivity, excess, receiver_eff, electronic):
     return information, holevo
 
 
-def _sym_eigs(a: float, b: float) -> tuple[float, float]:
-    """Symplectic eigenvalue pair from invariants (sum-square a, det b)."""
-    disc = a * a - 4.0 * b
-    if disc < 0.0:
-        if disc < -DISCRIMINANT_TOL * max(1.0, a * a):
-            raise ValueError(f"negative symplectic discriminant: {disc}")
-        disc = 0.0
-    root = math.sqrt(disc)
-    return math.sqrt((a + root) / 2.0), math.sqrt(max((a - root) / 2.0, 0.0))
-
-
 def mutual_information(
     v_a: float,
     transmissivity: float,
@@ -132,6 +121,17 @@ def mutual_information(
 ) -> float:
     """Alice-Bob mutual information in bits per pulse (homodyne detection)."""
     return _fraction_terms(transmissivity, excess, receiver_eff, electronic)[0](v_a)
+
+
+def _sym_eigs(a: float, b: float) -> tuple[float, float]:
+    """Symplectic eigenvalue pair from invariants (sum-square a, det b)."""
+    disc = a * a - 4.0 * b
+    if disc < 0.0:
+        if disc < -DISCRIMINANT_TOL * max(1.0, a * a):
+            raise ValueError(f"negative symplectic discriminant: {disc}")
+        disc = 0.0
+    root = math.sqrt(disc)
+    return math.sqrt((a + root) / 2.0), math.sqrt(max((a - root) / 2.0, 0.0))
 
 
 def holevo_bound(
