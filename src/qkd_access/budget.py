@@ -281,12 +281,12 @@ def _channels(plan: DwdmPlan, table: RamanCrossSectionTable, rx_bandwidth_nm: fl
     if rx_bandwidth_nm <= 0.0:
         raise ValueError(f"receiver bandwidth must be > 0, got {rx_bandwidth_nm}")
     alpha = plan.attenuation.per_km
-    drops = np.array(plan.drop_km)
-    power, drop_att = np.empty_like(drops), np.empty_like(drops)
-    for km in set(plan.drop_km):
-        users = drops == km
-        power[users] = plan.launch_power_mw(plan.drop_km.index(km))
-        drop_att[users] = math.exp(-alpha * km)
+    per_drop = {}
+    for user, km in enumerate(plan.drop_km):
+        if km not in per_drop:
+            per_drop[km] = (plan.launch_power_mw(user), math.exp(-alpha * km))
+    power = np.array([per_drop[km][0] for km in plan.drop_km], dtype=float)
+    drop_att = np.array([per_drop[km][1] for km in plan.drop_km], dtype=float)
     return alpha, power, drop_att, table.grid_gammas(plan.data_nm, plan.quantum_nm[0])
 
 

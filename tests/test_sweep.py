@@ -234,6 +234,16 @@ class TestPerPlanWork:
         # all users share one drop length, so one launch power per plan
         assert (len(launches), len(lookups)) == (3, 1)
 
+    @pytest.mark.parametrize("setup,protocol", [(1, "GG02"), (2, "DS-BB84"), (4, "MDI-DS")])
+    def test_integer_drop_length(self, setup, protocol):
+        # a config value of 1 is an int; the per-channel arrays must still be float
+        spec = SweepSpec(setup=setup, protocol=protocol, case=3, variable="coupling_loss_db",
+                         start=0.0, stop=10.0, points=3)
+        as_int = run_sweep(spec, default_config(network={"drop_km": 1})).rows
+        as_float = run_sweep(spec, default_config(network={"drop_km": 1.0})).rows
+        assert all(row.frs > 0.0 or row.brs > 0.0 for row in as_int)
+        assert as_int == as_float
+
 
 class TestSetupOneComposition:
     def test_rows_report_min_of_links(self):
