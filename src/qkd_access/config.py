@@ -17,11 +17,10 @@ Three transmitter placements are selected by ``case``:
 from __future__ import annotations
 
 import copy
-import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .budget import DetectorParams, DwdmPlan
 from .numerics import AttenuationCoefficient
@@ -192,57 +191,16 @@ def _non_finite(node, path: str = "") -> str | None:
     return None
 
 
-def _memoized(*sections: str):
-    """Keep a builder's result in the config's memo, keyed by the builder's
-    name and arguments, while the ``data`` sections it reads are the same
-    objects.
-
-    A config looks in its own entries, then in the family's shared memo.  It
-    stores a result in the shared memo unless the shared memo already holds
-    an entry for that key, built from other sections; it then keeps the
-    result as its own, so a per-point config never evicts its base config's
-    entry and its result goes away with it.
-    """
-
-    def wrap(build):
-        @functools.wraps(build)
-        def built(self, *args):
-            inputs = tuple(self.data[name] for name in sections)
-            key = (build.__name__, *args)
-            entry = self._own.get(key) or self._memo.get(key)
-            if entry is None or any(old is not new for old, new in zip(entry[0], inputs)):
-                entry = (inputs, build(self, *args))
-                (self._own if key in self._memo else self._memo)[key] = entry
-            return entry[1]
-
-        return built
-
-    return wrap
-
-
 @dataclass
 class SimulationConfig:
     """Validated configuration plus builders for the model objects.
 
     The builders ``raman_table()``, ``plan()``, ``scenario()``,
-    ``detectors()`` and ``bulb_model()`` keep what they build in a memo,
-    with the ``data`` sections it was built from (and the case, for the
-    scenario).  An entry is reused while those sections are still the same
-    dict objects.  ``replaced()`` copies only the sections it changes and
-    hands the memo on, so a per-point config rebuilds only what reads a
-    changed section.  What it rebuilds over an entry of the config it came
-    from stays with the new config (``_own``), so the original config's
-    entries survive a sweep.  Hence ``data`` must not be mutated in place
-    once a builder has run: build a new config with ``replaced()`` or
-    ``from_dict()`` instead.
+    ``detectors()`` and ``bulb_model()`` build a new object from ``data`` on
+    every call; a sweep calls them once per run (see ``sweep``).
     """
 
     data: dict
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _own: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._own = self._memo
 
     @classmethod
     def from_dict(cls, overrides: dict | None = None) -> "SimulationConfig":
@@ -284,25 +242,6 @@ class SimulationConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
-    def replaced(self, values: dict) -> "SimulationConfig":
-        """Unvalidated copy with ``section.key`` (or top-level) leaves set to new values.
-
-        Only the sections on those paths are copied.  The others, and the
-        memo of built objects, are shared with this config; objects the copy
-        rebuilds over this config's entries are kept by the copy alone.
-        """
-        data = dict(self.data)
-        for dotted, value in values.items():
-            *sections, key = dotted.split(".")
-            node = data
-            for name in sections:
-                node[name] = dict(node[name])
-                node = node[name]
-            node[key] = value
-        cfg = SimulationConfig(data)
-        cfg._memo, cfg._own = self._memo, {}
-        return cfg
-
     @property
     def canonical_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
@@ -314,10 +253,7 @@ class SimulationConfig:
     # ---- builders -------------------------------------------------------
 
     def scenario(self, case: int | None = None) -> RoomScenario:
-        return self._scenario(self.data["case"] if case is None else case)
-
-    @_memoized("room")
-    def _scenario(self, case: int) -> RoomScenario:
+        case = self.data["case"] if case is None else case
         room = self.data["room"]
         if case not in CASE_PRESETS:
             raise ConfigError(f"case must be one of {sorted(CASE_PRESETS)}, got {case}")
@@ -339,7 +275,6 @@ class SimulationConfig:
             case=case,
         )
 
-    @_memoized("bulb", "dv")
     def bulb_model(self, wavelength_nm: float) -> BulbNoiseModel:
         bulb = self.data["bulb"]
         return BulbNoiseModel(
@@ -354,7 +289,6 @@ class SimulationConfig:
     def gate_s(self) -> float:
         return self.data["dv"]["gate_ps"] * 1e-12
 
-    @_memoized("network")
     def plan(self) -> DwdmPlan:
         net = self.data["network"]
         attenuation = AttenuationCoefficient(net["attenuation_db_per_km"])
@@ -381,7 +315,6 @@ class SimulationConfig:
             **common,
         )
 
-    @_memoized("dv")
     def detectors(self) -> DetectorParams:
         dv = self.data["dv"]
         return DetectorParams(
@@ -420,7 +353,6 @@ class SimulationConfig:
             electronic_noise=cv["electronic_noise"],
         )
 
-    @_memoized("raman_table")
     def raman_table(self) -> RamanCrossSectionTable:
         source = self.data["raman_table"]
         if source["path"] is None:

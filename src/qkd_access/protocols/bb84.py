@@ -137,15 +137,18 @@ def spp_bb84_rate(link: LinkBudget, params: Bb84Params) -> float:
     return spp_bb84_rate_at(link.transmissivity, link.noise_per_detector, params)
 
 
-def _bisect_boundary(predicate, lo: float, hi: float) -> float:
-    """Largest x in [lo, hi] with predicate(x) true, given a true->false transition."""
+def _bisect_boundary(predicate, lo: float, hi: float) -> tuple[float, float]:
+    """Bracket (lo, hi) of the true->false transition of predicate in [lo, hi].
+
+    predicate stays true at lo and false at hi while the bracket shrinks.
+    """
     while (hi - lo) > BISECTION_REL_TOL * max(hi, 1e-30):
         mid = 0.5 * (lo + hi)
         if predicate(mid):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, hi
 
 
 def max_tolerable_noise(eta: float, params: Bb84Params, rate_fn=ds_bb84_rate_at) -> float:
@@ -161,7 +164,7 @@ def max_tolerable_noise(eta: float, params: Bb84Params, rate_fn=ds_bb84_rate_at)
     hi = 0.5
     if rate_fn(eta, hi, params) > 0.0:
         return math.inf
-    return _bisect_boundary(lambda n: rate_fn(eta, n, params) > 0.0, 0.0, hi)
+    return _bisect_boundary(lambda n: rate_fn(eta, n, params) > 0.0, 0.0, hi)[0]
 
 
 def max_tolerable_loss(noise: float, params: Bb84Params, rate_fn=ds_bb84_rate_at) -> float:
@@ -174,12 +177,5 @@ def max_tolerable_loss(noise: float, params: Bb84Params, rate_fn=ds_bb84_rate_at
         return math.inf
     if noise == 0.0:
         return 0.0  # any positive transmissivity already yields key
-    # Predicate is true (positive rate) at high eta, false at low eta.
-    lo, hi = 0.0, 1.0
-    while (hi - lo) > BISECTION_REL_TOL * max(hi, 1e-30):
-        mid = 0.5 * (lo + hi)
-        if rate_fn(mid, noise, params) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # no key at low eta, key at high eta
+    return _bisect_boundary(lambda eta: not rate_fn(eta, noise, params) > 0.0, 0.0, 1.0)[1]

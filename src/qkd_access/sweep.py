@@ -6,9 +6,11 @@ evaluations made in grid order, and two runs of the same configuration
 produce byte-identical CSV output.  What a point does not change, a run
 evaluates once:
 
-* each model object (Raman table, fiber plan, room scenario, detectors,
-  bulb model) once per distinct value of the config sections it reads, so
-  only ``L0_km`` points build a new plan (see ``SimulationConfig``);
+* the model objects (Raman table, fiber plan, room scenario, detectors,
+  bulb model, protocol parameters) once per run, from the config as it is
+  when the run starts; a point replaces only the object its value changes,
+  so only ``L0_km`` points build a new plan and a clock only scales
+  ``rate_bps``;
 * a plan's Raman totals once, so only ``L0_km`` sweeps redo the 32-channel
   Raman pass;
 * each link's rate once per distinct (link budget, protocol parameters)
@@ -43,6 +45,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .budget import (
+    DetectorParams,
+    DwdmPlan,
     budget_setup1_fiber,
     budget_setup1_wireless,
     budget_setup2,
@@ -51,13 +55,18 @@ from .budget import (
     cv_budget,
 )
 from .config import SimulationConfig
+from .owc import BulbNoiseModel, RoomScenario
 from .protocols import (
+    Bb84Params,
+    Gg02Params,
+    MdiParams,
     ds_bb84_rate,
     gg02_rate,
     mdi_rate_ds,
     mdi_rate_spp,
     spp_bb84_rate,
 )
+from .raman import RamanCrossSectionTable
 
 __all__ = [
     "PROTOCOLS",
@@ -83,14 +92,6 @@ _SETUP_PROTOCOLS = {
 }
 
 CROSSOVER_CLOCK_RANGE_HZ = (1e6, 1e10)
-
-# Config leaf each swept variable replaces; clock_rate_hz picks dv or cv by
-# protocol, and background_noise replaces modelled noise instead of a leaf.
-_SWEPT_LEAVES = {
-    "coupling_loss_db": "link.coupling_loss_db",
-    "L0_km": "network.feeder_km",
-    "psd_w_per_nm": "bulb.psd_w_per_nm",
-}
 
 
 @dataclass(frozen=True)
@@ -217,85 +218,131 @@ class NoiseBreakdownResult:
         return "\n".join(lines) + "\n"
 
 
-def _links(cfg: SimulationConfig, setup: int, coherent: bool = False) -> tuple:
-    """User 1's link budgets on ``setup``: (wireless, fiber) for setup 1, else (link,).
+@dataclass(frozen=True)
+class _Model:
+    """What user 1's links on one setup are built from, resolved once per run.
+
+    ``bulb`` is the light source seen at the wavelength of the setup's room
+    link.  A sweep point replaces only the field its value changes.
+    """
+
+    setup: int
+    scenario: RoomScenario
+    plan: DwdmPlan
+    bulb: BulbNoiseModel
+    detectors: DetectorParams
+    table: RamanCrossSectionTable
+    coupling_loss_db: float
+    polarization_factor: float
+    rx_bandwidth_nm: float
+    n_b1_override: float | None
+    receiver_efficiency: float
+    eps_receiver_measured: float
+    bb84: Bb84Params
+    mdi: MdiParams
+    gg02: Gg02Params
+    dv_clock_hz: float
+    cv_clock_hz: float
+
+
+def _model(config: SimulationConfig, setup: int, case: int) -> _Model:
+    """``config``'s model objects for user 1 on ``setup``, with the room in ``case``."""
+    data = config.data
+    plan = config.plan()
+    link = data["link"]
+    room_nm = link["wireless_wavelength_nm"] if setup == 1 else plan.quantum_nm[0]
+    return _Model(
+        setup=setup,
+        scenario=config.scenario(case),
+        plan=plan,
+        bulb=config.bulb_model(room_nm),
+        detectors=config.detectors(),
+        table=config.raman_table(),
+        coupling_loss_db=link["coupling_loss_db"],
+        polarization_factor=link["polarization_factor"],
+        rx_bandwidth_nm=data["network"]["rx_bandwidth_nm"],
+        n_b1_override=config.n_b1_override(),
+        receiver_efficiency=data["cv"]["receiver_efficiency"],
+        eps_receiver_measured=data["cv"]["eps_receiver_measured"],
+        bb84=config.bb84_params(),
+        mdi=config.mdi_params(),
+        gg02=config.gg02_params(),
+        dv_clock_hz=data["dv"]["clock_hz"],
+        cv_clock_hz=data["cv"]["clock_hz"],
+    )
+
+
+def _links(m: _Model, coherent: bool = False) -> tuple:
+    """User 1's link budgets: (wireless, fiber) on setup 1, else (link,).
 
     ``coherent`` selects the coherent-detection budgets of setups 1-2 over
     the direct-detection (setups 1-2) or MDI (setups 3-4) ones.
     """
-    plan = cfg.plan()
-    link = cfg.data["link"]
-    bandwidth = cfg.data["network"]["rx_bandwidth_nm"]
-    n_b1 = cfg.n_b1_override()
     if coherent:
-        cv = cfg.data["cv"]
         common = dict(
-            receiver_efficiency=cv["receiver_efficiency"],
-            eps_receiver_measured=cv["eps_receiver_measured"],
-            gate_s=cfg.gate_s,
-            rx_bandwidth_nm=bandwidth,
+            receiver_efficiency=m.receiver_efficiency,
+            eps_receiver_measured=m.eps_receiver_measured,
+            gate_s=m.detectors.gate_s,
+            rx_bandwidth_nm=m.rx_bandwidth_nm,
         )
-        if setup == 1:
+        if m.setup == 1:
             return (
-                cv_budget("1-wireless", scenario=cfg.scenario(),
-                          bulb=cfg.bulb_model(link["wireless_wavelength_nm"]),
-                          n_b1_override=n_b1, **common),
-                cv_budget("1-fiber", plan=plan, table=cfg.raman_table(), **common),
+                cv_budget("1-wireless", scenario=m.scenario, bulb=m.bulb,
+                          n_b1_override=m.n_b1_override, **common),
+                cv_budget("1-fiber", plan=m.plan, table=m.table, **common),
             )
         return (
-            cv_budget(str(setup), scenario=cfg.scenario(), bulb=cfg.bulb_model(plan.quantum_nm[0]),
-                      plan=plan, table=cfg.raman_table(), coupling_loss_db=link["coupling_loss_db"],
-                      n_b1_override=n_b1, **common),
+            cv_budget(str(m.setup), scenario=m.scenario, bulb=m.bulb, plan=m.plan, table=m.table,
+                      coupling_loss_db=m.coupling_loss_db, n_b1_override=m.n_b1_override,
+                      **common),
         )
-    det = cfg.detectors()
-    if setup == 1:
+    if m.setup == 1:
         return (
-            budget_setup1_wireless(cfg.scenario(), cfg.bulb_model(link["wireless_wavelength_nm"]),
-                                   det, n_b1_override=n_b1),
-            budget_setup1_fiber(plan, det, cfg.raman_table(), bandwidth),
+            budget_setup1_wireless(m.scenario, m.bulb, m.detectors, n_b1_override=m.n_b1_override),
+            budget_setup1_fiber(m.plan, m.detectors, m.table, m.rx_bandwidth_nm),
         )
-    args = (cfg.scenario(), cfg.bulb_model(plan.quantum_nm[0]), plan, det, cfg.raman_table())
-    kwargs = dict(
-        coupling_loss_db=link["coupling_loss_db"], rx_bandwidth_nm=bandwidth, n_b1_override=n_b1
-    )
-    if setup == 2:
+    args = (m.scenario, m.bulb, m.plan, m.detectors, m.table)
+    kwargs = dict(coupling_loss_db=m.coupling_loss_db, rx_bandwidth_nm=m.rx_bandwidth_nm,
+                  n_b1_override=m.n_b1_override)
+    if m.setup == 2:
         return (budget_setup2(*args, **kwargs),)
-    builder = budget_setup3 if setup == 3 else budget_setup4
-    return (builder(*args, polarization_factor=link["polarization_factor"], **kwargs),)
+    builder = budget_setup3 if m.setup == 3 else budget_setup4
+    return (builder(*args, polarization_factor=m.polarization_factor, **kwargs),)
 
 
 def _evaluate_point(
-    spec: SweepSpec, base_config: SimulationConfig, value: float, rates: dict | None = None
+    spec: SweepSpec, model: _Model, value: float, rates: dict | None = None
 ) -> SweepPoint:
-    """One row of ``spec`` at ``value``.
+    """One row of ``spec`` at ``value``, on ``_model(config, spec.setup, spec.case)``.
 
     ``rates`` maps (link budget, protocol parameters) to the rate already
     evaluated for them in this sweep; it is filled as points are evaluated.
     """
     rates = {} if rates is None else rates
-    changes = {"case": spec.case}
-    background = value if spec.variable == "background_noise" else None
-    if spec.variable == "clock_rate_hz":
-        changes["cv.clock_hz" if spec.protocol == "GG02" else "dv.clock_hz"] = value
-    elif background is None:
-        changes[_SWEPT_LEAVES[spec.variable]] = value
-    cfg = base_config.replaced(changes)
-
     if spec.protocol == "GG02":
-        rate_fn, params = gg02_rate, cfg.gg02_params()
+        rate_fn, params, clock = gg02_rate, model.gg02, model.cv_clock_hz
     elif spec.protocol in ("MDI-DS", "MDI-SPP"):
         rate_fn = mdi_rate_ds if spec.protocol == "MDI-DS" else mdi_rate_spp
-        params = cfg.mdi_params()
+        params, clock = model.mdi, model.dv_clock_hz
     else:
         rate_fn = ds_bb84_rate if spec.protocol == "DS-BB84" else spp_bb84_rate
-        params = cfg.bb84_params()
-    clock = cfg.data["cv" if spec.protocol == "GG02" else "dv"]["clock_hz"]
+        params, clock = model.bb84, model.dv_clock_hz
 
-    links = _links(cfg, spec.setup, coherent=spec.protocol == "GG02")
-    if background is not None:
-        noise = dict(frs=0.0, brs=0.0, bulb=background)
+    if spec.variable == "clock_rate_hz":
+        clock = value
+    elif spec.variable == "coupling_loss_db":
+        model = replace(model, coupling_loss_db=value)
+    elif spec.variable == "L0_km":
+        # a new plan, so its Raman totals are computed afresh
+        model = replace(model, plan=replace(model.plan, feeder_km=value))
+    elif spec.variable == "psd_w_per_nm":
+        model = replace(model, bulb=replace(model.bulb, psd_w_per_nm=value))
+
+    links = _links(model, coherent=spec.protocol == "GG02")
+    if spec.variable == "background_noise":
+        noise = dict(frs=0.0, brs=0.0, bulb=value)
         if spec.protocol == "GG02":
-            noise.update(eps_bulb=2.0 * background / links[0].transmissivity, eps_raman=0.0)
+            noise.update(eps_bulb=2.0 * value / links[0].transmissivity, eps_raman=0.0)
         links = (replace(links[0], **noise),) + links[1:]
     for link in links:
         if (link, params) not in rates:
@@ -315,9 +362,10 @@ def _evaluate_point(
 
 def run_sweep(spec: SweepSpec, config: SimulationConfig) -> SweepResult:
     """Evaluate the sweep point by point and return rows sorted by value."""
+    model = _model(config, spec.setup, spec.case)
     rates: dict = {}
     rows = sorted(
-        (_evaluate_point(spec, config, v, rates) for v in spec.values()), key=lambda r: r.value
+        (_evaluate_point(spec, model, v, rates) for v in spec.values()), key=lambda r: r.value
     )
     run_hash = hashlib.sha256(
         (config.canonical_json + repr(sorted(spec.as_dict().items()))).encode()
@@ -326,7 +374,7 @@ def run_sweep(spec: SweepSpec, config: SimulationConfig) -> SweepResult:
         spec=spec,
         rows=tuple(rows),
         config_sha256=run_hash,
-        table_sha256=config.raman_table().checksum,
+        table_sha256=model.table.checksum,
     )
 
 
@@ -340,15 +388,17 @@ def noise_breakdown(
     """
     if setup not in (1, 2, 3, 4):
         raise ValueError(f"setup must be 1-4, got {setup}")
+    model = _model(config, setup, config.data["case"])
     rows = []
     for l0 in sorted(l0_values_km):
-        link = _links(config.replaced({"network.feeder_km": float(l0)}), setup)[-1]
+        plan = replace(model.plan, feeder_km=float(l0))
+        link = _links(replace(model, plan=plan))[-1]
         rows.append((float(l0), link.frs, link.brs, link.bulb, link.dark, link.noise_per_detector))
     return NoiseBreakdownResult(
         setup=setup,
         rows=tuple(rows),
         config_sha256=config.sha256,
-        table_sha256=config.raman_table().checksum,
+        table_sha256=model.table.checksum,
     )
 
 
@@ -365,11 +415,10 @@ def dv_cv_crossover(config: SimulationConfig, setup: int = 2) -> float:
     """
     if setup not in (1, 2):
         raise ValueError(f"the crossover compares links on setups 1-2, not {setup}")
-    params = config.bb84_params()
-    dv_rate = min(ds_bb84_rate(link, params) for link in _links(config, setup))
-    gg = config.gg02_params()
-    cv_rate = min(gg02_rate(link, gg) for link in _links(config, setup, coherent=True))
-    cv_bps = cv_rate * config.data["cv"]["clock_hz"]
+    model = _model(config, setup, config.data["case"])
+    dv_rate = min(ds_bb84_rate(link, model.bb84) for link in _links(model))
+    cv_rate = min(gg02_rate(link, model.gg02) for link in _links(model, coherent=True))
+    cv_bps = cv_rate * model.cv_clock_hz
 
     if cv_bps == 0.0:
         return 0.0

@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -26,13 +27,21 @@ from qkd_access import (
     run_sweep,
 )
 from qkd_access.raman import RamanCrossSectionTable
-from qkd_access.sweep import _SETUP_PROTOCOLS, SWEEP_VARIABLES, _evaluate_point
+from qkd_access.sweep import _SETUP_PROTOCOLS, SWEEP_VARIABLES, _evaluate_point, _model
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+
+import spans  # noqa: E402
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_sweep.csv"
 
 
 def default_config(**overrides):
     return SimulationConfig.from_dict(overrides)
+
+
+def resolved(spec, cfg):
+    return _model(cfg, spec.setup, spec.case)
 
 
 def small_spec(**kwargs):
@@ -109,18 +118,18 @@ class TestRunSweep:
     def test_rows_are_pointwise_evaluations(self):
         spec = small_spec(points=9)
         cfg = default_config()
-        pointwise = [_evaluate_point(spec, cfg, v) for v in spec.values()]
+        pointwise = [_evaluate_point(spec, resolved(spec, cfg), v) for v in spec.values()]
         assert list(run_sweep(spec, cfg).rows) == pointwise
 
     def test_point_evaluation_order_independent(self):
         spec = small_spec(points=6)
-        cfg = default_config()
+        model = resolved(spec, default_config())
         values = spec.values()
         shuffled = values[:]
         random.Random(3).shuffle(shuffled)
-        direct = [_evaluate_point(spec, cfg, v) for v in values]
+        direct = [_evaluate_point(spec, model, v) for v in values]
         via_shuffle = sorted(
-            (_evaluate_point(spec, cfg, v) for v in shuffled), key=lambda r: r.value
+            (_evaluate_point(spec, model, v) for v in shuffled), key=lambda r: r.value
         )
         assert direct == via_shuffle
 
@@ -165,26 +174,26 @@ class TestMemo:
         setup, protocol = pair
         spec = SweepSpec(setup=setup, protocol=protocol, case=case, variable=variable,
                          start=start, stop=stop, points=points, log_spacing=log)
-        fresh = [_evaluate_point(spec, SimulationConfig.from_dict({}), v) for v in spec.values()]
+        fresh = [_evaluate_point(spec, resolved(spec, SimulationConfig.from_dict({})), v)
+                 for v in spec.values()]
         assert list(run_sweep(spec, default_config()).rows) == fresh
 
-    def test_plan_rebuilt_only_for_its_section(self):
+    def test_in_place_edit_reaches_next_run(self):
         cfg = default_config()
-        plan = cfg.plan()
-        assert cfg.replaced({"link.coupling_loss_db": 3.0}).plan() is plan
-        longer = cfg.replaced({"network.feeder_km": 25.0}).plan()
-        assert longer is not plan
-        assert (longer.feeder_km, plan.feeder_km) == (25.0, 10.0)
-        # the longer feeder's plan did not evict the base config's
-        assert cfg.replaced({"link.coupling_loss_db": 3.0}).plan() is plan
-        assert cfg.plan() is plan
+        spec = small_spec()
+        run_sweep(spec, cfg)
+        cfg.data["network"]["feeder_km"] = 40.0
+        fresh = default_config(network={"feeder_km": 40.0})
+        assert run_sweep(spec, cfg).csv_text() == run_sweep(spec, fresh).csv_text()
 
-    def test_base_plan_survives_l0_sweep(self):
-        cfg = default_config()
-        plan = cfg.plan()
-        run_sweep(SweepSpec(setup=2, protocol="DS-BB84", case=3, variable="L0_km",
-                            start=1.0, stop=50.0, points=3), cfg)
-        assert cfg.plan() is plan
+    def test_config_calls_do_not_grow_with_points(self):
+        counts = []
+        for points in (3, 30):
+            tracer = spans.Tracer()
+            with tracer.installed():
+                run_sweep(small_spec(points=points), SimulationConfig.from_dict({}))
+            counts.append(tracer.summarize(tracer.take())["config.calls"])
+        assert counts[0] == counts[1]
 
 
 def count_table_parses(monkeypatch):
@@ -300,9 +309,10 @@ class TestBackgroundSweep:
     def test_modelled_noise_as_background_reproduces_rate(self, setup, protocol, coupling_loss_db):
         cfg = default_config(link={"coupling_loss_db": coupling_loss_db})
         grid = dict(setup=setup, protocol=protocol, case=3, points=2)
+        model = _model(cfg, setup, 3)
         modelled = _evaluate_point(
             SweepSpec(variable="coupling_loss_db", start=0.0, stop=30.0, **grid),
-            cfg, coupling_loss_db,
+            model, coupling_loss_db,
         )
         if setup == 1:  # the background replaces the wireless link's noise
             link = budget_setup1_wireless(
@@ -314,7 +324,7 @@ class TestBackgroundSweep:
         value = link.frs + link.brs + link.bulb
         spec = SweepSpec(variable="background_noise", start=value / 2.0, stop=value * 2.0,
                          log_spacing=True, **grid)
-        assert _evaluate_point(spec, cfg, value).rate_per_pulse == modelled.rate_per_pulse
+        assert _evaluate_point(spec, model, value).rate_per_pulse == modelled.rate_per_pulse
 
     def test_cv_background_enters_per_mode(self):
         cfg = default_config()
@@ -368,7 +378,7 @@ class TestCrossover:
         cfg = default_config(cv={"clock_hz": 0.0})
         assert dv_cv_crossover(cfg) == 0.0
 
-    def test_bisection_matches_dense_scan(self):
+    def test_closed_form_matches_dense_scan(self):
         cfg = default_config(link={"coupling_loss_db": 5.0})
         clock = dv_cv_crossover(cfg)
         grid = np.geomspace(1e6, 1e10, 20000)
