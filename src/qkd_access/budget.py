@@ -13,7 +13,10 @@ Each budget folds the wireless transmittance, fiber/AWG losses, Raman
 scattering from the other users' classical channels, the bulb background
 and detector dark counts into either (transmissivity, noise per detector)
 for direct-detection protocols or (transmissivity, excess noise) for the
-coherent-detection one.  Key-rate formulas live in ``protocols``.
+coherent-detection one.  The room enters as two numbers: its line-of-sight
+gain ``h_dc`` and the bulb background ``n_b1`` in photons per gate at the
+room link's wavelength, as ``los_dc_gain`` and ``bulb_noise_count`` of the
+room model compute them.  Key-rate formulas live in ``protocols``.
 
 The classical launch power follows a fixed receiver-sensitivity rule: each
 data transmitter raises its power with path loss so the received power
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import AttenuationCoefficient
-from .owc import BulbNoiseModel, RoomScenario, bulb_noise_count, los_dc_gain
 from .raman import RamanCrossSectionTable, backward_power, forward_power, photons_per_gate
 
 __all__ = [
@@ -374,20 +376,14 @@ def raman_totals_setup4(
     return float(fwd_mux * awg + fwd_direct), bwd * awg
 
 
-def budget_setup1_wireless(
-    scenario: RoomScenario,
-    bulb: BulbNoiseModel,
-    det: DetectorParams,
-    n_b1_override: float | None = None,
-) -> LinkBudget:
+def budget_setup1_wireless(h_dc: float, n_b1: float, det: DetectorParams) -> LinkBudget:
     """Budget of the indoor link between the user and the ceiling relay.
 
     The factor 1/2 is the loss of the passive time-bin decoder.
     """
-    n_b1 = bulb_noise_count(bulb) if n_b1_override is None else n_b1_override
     half_det = det.eta_wireless / 2.0
     return LinkBudget(
-        transmissivity=los_dc_gain(scenario) * half_det,
+        transmissivity=h_dc * half_det,
         bulb=n_b1 * half_det,
         dark=det.dark_count_per_pulse,
     )
@@ -411,14 +407,13 @@ def budget_setup1_fiber(
 
 
 def budget_setup2(
-    scenario: RoomScenario,
-    bulb: BulbNoiseModel,
+    h_dc: float,
+    n_b1: float,
     plan: DwdmPlan,
     det: DetectorParams,
     table: RamanCrossSectionTable,
     coupling_loss_db: float = 10.0,
     rx_bandwidth_nm: float = 0.8,
-    n_b1_override: float | None = None,
 ) -> LinkBudget:
     """Budget of the relay-free link: room, coupling lens, fiber, office.
 
@@ -428,13 +423,12 @@ def budget_setup2(
     """
     # same totals as setup 1
     fwd, bwd = plan.raman_totals(raman_totals_setup1, table, rx_bandwidth_nm)
-    n_b1 = bulb_noise_count(bulb) if n_b1_override is None else n_b1_override
     eta_coup = 10.0 ** (-coupling_loss_db / 10.0)
     eta_fib = plan.transmittance
     half_det = det.eta_telecom / 2.0
     count = half_det * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
     return LinkBudget(
-        transmissivity=los_dc_gain(scenario) * eta_coup * eta_fib * half_det,
+        transmissivity=h_dc * eta_coup * eta_fib * half_det,
         frs=count * fwd,
         brs=count * bwd,
         bulb=half_det * n_b1 * eta_fib * eta_coup,
@@ -443,15 +437,14 @@ def budget_setup2(
 
 
 def budget_setup3(
-    scenario: RoomScenario,
-    bulb: BulbNoiseModel,
+    h_dc: float,
+    n_b1: float,
     plan: DwdmPlan,
     det: DetectorParams,
     table: RamanCrossSectionTable,
     coupling_loss_db: float = 10.0,
     rx_bandwidth_nm: float = 0.8,
     polarization_factor: float = 0.5,
-    n_b1_override: float | None = None,
 ) -> MdiLinkBudget:
     """Budget for the measurement module at the user's end.
 
@@ -460,12 +453,11 @@ def budget_setup3(
     loss (0.5 for passive filtering, 1.0 for active stabilization).
     """
     fwd, bwd = plan.raman_totals(raman_totals_setup3, table, rx_bandwidth_nm)
-    n_b1 = bulb_noise_count(bulb) if n_b1_override is None else n_b1_override
     eta_coup = 10.0 ** (-coupling_loss_db / 10.0)
     quarter = det.eta_telecom / 4.0
     count = quarter * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
     return MdiLinkBudget(
-        eta_alice=los_dc_gain(scenario) * det.eta_telecom * eta_coup * polarization_factor,
+        eta_alice=h_dc * det.eta_telecom * eta_coup * polarization_factor,
         eta_bob=det.eta_telecom * plan.transmittance * polarization_factor,
         frs=count * fwd,
         brs=count * bwd,
@@ -476,15 +468,14 @@ def budget_setup3(
 
 
 def budget_setup4(
-    scenario: RoomScenario,
-    bulb: BulbNoiseModel,
+    h_dc: float,
+    n_b1: float,
     plan: DwdmPlan,
     det: DetectorParams,
     table: RamanCrossSectionTable,
     coupling_loss_db: float = 10.0,
     rx_bandwidth_nm: float = 0.8,
     polarization_factor: float = 0.5,
-    n_b1_override: float | None = None,
 ) -> MdiLinkBudget:
     """Budget for the measurement module at the splitting point.
 
@@ -492,7 +483,6 @@ def budget_setup4(
     crosses user 1's drop fiber, and the office side is one drop shorter.
     """
     fwd, bwd = plan.raman_totals(raman_totals_setup4, table, rx_bandwidth_nm)
-    n_b1 = bulb_noise_count(bulb) if n_b1_override is None else n_b1_override
     alpha_db = plan.attenuation.db_per_km
     drop_loss = 10.0 ** (-alpha_db * plan.drop_km[0] / 10.0)
     eta_coup = 10.0 ** (-coupling_loss_db / 10.0)
@@ -500,7 +490,7 @@ def budget_setup4(
     count = quarter * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
     eta_bob = 10.0 ** (-(alpha_db * plan.feeder_km + 2.0 * plan.awg_insertion_loss_db) / 10.0)
     return MdiLinkBudget(
-        eta_alice=los_dc_gain(scenario) * det.eta_telecom * eta_coup * drop_loss * polarization_factor,
+        eta_alice=h_dc * det.eta_telecom * eta_coup * drop_loss * polarization_factor,
         eta_bob=det.eta_telecom * eta_bob * polarization_factor,
         frs=count * fwd,
         brs=count * bwd,
@@ -512,8 +502,8 @@ def budget_setup4(
 
 def cv_budget(
     setup: str,
-    scenario: RoomScenario | None = None,
-    bulb: BulbNoiseModel | None = None,
+    h_dc: float | None = None,
+    n_b1: float | None = None,
     plan: DwdmPlan | None = None,
     table: RamanCrossSectionTable | None = None,
     coupling_loss_db: float = 10.0,
@@ -521,11 +511,11 @@ def cv_budget(
     receiver_efficiency: float = 0.6,
     eps_receiver_measured: float = 0.002,
     gate_s: float = 100e-12,
-    n_b1_override: float | None = None,
 ) -> CvLinkBudget:
     """Channel budget for the coherent-detection protocol.
 
-    ``setup`` is one of ``"1-wireless"``, ``"1-fiber"`` or ``"2"``.  Noise
+    ``setup`` is one of ``"1-wireless"``, ``"1-fiber"`` or ``"2"``; all but
+    ``"1-fiber"`` need the room's ``h_dc`` and ``n_b1``.  Noise
     counts are referred to the channel input with the chaotic-light rule
     (input excess = 2n / transmissivity); the local oscillator already
     filters the background to a single matched mode, which takes half the
@@ -539,10 +529,8 @@ def cv_budget(
 
     eps_bulb = eps_raman = frs = brs = bulb_count = 0.0
     if setup != "1-fiber":
-        h_dc = los_dc_gain(scenario)
         if h_dc <= 0.0:
             raise ValueError("channel transmissivity is zero; budget undefined")
-        n_b1 = bulb_noise_count(bulb) if n_b1_override is None else n_b1_override
         eps_bulb = n_b1 / h_dc
         bulb_count = n_b1 / 2.0
     if setup == "1-wireless":

@@ -228,15 +228,22 @@ class SimulationConfig:
             self.bb84_params()
             self.mdi_params()
             self.gg02_params()
-            bulb = self.data["bulb"]
-            if bulb["n_b1_per_pulse"] is None:
-                self.bulb_model(1550.0)
-            elif bulb["n_b1_per_pulse"] < 0:
+            self.bulb_model(1550.0)  # checked also when n_b1_per_pulse fixes the count
+            n_b1 = self.data["bulb"]["n_b1_per_pulse"]
+            if n_b1 is not None and n_b1 < 0:
                 raise ConfigError("bulb.n_b1_per_pulse must be >= 0")
             if self.data["link"]["coupling_loss_db"] < 0:
                 raise ConfigError("link.coupling_loss_db must be >= 0")
             if self.data["dv"]["clock_hz"] <= 0 or self.data["cv"]["clock_hz"] < 0:
                 raise ConfigError("clock rates must be positive")
+            table = self.data["raman_table"]
+            if table["path"] is not None and not isinstance(table["path"], str):
+                raise ConfigError(f"raman_table.path must be a file path, got {table['path']!r}")
+            pump = table["reference_pump_nm"]
+            if isinstance(pump, bool) or not isinstance(pump, (int, float)) or pump <= 0:
+                raise ConfigError(
+                    f"raman_table.reference_pump_nm must be a number > 0, got {pump!r}"
+                )
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
@@ -358,6 +365,3 @@ class SimulationConfig:
         if source["path"] is None:
             return builtin_cross_section_table()
         return RamanCrossSectionTable.from_csv_file(source["path"], source["reference_pump_nm"])
-
-    def n_b1_override(self) -> float | None:
-        return self.data["bulb"]["n_b1_per_pulse"]

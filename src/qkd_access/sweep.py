@@ -6,11 +6,12 @@ evaluations made in grid order, and two runs of the same configuration
 produce byte-identical CSV output.  What a point does not change, a run
 evaluates once:
 
-* the model objects (Raman table, fiber plan, room scenario, detectors,
-  bulb model, protocol parameters) once per run, from the config as it is
-  when the run starts; a point replaces only the object its value changes,
-  so only ``L0_km`` points build a new plan and a clock only scales
-  ``rate_bps``;
+* the model objects (Raman table, fiber plan, detectors, protocol
+  parameters) and the room's two numbers, its line-of-sight gain and the
+  bulb background count, once per run, from the config as it is when the
+  run starts; a point replaces only the object its value changes, so only
+  ``L0_km`` points build a new plan, only ``psd_w_per_nm`` points count
+  the bulb's photons again, and a clock only scales ``rate_bps``;
 * a plan's Raman totals once, so only ``L0_km`` sweeps redo the 32-channel
   Raman pass;
 * each link's rate once per distinct (link budget, protocol parameters)
@@ -55,7 +56,7 @@ from .budget import (
     cv_budget,
 )
 from .config import SimulationConfig
-from .owc import BulbNoiseModel, RoomScenario
+from .owc import BulbNoiseModel, bulb_noise_count, los_dc_gain
 from .protocols import (
     Bb84Params,
     Gg02Params,
@@ -222,20 +223,23 @@ class NoiseBreakdownResult:
 class _Model:
     """What user 1's links on one setup are built from, resolved once per run.
 
-    ``bulb`` is the light source seen at the wavelength of the setup's room
-    link.  A sweep point replaces only the field its value changes.
+    ``h_dc`` is the room's line-of-sight gain and ``n_b1`` the bulb
+    background per gate at the wavelength of the setup's room link;
+    ``bulb`` is the light source behind ``n_b1``, None when the config
+    fixes the count.  A sweep point replaces only the field its value
+    changes.
     """
 
     setup: int
-    scenario: RoomScenario
+    h_dc: float
+    n_b1: float
+    bulb: BulbNoiseModel | None
     plan: DwdmPlan
-    bulb: BulbNoiseModel
     detectors: DetectorParams
     table: RamanCrossSectionTable
     coupling_loss_db: float
     polarization_factor: float
     rx_bandwidth_nm: float
-    n_b1_override: float | None
     receiver_efficiency: float
     eps_receiver_measured: float
     bb84: Bb84Params
@@ -251,17 +255,19 @@ def _model(config: SimulationConfig, setup: int, case: int) -> _Model:
     plan = config.plan()
     link = data["link"]
     room_nm = link["wireless_wavelength_nm"] if setup == 1 else plan.quantum_nm[0]
+    fixed_n_b1 = data["bulb"]["n_b1_per_pulse"]
+    bulb = None if fixed_n_b1 is not None else config.bulb_model(room_nm)
     return _Model(
         setup=setup,
-        scenario=config.scenario(case),
+        h_dc=los_dc_gain(config.scenario(case)),
+        n_b1=fixed_n_b1 if bulb is None else bulb_noise_count(bulb),
+        bulb=bulb,
         plan=plan,
-        bulb=config.bulb_model(room_nm),
         detectors=config.detectors(),
         table=config.raman_table(),
         coupling_loss_db=link["coupling_loss_db"],
         polarization_factor=link["polarization_factor"],
         rx_bandwidth_nm=data["network"]["rx_bandwidth_nm"],
-        n_b1_override=config.n_b1_override(),
         receiver_efficiency=data["cv"]["receiver_efficiency"],
         eps_receiver_measured=data["cv"]["eps_receiver_measured"],
         bb84=config.bb84_params(),
@@ -287,23 +293,20 @@ def _links(m: _Model, coherent: bool = False) -> tuple:
         )
         if m.setup == 1:
             return (
-                cv_budget("1-wireless", scenario=m.scenario, bulb=m.bulb,
-                          n_b1_override=m.n_b1_override, **common),
+                cv_budget("1-wireless", h_dc=m.h_dc, n_b1=m.n_b1, **common),
                 cv_budget("1-fiber", plan=m.plan, table=m.table, **common),
             )
         return (
-            cv_budget(str(m.setup), scenario=m.scenario, bulb=m.bulb, plan=m.plan, table=m.table,
-                      coupling_loss_db=m.coupling_loss_db, n_b1_override=m.n_b1_override,
-                      **common),
+            cv_budget(str(m.setup), h_dc=m.h_dc, n_b1=m.n_b1, plan=m.plan, table=m.table,
+                      coupling_loss_db=m.coupling_loss_db, **common),
         )
     if m.setup == 1:
         return (
-            budget_setup1_wireless(m.scenario, m.bulb, m.detectors, n_b1_override=m.n_b1_override),
+            budget_setup1_wireless(m.h_dc, m.n_b1, m.detectors),
             budget_setup1_fiber(m.plan, m.detectors, m.table, m.rx_bandwidth_nm),
         )
-    args = (m.scenario, m.bulb, m.plan, m.detectors, m.table)
-    kwargs = dict(coupling_loss_db=m.coupling_loss_db, rx_bandwidth_nm=m.rx_bandwidth_nm,
-                  n_b1_override=m.n_b1_override)
+    args = (m.h_dc, m.n_b1, m.plan, m.detectors, m.table)
+    kwargs = dict(coupling_loss_db=m.coupling_loss_db, rx_bandwidth_nm=m.rx_bandwidth_nm)
     if m.setup == 2:
         return (budget_setup2(*args, **kwargs),)
     builder = budget_setup3 if m.setup == 3 else budget_setup4
@@ -335,8 +338,9 @@ def _evaluate_point(
     elif spec.variable == "L0_km":
         # a new plan, so its Raman totals are computed afresh
         model = replace(model, plan=replace(model.plan, feeder_km=value))
-    elif spec.variable == "psd_w_per_nm":
-        model = replace(model, bulb=replace(model.bulb, psd_w_per_nm=value))
+    elif spec.variable == "psd_w_per_nm" and model.bulb is not None:
+        # a count fixed by the config wins over the bulb's spectral density
+        model = replace(model, n_b1=bulb_noise_count(replace(model.bulb, psd_w_per_nm=value)))
 
     links = _links(model, coherent=spec.protocol == "GG02")
     if spec.variable == "background_noise":

@@ -63,8 +63,8 @@ def setup2_rate(coupling_db, feeder_km=10.0, psd=1e-5, case=3, protocol="ds"):
     cfg = setup2_config(coupling_db, feeder_km, psd, case)
     plan = cfg.plan()
     link = qa.budget_setup2(
-        cfg.scenario(), cfg.bulb_model(plan.quantum_nm[0]), plan, cfg.detectors(),
-        cfg.raman_table(), coupling_loss_db=coupling_db,
+        qa.los_dc_gain(cfg.scenario()), qa.bulb_noise_count(cfg.bulb_model(plan.quantum_nm[0])),
+        plan, cfg.detectors(), cfg.raman_table(), coupling_loss_db=coupling_db,
     )
     fn = qa.ds_bb84_rate if protocol == "ds" else qa.spp_bb84_rate
     return fn(link, cfg.bb84_params())
@@ -75,8 +75,8 @@ def mdi_rate(setup, coupling_db, psd=1e-5, case=3, protocol="ds"):
     plan = cfg.plan()
     builder = qa.budget_setup3 if setup == 3 else qa.budget_setup4
     link = builder(
-        cfg.scenario(), cfg.bulb_model(plan.quantum_nm[0]), plan, cfg.detectors(),
-        cfg.raman_table(), coupling_loss_db=coupling_db,
+        qa.los_dc_gain(cfg.scenario()), qa.bulb_noise_count(cfg.bulb_model(plan.quantum_nm[0])),
+        plan, cfg.detectors(), cfg.raman_table(), coupling_loss_db=coupling_db,
     )
     fn = qa.mdi_rate_ds if protocol == "ds" else qa.mdi_rate_spp
     return fn(link, cfg.mdi_params())
@@ -278,7 +278,9 @@ def test_05_setup3_vs_setup4_and_xor_composition():
     rows = qa.run_sweep(spec, cfg).rows
     params = cfg.bb84_params()
     wireless = qa.budget_setup1_wireless(
-        cfg.scenario(1), cfg.bulb_model(cfg.data["link"]["wireless_wavelength_nm"]), cfg.detectors()
+        qa.los_dc_gain(cfg.scenario(1)),
+        qa.bulb_noise_count(cfg.bulb_model(cfg.data["link"]["wireless_wavelength_nm"])),
+        cfg.detectors(),
     )
     for row in rows:
         fiber_cfg = qa.SimulationConfig.from_dict(
@@ -286,7 +288,7 @@ def test_05_setup3_vs_setup4_and_xor_composition():
         )
         fiber = qa.budget_setup1_fiber(fiber_cfg.plan(), cfg.detectors(), cfg.raman_table())
         expected = min(qa.ds_bb84_rate(wireless, params), qa.ds_bb84_rate(fiber, params))
-        assert row.rate_per_pulse == pytest.approx(expected, rel=1e-12)
+        assert row.rate_per_pulse == pytest.approx(expected, rel=1e-12, abs=0.0)
     report(
         "5",
         f"setup 3 vs 4 gap <= {worst_gap_db:.2f} dB over {compared} common points "

@@ -39,8 +39,9 @@ DV_SETUP1_CLOCK = ["sweep", "--setup", "1", "--protocol", "DS-BB84", "--var", "c
     # the background override goes through the budget builder
     (DV_SETUP2_BACKGROUND, {"budget.calls": 3}),
     (NOISE_SETUP4, {"budget.calls": 3}),
-    # coupling loss leaves the plan alone, so its Raman totals are computed once
-    (DV_SETUP2_COUPLING, {"budget.raman_totals.calls": 1, "budget.calls": 3}),
+    # coupling loss leaves the plan and the room alone, so its Raman totals are
+    # computed once, and the room's gain and bulb count once each
+    (DV_SETUP2_COUPLING, {"budget.raman_totals.calls": 1, "budget.calls": 3, "owc.calls": 2}),
     # a clock only scales the rate: each of the two links is rated once
     (DV_SETUP1_CLOCK, {"budget.raman_totals.calls": 1, "protocols.rate.calls": 2}),
 ])

@@ -56,13 +56,18 @@ def nominal_bulb(wavelength_nm=1555.62, psd=1e-5):
     return BulbNoiseModel(psd_w_per_nm=psd, wavelength_m=wavelength_nm * 1e-9)
 
 
+def room(case, bulb):
+    """The budget builders' room inputs: (H_dc of ``case``, ``bulb``'s count per gate)."""
+    return los_dc_gain(case_scenario(case)), bulb_noise_count(bulb)
+
+
 class TestLaunchPower:
     def test_sensitivity_floor(self):
-        assert launch_power(0.0, 0.2, 0.0) == pytest.approx(1.4125375446227543e-4, rel=1e-12)
+        assert launch_power(0.0, 0.2, 0.0) == pytest.approx(1.4125375446227543e-4, rel=1e-12, abs=0.0)
 
     def test_reference_values(self):
-        assert launch_power(10.5, 0.2, 2.0) == pytest.approx(5.7543993733715693e-4, rel=1e-12)
-        assert launch_power(50.0, 0.2, 2.0) == pytest.approx(3.5481338923357546e-3, rel=1e-12)
+        assert launch_power(10.5, 0.2, 2.0) == pytest.approx(5.7543993733715693e-4, rel=1e-12, abs=0.0)
+        assert launch_power(50.0, 0.2, 2.0) == pytest.approx(3.5481338923357546e-3, rel=1e-12, abs=0.0)
 
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError):
@@ -74,8 +79,8 @@ class TestFiberTransmittance:
         assert fiber_transmittance(0.0, 0.0, 0.2, 0.0) == 1.0
 
     def test_reference_values(self):
-        assert fiber_transmittance(10.0, 0.5, 0.2, 2.0) == pytest.approx(0.24547089156850304, rel=1e-12)
-        assert fiber_transmittance(0.0, 0.0, 0.0, 2.0) == pytest.approx(0.39810717055349725, rel=1e-12)
+        assert fiber_transmittance(10.0, 0.5, 0.2, 2.0) == pytest.approx(0.24547089156850304, rel=1e-12, abs=0.0)
+        assert fiber_transmittance(0.0, 0.0, 0.0, 2.0) == pytest.approx(0.39810717055349725, rel=1e-12, abs=0.0)
 
 
 class TestDwdmPlan:
@@ -94,7 +99,7 @@ class TestDwdmPlan:
 
     def test_launch_uses_full_path(self):
         plan = nominal_plan()
-        assert plan.launch_power_mw(0) == pytest.approx(launch_power(10.5, 0.2, 2.0), rel=1e-12)
+        assert plan.launch_power_mw(0) == pytest.approx(launch_power(10.5, 0.2, 2.0), rel=1e-12, abs=0.0)
 
 
 class TestRamanTotals:
@@ -165,26 +170,26 @@ class TestRamanTotals:
 class TestDvBudgets:
     def test_wireless_dark_only(self):
         bulb = nominal_bulb(880.0, psd=0.0)
-        link = budget_setup1_wireless(case_scenario(1), bulb, DET)
-        assert link.noise_per_detector == pytest.approx(DET.dark_count_per_pulse)
+        link = budget_setup1_wireless(*room(1, bulb), DET)
+        assert link.noise_per_detector == pytest.approx(DET.dark_count_per_pulse, rel=1e-12, abs=0.0)
         assert link.frs == 0.0 and link.brs == 0.0
 
     def test_wireless_dead_detector(self):
         det = DetectorParams(eta_wireless=0.0)
-        link = budget_setup1_wireless(case_scenario(1), nominal_bulb(880.0), det)
+        link = budget_setup1_wireless(*room(1, nominal_bulb(880.0)), det)
         assert link.transmissivity == 0.0
 
     def test_wireless_nominal_composition(self):
         bulb = nominal_bulb(880.0)
-        link = budget_setup1_wireless(case_scenario(1), bulb, DET)
+        link = budget_setup1_wireless(*room(1, bulb), DET)
         assert link.transmissivity == pytest.approx(
-            los_dc_gain(case_scenario(1)) * 0.6 / 2.0, rel=1e-12
+            los_dc_gain(case_scenario(1)) * 0.6 / 2.0, rel=1e-12, abs=0.0
         )
-        assert link.bulb == pytest.approx(bulb_noise_count(bulb) * 0.3, rel=1e-12)
+        assert link.bulb == pytest.approx(bulb_noise_count(bulb) * 0.3, rel=1e-12, abs=0.0)
 
     def test_fiber_zero_table_is_dark_only(self):
         link = budget_setup1_fiber(nominal_plan(), DET, flat_table(0.0))
-        assert link.noise_per_detector == pytest.approx(DET.dark_count_per_pulse)
+        assert link.noise_per_detector == pytest.approx(DET.dark_count_per_pulse, rel=1e-12, abs=0.0)
 
     def test_fiber_lossless_limit(self):
         plan = DwdmPlan.from_grid(
@@ -195,7 +200,7 @@ class TestDvBudgets:
             attenuation=AttenuationCoefficient(0.0),
         )
         link = budget_setup1_fiber(plan, DET, flat_table(0.0))
-        assert link.transmissivity == pytest.approx(0.3 / 2.0, rel=1e-12)
+        assert link.transmissivity == pytest.approx(0.3 / 2.0, rel=1e-12, abs=0.0)
 
     def test_fiber_nominal_against_oracle(self):
         plan = nominal_plan()
@@ -212,7 +217,7 @@ class TestDvBudgets:
 
     def test_setup2_huge_coupling_loss_kills_bulb_and_signal(self):
         link = budget_setup2(
-            case_scenario(3), nominal_bulb(), nominal_plan(), DET, flat_table(0.0),
+            *room(3, nominal_bulb()), nominal_plan(), DET, flat_table(0.0),
             coupling_loss_db=300.0,
         )
         assert link.bulb == pytest.approx(0.0, abs=1e-30)
@@ -222,7 +227,7 @@ class TestDvBudgets:
         plan = nominal_plan()
         table = flat_table()
         bulb = nominal_bulb()
-        link = budget_setup2(case_scenario(3), bulb, plan, DET, table, coupling_loss_db=10.0)
+        link = budget_setup2(*room(3, bulb), plan, DET, table, coupling_loss_db=10.0)
         fwd, bwd = raman_totals_oracle(
             1, FlatRamanData(3e-9), plan.quantum_nm, plan.data_nm, 10.0, plan.drop_km, 0.2, 2.0, 0.8
         )
@@ -231,9 +236,9 @@ class TestDvBudgets:
         eta_fib = fiber_transmittance(10.0, 0.5, 0.2, 2.0)
         assert link.frs == pytest.approx(count * fwd, rel=1e-12, abs=0.0)
         assert link.brs == pytest.approx(count * bwd, rel=1e-12, abs=0.0)
-        assert link.bulb == pytest.approx(0.15 * bulb_noise_count(bulb) * eta_fib * 0.1, rel=1e-12)
+        assert link.bulb == pytest.approx(0.15 * bulb_noise_count(bulb) * eta_fib * 0.1, rel=1e-12, abs=0.0)
         assert link.transmissivity == pytest.approx(
-            los_dc_gain(case_scenario(3)) * 0.1 * eta_fib * 0.15, rel=1e-12
+            los_dc_gain(case_scenario(3)) * 0.1 * eta_fib * 0.15, rel=1e-12, abs=0.0
         )
 
     def test_breakdown_sums_exactly(self):
@@ -249,23 +254,23 @@ class TestDvBudgets:
 class TestMdiBudgets:
     def test_setup3_zero_sources_dark_only(self):
         link = budget_setup3(
-            case_scenario(3), nominal_bulb(psd=0.0), nominal_plan(), DET, flat_table(0.0),
+            *room(3, nominal_bulb(psd=0.0)), nominal_plan(), DET, flat_table(0.0),
         )
-        assert link.noise_per_detector == pytest.approx(1e-7)
+        assert link.noise_per_detector == pytest.approx(1e-7, rel=1e-12, abs=0.0)
 
     def test_polarization_factor_scales_transmissivities(self):
-        args = (case_scenario(3), nominal_bulb(), nominal_plan(), DET, flat_table())
+        args = (*room(3, nominal_bulb()), nominal_plan(), DET, flat_table())
         half = budget_setup3(*args, polarization_factor=0.5)
         full = budget_setup3(*args, polarization_factor=1.0)
-        assert full.eta_alice == pytest.approx(2.0 * half.eta_alice, rel=1e-12)
-        assert full.eta_bob == pytest.approx(2.0 * half.eta_bob, rel=1e-12)
-        assert full.noise_per_detector == pytest.approx(half.noise_per_detector, rel=1e-12)
+        assert full.eta_alice == pytest.approx(2.0 * half.eta_alice, rel=1e-12, abs=0.0)
+        assert full.eta_bob == pytest.approx(2.0 * half.eta_bob, rel=1e-12, abs=0.0)
+        assert full.noise_per_detector == pytest.approx(half.noise_per_detector, rel=1e-12, abs=0.0)
 
     def test_setup3_nominal_against_composed_oracle(self):
         plan = nominal_plan()
         table = flat_table()
         bulb = nominal_bulb()
-        link = budget_setup3(case_scenario(3), bulb, plan, DET, table, coupling_loss_db=10.0)
+        link = budget_setup3(*room(3, bulb), plan, DET, table, coupling_loss_db=10.0)
         fwd, bwd = raman_totals_oracle(
             3, FlatRamanData(3e-9), plan.quantum_nm, plan.data_nm, 10.0, plan.drop_km, 0.2, 2.0, 0.8
         )
@@ -273,17 +278,17 @@ class TestMdiBudgets:
         quarter_count = 0.3 / 4.0 * 1e-3 * 100e-12 / photon_j
         assert link.frs == pytest.approx(quarter_count * fwd, rel=1e-12, abs=0.0)
         assert link.brs == pytest.approx(quarter_count * bwd, rel=1e-12, abs=0.0)
-        assert link.bulb == pytest.approx(0.075 * bulb_noise_count(bulb) * 0.1, rel=1e-12)
+        assert link.bulb == pytest.approx(0.075 * bulb_noise_count(bulb) * 0.1, rel=1e-12, abs=0.0)
         assert link.eta_alice == pytest.approx(
-            los_dc_gain(case_scenario(3)) * 0.3 * 0.1 * 0.5, rel=1e-12
+            los_dc_gain(case_scenario(3)) * 0.3 * 0.1 * 0.5, rel=1e-12, abs=0.0
         )
         assert link.eta_bob == pytest.approx(
-            0.3 * fiber_transmittance(10.0, 0.5, 0.2, 2.0) * 0.5, rel=1e-12
+            0.3 * fiber_transmittance(10.0, 0.5, 0.2, 2.0) * 0.5, rel=1e-12, abs=0.0
         )
 
     def test_setup4_nominal_against_composed_oracle(self):
         plan = nominal_plan()
-        link = budget_setup4(case_scenario(3), nominal_bulb(), plan, DET, flat_table(),
+        link = budget_setup4(*room(3, nominal_bulb()), plan, DET, flat_table(),
                              coupling_loss_db=10.0)
         fwd, bwd = raman_totals_oracle(
             4, FlatRamanData(3e-9), plan.quantum_nm, plan.data_nm, 10.0, plan.drop_km, 0.2, 2.0, 0.8
@@ -294,18 +299,18 @@ class TestMdiBudgets:
         assert link.frs == pytest.approx(quarter_count * fwd, rel=1e-12, abs=0.0)
         assert link.brs == pytest.approx(quarter_count * bwd, rel=1e-12, abs=0.0)
         assert link.eta_alice == pytest.approx(
-            los_dc_gain(case_scenario(3)) * 0.3 * 0.1 * drop_loss * 0.5, rel=1e-12
+            los_dc_gain(case_scenario(3)) * 0.3 * 0.1 * drop_loss * 0.5, rel=1e-12, abs=0.0
         )
-        assert link.eta_bob == pytest.approx(0.3 * 10.0 ** (-(0.2 * 10.0 + 4.0) / 10.0) * 0.5, rel=1e-12)
+        assert link.eta_bob == pytest.approx(0.3 * 10.0 ** (-(0.2 * 10.0 + 4.0) / 10.0) * 0.5, rel=1e-12, abs=0.0)
 
     def test_setups_agree_at_zero_drop(self):
         plan = DwdmPlan.from_grid(n_users=8, drop_km=(0.0,) * 8)
-        args = (case_scenario(3), nominal_bulb(), plan, DET, flat_table())
+        args = (*room(3, nominal_bulb()), plan, DET, flat_table())
         three = budget_setup3(*args, coupling_loss_db=10.0)
         four = budget_setup4(*args, coupling_loss_db=10.0)
-        assert three.noise_per_detector == pytest.approx(four.noise_per_detector, rel=1e-12)
-        assert three.eta_alice == pytest.approx(four.eta_alice, rel=1e-12)
-        assert three.eta_bob == pytest.approx(four.eta_bob, rel=1e-12)
+        assert three.noise_per_detector == pytest.approx(four.noise_per_detector, rel=1e-12, abs=0.0)
+        assert three.eta_alice == pytest.approx(four.eta_alice, rel=1e-12, abs=0.0)
+        assert three.eta_bob == pytest.approx(four.eta_bob, rel=1e-12, abs=0.0)
 
 
 class TestMonotonicity:
@@ -317,7 +322,7 @@ class TestMonotonicity:
             plan = DwdmPlan.from_grid(
                 feeder_km=feeder, drop_km=(drop,) * 4, awg_insertion_loss_db=awg, **plan_args
             )
-            link = budget_setup2(case_scenario(3), nominal_bulb(), plan, DET, flat_table(),
+            link = budget_setup2(*room(3, nominal_bulb()), plan, DET, flat_table(),
                                  coupling_loss_db=coupling)
             return link.transmissivity
 
@@ -338,33 +343,32 @@ class TestMonotonicity:
     def test_setup2_bulb_weaker_than_setup3_bulb(self):
         plan = nominal_plan()
         bulb = nominal_bulb()
-        two = budget_setup2(case_scenario(3), bulb, plan, DET, flat_table(), coupling_loss_db=10.0)
-        three = budget_setup3(case_scenario(3), bulb, plan, DET, flat_table(), coupling_loss_db=10.0)
+        two = budget_setup2(*room(3, bulb), plan, DET, flat_table(), coupling_loss_db=10.0)
+        three = budget_setup3(*room(3, bulb), plan, DET, flat_table(), coupling_loss_db=10.0)
         assert two.bulb < three.bulb
 
 
 class TestCvBudget:
     def test_zero_sources_leaves_receiver_noise_only(self):
         link = cv_budget(
-            "2", scenario=case_scenario(3), bulb=nominal_bulb(psd=0.0),
+            "2", *room(3, nominal_bulb(psd=0.0)),
             plan=nominal_plan(), table=flat_table(0.0), coupling_loss_db=5.0,
         )
         assert link.eps_bulb == 0.0 and link.eps_raman == 0.0
-        assert link.excess_noise == pytest.approx(link.eps_receiver)
+        assert link.excess_noise == pytest.approx(link.eps_receiver, rel=1e-12, abs=0.0)
 
     def test_bulb_term_linear_in_count(self):
-        kwargs = dict(scenario=case_scenario(3), plan=nominal_plan(), table=flat_table(0.0),
-                      coupling_loss_db=5.0)
-        one = cv_budget("2", bulb=nominal_bulb(psd=1e-6), **kwargs)
-        two = cv_budget("2", bulb=nominal_bulb(psd=2e-6), **kwargs)
-        assert two.eps_bulb == pytest.approx(2.0 * one.eps_bulb, rel=1e-12)
+        kwargs = dict(h_dc=los_dc_gain(case_scenario(3)), plan=nominal_plan(),
+                      table=flat_table(0.0), coupling_loss_db=5.0)
+        one = cv_budget("2", n_b1=bulb_noise_count(nominal_bulb(psd=1e-6)), **kwargs)
+        two = cv_budget("2", n_b1=bulb_noise_count(nominal_bulb(psd=2e-6)), **kwargs)
+        assert two.eps_bulb == pytest.approx(2.0 * one.eps_bulb, rel=1e-12, abs=0.0)
 
     def test_setup2_nominal_against_composed_oracle(self):
         plan = nominal_plan()
         bulb = nominal_bulb()
         table = flat_table()
-        link = cv_budget("2", scenario=case_scenario(3), bulb=bulb, plan=plan, table=table,
-                         coupling_loss_db=5.0)
+        link = cv_budget("2", *room(3, bulb), plan=plan, table=table, coupling_loss_db=5.0)
         h_dc = los_dc_gain(case_scenario(3))
         eta_fib = fiber_transmittance(10.0, 0.5, 0.2, 2.0)
         eta_ch = h_dc * 10.0 ** (-0.5) * eta_fib
@@ -373,18 +377,18 @@ class TestCvBudget:
         )
         photon_j = PLANCK * LIGHTSPEED / (1555.62e-9)
         n_r = (fwd + bwd) * 1e-3 * 100e-12 / photon_j
-        assert link.transmissivity == pytest.approx(eta_ch, rel=1e-12)
-        assert link.eps_bulb == pytest.approx(bulb_noise_count(bulb) / h_dc, rel=1e-12)
-        assert link.eps_raman == pytest.approx(n_r / eta_ch, rel=1e-12)
-        assert link.eps_receiver == pytest.approx(0.002 / (eta_ch * 0.6), rel=1e-12)
+        assert link.transmissivity == pytest.approx(eta_ch, rel=1e-12, abs=0.0)
+        assert link.eps_bulb == pytest.approx(bulb_noise_count(bulb) / h_dc, rel=1e-12, abs=0.0)
+        assert link.eps_raman == pytest.approx(n_r / eta_ch, rel=1e-12, abs=0.0)
+        assert link.eps_receiver == pytest.approx(0.002 / (eta_ch * 0.6), rel=1e-12, abs=0.0)
 
     def test_wireless_variant(self):
         bulb = nominal_bulb(880.0)
-        link = cv_budget("1-wireless", scenario=case_scenario(1), bulb=bulb)
+        link = cv_budget("1-wireless", *room(1, bulb))
         h_dc = los_dc_gain(case_scenario(1))
-        assert link.transmissivity == pytest.approx(h_dc, rel=1e-12)
-        assert link.eps_bulb == pytest.approx(bulb_noise_count(bulb) / h_dc, rel=1e-12)
+        assert link.transmissivity == pytest.approx(h_dc, rel=1e-12, abs=0.0)
+        assert link.eps_bulb == pytest.approx(bulb_noise_count(bulb) / h_dc, rel=1e-12, abs=0.0)
 
     def test_unknown_setup_rejected(self):
         with pytest.raises(ValueError):
-            cv_budget("3", scenario=case_scenario(3), bulb=nominal_bulb())
+            cv_budget("3", *room(3, nominal_bulb()))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qkd_access.cli import main
+from qkd_access.config import ConfigError, SimulationConfig
 
 
 def run_cli(*args):
@@ -72,6 +73,36 @@ class TestValidateConfig:
         with_set = sha()
         assert run_cli("validate-config") == 0
         assert sha() != with_set
+
+    @pytest.mark.parametrize("pump", ['"abc"', "null", "0"])
+    @pytest.mark.parametrize("command", [
+        ("validate-config",),
+        ("sweep", "--setup", "2", "--protocol", "DS-BB84", "--var", "L0_km", "--start", "1",
+         "--stop", "30", "--points", "2"),
+    ])
+    def test_bad_reference_pump_fails(self, tmp_path, capsys, command, pump):
+        table = tmp_path / "table.csv"
+        lines = ["lambda_q_nm,gamma_per_km_nm"] + [f"{w:.1f},1.0e-11" for w in range(1300, 1801, 10)]
+        table.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "rates.csv"
+        args = (*command, "--out", str(out)) if command[0] == "sweep" else command
+        code = run_cli(*args, "--table", str(table),
+                       "--set", f"raman_table.reference_pump_nm={pump}")
+        assert code == 2
+        assert "reference_pump_nm must be a number > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_bulb_model_fails_with_fixed_count(self, capsys):
+        # the bulb model is checked although the fixed count replaces it
+        code = run_cli("validate-config", "--set", "bulb.n_b1_per_pulse=1e-4",
+                       "--set", "bulb.psd_w_per_nm=-1")
+        assert code == 2
+        assert "PSD must be >= 0" in capsys.readouterr().err
+
+    def test_non_string_table_path_rejected(self):
+        # a JSON 0 would otherwise open file descriptor 0, standard input
+        with pytest.raises(ConfigError, match="raman_table.path must be a file path"):
+            SimulationConfig.from_dict({"raman_table": {"path": 0}})
 
     def test_set_overrides_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -16,6 +16,7 @@ from qkd_access import (
     SweepSpec,
     budget_setup1_fiber,
     budget_setup1_wireless,
+    bulb_noise_count,
     cv_budget,
     ds_bb84_rate,
     dv_cv_crossover,
@@ -98,7 +99,7 @@ class TestRunSweep:
     def test_bps_consistent_with_clock(self):
         result = run_sweep(small_spec(), default_config())
         for row in result.rows:
-            assert row.rate_bps == pytest.approx(row.rate_per_pulse * 1e9, rel=1e-12)
+            assert row.rate_bps == pytest.approx(row.rate_per_pulse * 1e9, rel=1e-12, abs=0.0)
 
     def test_rows_sorted_and_complete(self):
         spec = small_spec(points=7)
@@ -264,12 +265,14 @@ class TestSetupOneComposition:
         det = cfg.detectors()
         for row in result.rows:
             wireless = budget_setup1_wireless(
-                cfg.scenario(1), cfg.bulb_model(cfg.data["link"]["wireless_wavelength_nm"]), det
+                los_dc_gain(cfg.scenario(1)),
+                bulb_noise_count(cfg.bulb_model(cfg.data["link"]["wireless_wavelength_nm"])),
+                det,
             )
             cfg_l0 = SimulationConfig.from_dict({"network": {"feeder_km": row.value}})
             fiber = budget_setup1_fiber(cfg_l0.plan(), det, cfg.raman_table())
             expected = min(ds_bb84_rate(wireless, params), ds_bb84_rate(fiber, params))
-            assert row.rate_per_pulse == pytest.approx(expected, rel=1e-12)
+            assert row.rate_per_pulse == pytest.approx(expected, rel=1e-12, abs=0.0)
             # breakdown reports the fiber link
             assert row.frs == pytest.approx(fiber.frs, rel=1e-12, abs=0.0)
             assert row.bulb == 0.0
@@ -298,8 +301,8 @@ class TestBackgroundSweep:
         result = run_sweep(spec, cfg)
         for row in result.rows:
             assert row.frs == 0.0 and row.brs == 0.0
-            assert row.bulb == pytest.approx(row.value, rel=1e-12)
-            assert row.dark == pytest.approx(1e-7)
+            assert row.bulb == pytest.approx(row.value, rel=1e-12, abs=0.0)
+            assert row.dark == pytest.approx(1e-7, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("coupling_loss_db", [0.0, 5.0, 12.0])
     @pytest.mark.parametrize("setup,protocol", [
@@ -316,7 +319,8 @@ class TestBackgroundSweep:
         )
         if setup == 1:  # the background replaces the wireless link's noise
             link = budget_setup1_wireless(
-                cfg.scenario(3), cfg.bulb_model(cfg.data["link"]["wireless_wavelength_nm"]),
+                los_dc_gain(cfg.scenario(3)),
+                bulb_noise_count(cfg.bulb_model(cfg.data["link"]["wireless_wavelength_nm"])),
                 cfg.detectors(),
             )
         else:
@@ -345,9 +349,33 @@ class TestBackgroundSweep:
                 eps_receiver=cv["eps_receiver_measured"] / (eta_ch * cv["receiver_efficiency"]),
             )
             assert row.rate_per_pulse == pytest.approx(
-                gg02_rate(link, cfg.gg02_params()), rel=1e-12
+                gg02_rate(link, cfg.gg02_params()), rel=1e-12, abs=0.0
             )
             assert (row.frs, row.brs, row.bulb) == (0.0, 0.0, row.value)
+
+
+class TestFixedBulbCount:
+    """``bulb.n_b1_per_pulse`` fixes the bulb background per gate, whatever the bulb's PSD."""
+
+    @pytest.mark.parametrize("setup,protocol", PAIRS)
+    def test_psd_sweep_is_flat(self, setup, protocol):
+        spec = SweepSpec(setup=setup, protocol=protocol, case=3, variable="psd_w_per_nm",
+                         start=1e-7, stop=1e-2, points=4, log_spacing=True)
+        link = {"coupling_loss_db": 0.0}
+        fixed = run_sweep(spec, default_config(link=link, bulb={"n_b1_per_pulse": 1e-6})).rows
+        modelled = run_sweep(spec, default_config(link=link)).rows
+        assert len({row.rate_per_pulse for row in fixed}) == 1 and fixed[0].rate_per_pulse > 0.0
+        assert len({row.rate_per_pulse for row in modelled}) > 1
+
+    def test_setup2_bulb_column(self):
+        n_b1 = 1e-4
+        cfg = default_config(bulb={"n_b1_per_pulse": n_b1})
+        det, eta_fib = cfg.detectors(), cfg.plan().transmittance
+        for row in run_sweep(small_spec(), cfg).rows:
+            eta_coup = 10.0 ** (-row.value / 10.0)
+            assert row.bulb == pytest.approx(
+                det.eta_telecom / 2.0 * n_b1 * eta_fib * eta_coup, rel=1e-12, abs=0.0
+            )
 
 
 class TestNoiseBreakdown:
