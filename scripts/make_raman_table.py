@@ -9,7 +9,8 @@ so that the shipped network defaults land on the operating points checked
 by the acceptance suite; the shape (not the absolute scale) is the
 physically meaningful part.
 
-Run from the repository root:
+Run from the repository root (needs numpy, which the package itself
+does not; ``pip install -e ".[test]"`` brings it):
 
     python scripts/make_raman_table.py
 """

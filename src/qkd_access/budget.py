@@ -28,10 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .numerics import AttenuationCoefficient
-from .raman import RamanCrossSectionTable, backward_power, forward_power, photons_per_gate
+from .raman import RamanCrossSectionTable, backward_length_km, photons_per_gate
 
 __all__ = [
     "DEFAULT_SENSITIVITY_DBM",
@@ -273,8 +271,7 @@ def _channels(plan: DwdmPlan, table: RamanCrossSectionTable, rx_bandwidth_nm: fl
     """Per-channel inputs of the Raman sums, one entry per data channel.
 
     Returns (alpha per km, launch powers in mW, drop attenuations
-    exp(-alpha L_k), cross sections into user 1's quantum channel).  The
-    transcendentals are scalar libm calls so the sums keep their last bit.
+    exp(-alpha L_k), cross sections into user 1's quantum channel).
     Launch power and drop attenuation depend on a user only through its
     drop length, so each is computed once per distinct drop; the cross
     sections depend only on the wavelength grid and come from the table's
@@ -282,20 +279,20 @@ def _channels(plan: DwdmPlan, table: RamanCrossSectionTable, rx_bandwidth_nm: fl
     """
     if rx_bandwidth_nm <= 0.0:
         raise ValueError(f"receiver bandwidth must be > 0, got {rx_bandwidth_nm}")
-    alpha = plan.attenuation.per_km
-    per_drop = {}
-    for user, km in enumerate(plan.drop_km):
-        if km not in per_drop:
-            per_drop[km] = (plan.launch_power_mw(user), math.exp(-alpha * km))
-    power = np.array([per_drop[km][0] for km in plan.drop_km], dtype=float)
-    drop_att = np.array([per_drop[km][1] for km in plan.drop_km], dtype=float)
-    return alpha, power, drop_att, table.grid_gammas(plan.data_nm, plan.quantum_nm[0])
+    alpha, drops = plan.attenuation.per_km, plan.drop_km
+    distinct = dict.fromkeys(drops)
+    power = {km: plan.launch_power_mw(drops.index(km)) for km in distinct}
+    drop_att = {km: math.exp(-alpha * km) for km in distinct}
+    return (alpha, list(map(power.__getitem__, drops)), list(map(drop_att.__getitem__, drops)),
+            table.grid_gammas(plan.data_nm, plan.quantum_nm[0]))
 
 
-def _running_sum(*parts) -> float:
-    """Left-to-right sum of the concatenated terms (0.0 when there are none)."""
-    terms = np.concatenate([np.atleast_1d(part) for part in parts])
-    return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
+# The sums below run left to right over the channels with scalar libm
+# calls, so each total keeps its last bit.  A forward term is
+# P*exp(-alpha L)*L*Gamma*bw and a backward one P*L_eff*Gamma*bw (L_eff from
+# ``backward_length_km``), multiplied in that order; the factors that do not
+# depend on the channel are computed once per sum.  ``sum()`` is not used:
+# from Python 3.12 it compensates, which would move the last bit.
 
 
 def raman_totals_setup1(
@@ -315,14 +312,12 @@ def raman_totals_setup1(
     alpha, power, drop_att, gamma = _channels(plan, table, rx_bandwidth_nm)
     feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], rx_bandwidth_nm
     awg = 10.0 ** (-2.0 * plan.awg_insertion_loss_db / 10.0)
-    fwd = _running_sum(
-        forward_power(power[0], own_km, alpha, gamma[0], bw),
-        forward_power(power[1:] * drop_att[1:], feeder, alpha, gamma[1:], bw),
-    )
-    bwd = _running_sum(
-        backward_power(power[0], own_km, alpha, gamma[0], bw),
-        backward_power(power[1:], feeder, alpha, gamma[1:], bw),
-    )
+    e_feeder, eff_feeder = math.exp(-alpha * feeder), backward_length_km(alpha, feeder)
+    fwd = power[0] * math.exp(-alpha * own_km) * own_km * gamma[0] * bw
+    bwd = power[0] * backward_length_km(alpha, own_km) * gamma[0] * bw
+    for p, att, g in zip(power[1:], drop_att[1:], gamma[1:]):
+        fwd += p * att * e_feeder * feeder * g * bw
+        bwd += p * eff_feeder * g * bw
     return fwd * awg, bwd * awg
 
 
@@ -341,14 +336,15 @@ def raman_totals_setup3(
     alpha, power, drop_att, gamma = _channels(plan, table, rx_bandwidth_nm)
     feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], rx_bandwidth_nm
     awg = 10.0 ** (-2.0 * plan.awg_insertion_loss_db / 10.0)
-    fwd = forward_power(power[0], own_km, alpha, gamma[0], bw)
-    bwd = backward_power(power[0], own_km, alpha, gamma[0], bw)
-    fwd_rest = _running_sum(forward_power(power[1:], feeder, alpha, gamma[1:], bw))
-    bwd_rest = _running_sum(backward_power(power[1:] * drop_att[1:], feeder, alpha, gamma[1:], bw))
-    return (
-        float((fwd + drop_att[0] * fwd_rest) * awg),
-        float((bwd + drop_att[0] * bwd_rest) * awg),
-    )
+    e_feeder, eff_feeder = math.exp(-alpha * feeder), backward_length_km(alpha, feeder)
+    fwd = power[0] * math.exp(-alpha * own_km) * own_km * gamma[0] * bw
+    bwd = power[0] * backward_length_km(alpha, own_km) * gamma[0] * bw
+    # -0.0 is the exact additive identity; with no other users the sums are 0.0
+    fwd_rest = bwd_rest = -0.0 if len(power) > 1 else 0.0
+    for p, att, g in zip(power[1:], drop_att[1:], gamma[1:]):
+        fwd_rest += p * e_feeder * feeder * g * bw
+        bwd_rest += p * att * eff_feeder * g * bw
+    return (fwd + drop_att[0] * fwd_rest) * awg, (bwd + drop_att[0] * bwd_rest) * awg
 
 
 def raman_totals_setup4(
@@ -367,13 +363,14 @@ def raman_totals_setup4(
     alpha, power, drop_att, gamma = _channels(plan, table, rx_bandwidth_nm)
     feeder, drop, bw = plan.feeder_km, plan.drop_km[0], rx_bandwidth_nm
     awg = 10.0 ** (-2.0 * plan.awg_insertion_loss_db / 10.0)
-    fwd_mux = _running_sum(forward_power(power, feeder, alpha, gamma, bw))
-    bwd = _running_sum(
-        backward_power(power * drop_att, feeder, alpha, gamma, bw),
-        backward_power(power[0] * math.exp(-alpha * feeder), drop, alpha, gamma[0], bw),
-    )
-    fwd_direct = forward_power(power[0], drop, alpha, gamma[0], bw)
-    return float(fwd_mux * awg + fwd_direct), bwd * awg
+    e_feeder, eff_feeder = math.exp(-alpha * feeder), backward_length_km(alpha, feeder)
+    fwd_mux = bwd = -0.0  # the exact additive identity
+    for p, att, g in zip(power, drop_att, gamma):
+        fwd_mux += p * e_feeder * feeder * g * bw
+        bwd += p * att * eff_feeder * g * bw
+    bwd += power[0] * e_feeder * backward_length_km(alpha, drop) * gamma[0] * bw
+    fwd_direct = power[0] * drop_att[0] * drop * gamma[0] * bw
+    return fwd_mux * awg + fwd_direct, bwd * awg
 
 
 def budget_setup1_wireless(h_dc: float, n_b1: float, det: DetectorParams) -> LinkBudget:

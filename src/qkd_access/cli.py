@@ -20,9 +20,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .config import ConfigError, SimulationConfig, apply_assignments, read_overrides
+from .config import ConfigError, SimulationConfig, apply_assignments, read_overrides, set_leaf
+from .numerics import linspace
 from .sweep import (
     PROTOCOLS,
     SWEEP_VARIABLES,
@@ -96,10 +95,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> SimulationConfig:
-    assignments = list(args.overrides)
-    if args.table:
-        assignments.append(f"raman_table.path={args.table}")
-    return SimulationConfig.from_dict(apply_assignments(read_overrides(args.config), assignments))
+    overrides = apply_assignments(read_overrides(args.config), args.overrides)
+    if args.table is not None:  # a file name, never parsed as JSON
+        set_leaf(overrides, "raman_table.path", args.table)
+    return SimulationConfig.from_dict(overrides)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "noise":
-            values = [float(v) for v in np.linspace(args.l0_start, args.l0_stop, args.points)]
+            values = linspace(args.l0_start, args.l0_stop, args.points)
             result = noise_breakdown(args.setup, cfg, values)
             emit_csv(result, args.out)
             print(f"wrote {args.out}: {len(result.rows)} points")

@@ -159,19 +159,24 @@ def apply_assignments(overrides: dict, assignments: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         dotted, text = item.split("=", 1)
-        *sections, leaf = dotted.strip().split(".")
-        node, default = overrides, DEFAULTS
-        for key in sections:
-            if not isinstance(default.get(key), dict):
-                raise ConfigError(f"unknown configuration section: {dotted}")
-            default = default[key]
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"{key} must be a section, got {node!r}")
-        if leaf not in default:
-            raise ConfigError(f"unknown configuration key: {dotted}")
-        node[leaf] = _parse_override_value(text)
+        set_leaf(overrides, dotted, _parse_override_value(text))
     return overrides
+
+
+def set_leaf(overrides: dict, dotted: str, value) -> None:
+    """Set ``overrides[section]...[key] = value`` for a dotted path checked against ``DEFAULTS``."""
+    *sections, leaf = dotted.strip().split(".")
+    node, default = overrides, DEFAULTS
+    for key in sections:
+        if not isinstance(default.get(key), dict):
+            raise ConfigError(f"unknown configuration section: {dotted}")
+        default = default[key]
+        node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{key} must be a section, got {node!r}")
+    if leaf not in default:
+        raise ConfigError(f"unknown configuration key: {dotted}")
+    node[leaf] = value
 
 
 def _non_finite(node, path: str = "") -> str | None:
@@ -197,7 +202,8 @@ class SimulationConfig:
 
     The builders ``raman_table()``, ``plan()``, ``scenario()``,
     ``detectors()`` and ``bulb_model()`` build a new object from ``data`` on
-    every call; a sweep calls them once per run (see ``sweep``).
+    every call, except that the built-in Raman table is parsed once per
+    process; a sweep calls them once per run (see ``sweep``).
     """
 
     data: dict

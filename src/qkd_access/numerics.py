@@ -3,7 +3,8 @@
 Everything in here is a pure scalar function used by the channel-noise and
 key-rate formulas: Shannon binary entropy, the bosonic entropy function
 g(x) entering Holevo bounds, the modified Bessel function I0, and dB/linear
-power conversions; plus the two physical constants the photon counts need.
+power conversions; plus the two physical constants the photon counts need
+and the linear and logarithmic grids the sweeps run over.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ __all__ = [
     "bessel_i0",
     "db_to_linear",
     "linear_to_db",
+    "linspace",
+    "geomspace",
 ]
 
 # Exact by definition in the 2019 SI.
@@ -113,3 +116,39 @@ def linear_to_db(value: float) -> float:
     if value <= 0.0:
         raise ValueError(f"linear_to_db requires a positive ratio, got {value}")
     return 10.0 * math.log10(value)
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` evenly spaced values from ``start`` to ``stop``, both included.
+
+    Value i is ``i*step + start`` and the last is ``stop`` itself, the
+    arithmetic of ``numpy.linspace``, so the grids match it bit for bit:
+    ``num`` 0 gives [], 1 gives [start], and a negative ``num`` raises.
+    """
+    if num < 0:
+        raise ValueError(f"number of samples must be >= 0, got {num}")
+    start, stop = float(start), float(stop)
+    if num < 2:
+        return [start] * num
+    delta = stop - start
+    step = delta / (num - 1)
+    if step == 0.0:  # a subnormal range: scale delta by i/(num-1) instead, as numpy does
+        values = [i / (num - 1) * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
+
+
+def geomspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` log-spaced values from ``start`` to ``stop`` (both > 0), both exact.
+
+    Each inner value is 10**v over ``linspace`` of the endpoints' log10;
+    the endpoints are ``start`` and ``stop`` themselves.
+    """
+    values = [10.0 ** v for v in linspace(math.log10(start), math.log10(stop), num)]
+    if num > 0:
+        values[0] = float(start)
+    if num > 1:
+        values[-1] = float(stop)
+    return values

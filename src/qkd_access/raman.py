@@ -17,13 +17,14 @@ scales across the C band.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
-
-import numpy as np
 
 from .numerics import LIGHTSPEED_M_S, PLANCK_J_S, AttenuationCoefficient
 
@@ -32,6 +33,7 @@ __all__ = [
     "RamanQuery",
     "builtin_cross_section_table",
     "forward_power",
+    "backward_length_km",
     "backward_power",
     "raman_forward",
     "raman_backward",
@@ -56,13 +58,13 @@ class RamanCrossSectionTable:
     """
 
     def __init__(self, wavelengths_nm, gamma_per_km_nm, reference_pump_nm: float):
-        wl = np.asarray(wavelengths_nm, dtype=float)
-        ga = np.asarray(gamma_per_km_nm, dtype=float)
-        if wl.ndim != 1 or wl.size < 2 or wl.shape != ga.shape:
+        wl = tuple(map(float, wavelengths_nm))
+        ga = tuple(map(float, gamma_per_km_nm))
+        if len(wl) < 2 or len(wl) != len(ga):
             raise ValueError("table needs matching 1-D wavelength and gamma columns, >= 2 rows")
-        if np.any(np.diff(wl) <= 0.0):
+        if any(b <= a for a, b in zip(wl, wl[1:])):
             raise ValueError("table wavelengths must be strictly increasing")
-        if np.any(ga < 0.0) or not np.all(np.isfinite(ga)):
+        if not all(0.0 <= g < math.inf for g in ga):
             raise ValueError("cross sections must be finite and >= 0")
         if reference_pump_nm <= 0.0:
             raise ValueError(f"reference pump wavelength must be > 0, got {reference_pump_nm}")
@@ -70,11 +72,10 @@ class RamanCrossSectionTable:
         self.gamma_per_km_nm = ga
         self.reference_pump_nm = float(reference_pump_nm)
         # Detuning axis (receiver freq minus reference pump freq, Hz),
-        # increasing as wavelength decreases; stored flipped for interp.
+        # increasing as wavelength decreases; stored flipped for the lookup.
         nu_ref = LIGHTSPEED_M_S / (self.reference_pump_nm * 1e-9)
-        detuning = LIGHTSPEED_M_S / (wl * 1e-9) - nu_ref
-        self._detuning_hz = detuning[::-1].copy()
-        self._gamma_by_detuning = ga[::-1].copy()
+        self._detuning_hz = tuple(LIGHTSPEED_M_S / (w * 1e-9) - nu_ref for w in reversed(wl))
+        self._gamma_by_detuning = ga[::-1]
         self._grid_gammas: dict = {}
 
     @classmethod
@@ -107,43 +108,55 @@ class RamanCrossSectionTable:
         if existing is not None:
             return existing
         digest = hashlib.sha256()
-        digest.update(self.wavelengths_nm.tobytes())
-        digest.update(self.gamma_per_km_nm.tobytes())
+        digest.update(array("d", self.wavelengths_nm).tobytes())
+        digest.update(array("d", self.gamma_per_km_nm).tobytes())
         digest.update(repr(self.reference_pump_nm).encode())
         return digest.hexdigest()
 
     def gamma(self, pump_nm: float, rx_nm: float) -> float:
         """Cross section (per km per nm) for a pump/receiver wavelength pair."""
-        return float(self.gammas((pump_nm,), rx_nm)[0])
+        return self.gammas((pump_nm,), rx_nm)[0]
 
-    def gammas(self, pumps_nm, rx_nm: float) -> np.ndarray:
-        """Cross sections for many pumps into one receiver, in one lookup."""
-        pumps = np.asarray(pumps_nm, dtype=float)
-        if rx_nm <= 0.0 or np.any(pumps <= 0.0):
+    def gammas(self, pumps_nm, rx_nm: float) -> tuple[float, ...]:
+        """Cross sections for many pumps into one receiver.
+
+        Each is the linear interpolation ``slope*(d - x[j]) + f[j]`` on the
+        segment [x[j], x[j+1]) holding the detuning d, or f[j] itself when d
+        is a node: the arithmetic of ``numpy.interp``, bit for bit.
+        """
+        pumps = tuple(map(float, pumps_nm))
+        if rx_nm <= 0.0 or any(p <= 0.0 for p in pumps):
             raise ValueError("wavelengths must be > 0")
-        detuning = LIGHTSPEED_M_S / (rx_nm * 1e-9) - LIGHTSPEED_M_S / (pumps * 1e-9)
-        lo, hi = self._detuning_hz[0], self._detuning_hz[-1]
-        outside = ~((lo <= detuning) & (detuning <= hi))
-        if outside.any():
-            i = int(np.argmax(outside))
-            raise ValueError(
-                f"pump {pumps_nm[i]} nm / receiver {rx_nm} nm detuning "
-                f"{detuning[i] / 1e12:.3f} THz outside table range "
-                f"[{lo / 1e12:.3f}, {hi / 1e12:.3f}] THz"
-            )
-        return np.interp(detuning, self._detuning_hz, self._gamma_by_detuning)
+        xp, fp = self._detuning_hz, self._gamma_by_detuning
+        lo, hi, top = xp[0], xp[-1], len(xp) - 1
+        nu_rx = LIGHTSPEED_M_S / (rx_nm * 1e-9)
+        out = []
+        for pump in pumps:
+            d = nu_rx - LIGHTSPEED_M_S / (pump * 1e-9)
+            if not lo <= d <= hi:
+                raise ValueError(
+                    f"pump {pump} nm / receiver {rx_nm} nm detuning "
+                    f"{d / 1e12:.3f} THz outside table range "
+                    f"[{lo / 1e12:.3f}, {hi / 1e12:.3f}] THz"
+                )
+            j = bisect_right(xp, d) - 1
+            if j == top or xp[j] == d:
+                out.append(fp[j])
+            else:
+                slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+                out.append(slope * (d - xp[j]) + fp[j])
+        return tuple(out)
 
-    def grid_gammas(self, pumps_nm: tuple[float, ...], rx_nm: float) -> np.ndarray:
+    def grid_gammas(self, pumps_nm: tuple[float, ...], rx_nm: float) -> tuple[float, ...]:
         """``gammas(pumps_nm, rx_nm)`` for a fixed wavelength grid, looked up once per
-        (grid, receiver) pair; the array is shared by the callers, so it is read-only."""
+        (grid, receiver) pair."""
         key = (pumps_nm, rx_nm)
         if key not in self._grid_gammas:
-            gammas = self.gammas(pumps_nm, rx_nm)
-            gammas.flags.writeable = False
-            self._grid_gammas[key] = gammas
+            self._grid_gammas[key] = self.gammas(pumps_nm, rx_nm)
         return self._grid_gammas[key]
 
 
+@functools.cache
 def builtin_cross_section_table() -> RamanCrossSectionTable:
     """Cross-section table shipped with the package.
 
@@ -152,6 +165,9 @@ def builtin_cross_section_table() -> RamanCrossSectionTable:
     anti-Stokes side.  The overall scale was tuned against the network
     operating points exercised in the acceptance suite, not measured, so
     treat absolute noise magnitudes as representative rather than exact.
+
+    Parsed once per process; the table's columns are tuples, so every
+    caller can share it.
     """
     text = (
         resources.files("qkd_access")
@@ -181,24 +197,26 @@ class RamanQuery:
             raise ValueError(f"receiver bandwidth must be > 0, got {self.rx_bandwidth_nm}")
 
 
-def forward_power(intensity_mw, length_km: float, alpha_per_km: float, gamma,
-                  rx_bandwidth_nm: float):
-    """Forward-scattered power (mW); intensities and cross sections may be arrays."""
+def forward_power(intensity_mw: float, length_km: float, alpha_per_km: float, gamma: float,
+                  rx_bandwidth_nm: float) -> float:
+    """Forward-scattered power (mW)."""
     return intensity_mw * math.exp(-alpha_per_km * length_km) * length_km * gamma * rx_bandwidth_nm
 
 
-def backward_power(intensity_mw, length_km: float, alpha_per_km: float, gamma,
-                   rx_bandwidth_nm: float):
-    """Backward-scattered power (mW); intensities and cross sections may be arrays.
+def backward_length_km(alpha_per_km: float, length_km: float) -> float:
+    """Effective length (1 - e^(-2 alpha L)) / (2 alpha) of backscatter over L km.
 
-    (1 - e^(-2 alpha L)) / (2 alpha) is evaluated through expm1 so the
-    alpha -> 0 limit degrades gracefully to L.
+    Evaluated through expm1 so the alpha -> 0 limit degrades gracefully to L.
     """
     if alpha_per_km == 0.0:
-        effective_km = length_km
-    else:
-        effective_km = -math.expm1(-2.0 * alpha_per_km * length_km) / (2.0 * alpha_per_km)
-    return intensity_mw * effective_km * gamma * rx_bandwidth_nm
+        return length_km
+    return -math.expm1(-2.0 * alpha_per_km * length_km) / (2.0 * alpha_per_km)
+
+
+def backward_power(intensity_mw: float, length_km: float, alpha_per_km: float, gamma: float,
+                   rx_bandwidth_nm: float) -> float:
+    """Backward-scattered power (mW)."""
+    return intensity_mw * backward_length_km(alpha_per_km, length_km) * gamma * rx_bandwidth_nm
 
 
 def raman_forward(query: RamanQuery, table: RamanCrossSectionTable) -> float:

@@ -43,8 +43,6 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .budget import (
     DetectorParams,
     DwdmPlan,
@@ -56,6 +54,7 @@ from .budget import (
     cv_budget,
 )
 from .config import SimulationConfig
+from .numerics import geomspace, linspace
 from .owc import BulbNoiseModel, bulb_noise_count, los_dc_gain
 from .protocols import (
     Bb84Params,
@@ -137,11 +136,7 @@ class SweepSpec:
             raise ValueError(f"{self.variable} sweeps need start >= 0, got {self.start}")
 
     def values(self) -> list[float]:
-        if self.log_spacing:
-            grid = np.geomspace(self.start, self.stop, self.points)
-        else:
-            grid = np.linspace(self.start, self.stop, self.points)
-        return [float(v) for v in grid]
+        return (geomspace if self.log_spacing else linspace)(self.start, self.stop, self.points)
 
     def as_dict(self) -> dict:
         return {
@@ -154,6 +149,11 @@ class SweepSpec:
             "points": self.points,
             "log_spacing": self.log_spacing,
         }
+
+
+# One CSV row: every number in ``%.17e``, which round-trips a double.
+_ROW = ",".join(["%.17e"] * 7)
+_NOISE_ROW = ",".join(["%.17e"] * 6)
 
 
 @dataclass(frozen=True)
@@ -183,20 +183,8 @@ class SweepResult:
             "n_frs_per_pulse,n_brs_per_pulse,n_bulb_per_pulse,n_dark_per_pulse",
         ]
         for row in self.rows:
-            lines.append(
-                ",".join(
-                    format(x, ".17e")
-                    for x in (
-                        row.value,
-                        row.rate_per_pulse,
-                        row.rate_bps,
-                        row.frs,
-                        row.brs,
-                        row.bulb,
-                        row.dark,
-                    )
-                )
-            )
+            lines.append(_ROW % (row.value, row.rate_per_pulse, row.rate_bps,
+                                 row.frs, row.brs, row.bulb, row.dark))
         return "\n".join(lines) + "\n"
 
 
@@ -214,8 +202,7 @@ class NoiseBreakdownResult:
             f"# setup={self.setup}",
             "l0_km,n_frs_per_pulse,n_brs_per_pulse,n_bulb_per_pulse,n_dark_per_pulse,n_total_per_pulse",
         ]
-        for row in self.rows:
-            lines.append(",".join(format(x, ".17e") for x in row))
+        lines.extend(_NOISE_ROW % row for row in self.rows)
         return "\n".join(lines) + "\n"
 
 

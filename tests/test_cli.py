@@ -1,11 +1,19 @@
 """Command-line interface behavior and exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from qkd_access.cli import main
 from qkd_access.config import ConfigError, SimulationConfig
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TABLE_LINES = ["lambda_q_nm,gamma_per_km_nm"] + [f"{w:.1f},1.0e-11" for w in range(1300, 1801, 10)]
 
 
 def run_cli(*args):
@@ -104,6 +112,25 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="raman_table.path must be a file path"):
             SimulationConfig.from_dict({"raman_table": {"path": 0}})
 
+    def test_table_flag_is_a_file_name_not_json(self, capsys):
+        # "null" used to parse as JSON null and select the built-in table
+        assert run_cli("validate-config", "--table", "null") == 2
+        assert "null" in capsys.readouterr().err
+
+    def test_table_file_named_like_a_number(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        pathlib.Path("0").write_text("\n".join(TABLE_LINES) + "\n")
+        assert run_cli("validate-config", "--table", "0") == 0
+        assert json.loads(capsys.readouterr().out.split("\n", 2)[2])["raman_table"]["path"] == "0"
+
+    def test_table_flag_wins_over_set(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(TABLE_LINES) + "\n")
+        assert run_cli("validate-config", "--set", "raman_table.path=missing.csv",
+                       "--table", str(table)) == 0
+        data = json.loads(capsys.readouterr().out.split("\n", 2)[2])
+        assert data["raman_table"]["path"] == str(table)
+
     def test_set_overrides_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dv": {"mu": 0.4, "nu": 0.3}}))
@@ -164,8 +191,7 @@ class TestSweepCommand:
 
     def test_external_table_flag(self, tmp_path):
         table = tmp_path / "table.csv"
-        lines = ["lambda_q_nm,gamma_per_km_nm"] + [f"{w:.1f},1.0e-11" for w in range(1300, 1801, 10)]
-        table.write_text("\n".join(lines) + "\n")
+        table.write_text("\n".join(TABLE_LINES) + "\n")
         out = tmp_path / "rates.csv"
         code = run_cli(
             "sweep", "--setup", "2", "--protocol", "DS-BB84", "--var", "L0_km",
@@ -186,8 +212,43 @@ class TestNoiseCommand:
         assert len(lines) == 3 + 1 + 5
 
 
+    @pytest.mark.parametrize("points,rows", [(0, 0), (1, 1)])
+    def test_short_grids(self, tmp_path, points, rows):
+        out = tmp_path / "noise.csv"
+        code = run_cli("noise", "--setup", "2", "--l0-start", "7", "--points", str(points),
+                       "--out", str(out))
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 3 + 1 + rows
+        assert all(line.startswith("7.0000") for line in lines[4:])
+
+    def test_negative_points_fail(self, tmp_path, capsys):
+        code = run_cli("noise", "--setup", "2", "--points", "-1", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "samples" in capsys.readouterr().err
+
+
 class TestCrossoverCommand:
     def test_prints_clock(self, capsys):
         assert run_cli("crossover", "--set", "link.coupling_loss_db=5") == 0
         out = capsys.readouterr().out
         assert "crossover clock" in out
+
+
+def test_sweep_and_noise_run_without_numpy(tmp_path):
+    # numpy is a test-only dependency: a CLI run must never import it
+    code = (
+        "import sys\n"
+        "from qkd_access.cli import main\n"
+        "assert main(['sweep', '--setup', '2', '--protocol', 'DS-BB84', '--var', 'psd_w_per_nm',"
+        " '--start', '1e-6', '--stop', '1e-3', '--points', '5', '--log', '--out', 'a.csv']) == 0\n"
+        "assert main(['noise', '--setup', '3', '--points', '5', '--out', 'b.csv']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkd_access.numerics import (
     AttenuationCoefficient,
     bessel_i0,
     binary_entropy,
     db_to_linear,
+    geomspace,
     holevo_g,
     linear_to_db,
+    linspace,
 )
 
 from oracles import bessel_i0_series
@@ -127,3 +131,50 @@ class TestAttenuationCoefficient:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             AttenuationCoefficient(-0.1)
+
+
+# numpy is only an oracle here: the package builds its grids without it.
+finite = st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True)
+
+
+class TestLinspace:
+    @settings(max_examples=500, deadline=None)
+    @given(start=finite, stop=finite, num=st.integers(0, 300))
+    def test_equals_numpy(self, start, stop, num):
+        assert linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+
+    def test_subnormal_range_equals_numpy(self):
+        # the step underflows to 0, so each value scales the range instead
+        for stop, num in ((5e-324, 3), (5e-324, 4), (1.5e-323, 7)):
+            assert linspace(0.0, stop, num) == np.linspace(0.0, stop, num).tolist()
+
+    def test_short_grids(self):
+        assert linspace(1.0, 5.0, 0) == []
+        assert linspace(1.0, 5.0, 1) == [1.0]
+        assert linspace(1.0, 5.0, 2) == [1.0, 5.0]
+        with pytest.raises(ValueError):
+            linspace(1.0, 5.0, -1)
+
+
+class TestGeomspace:
+    @settings(max_examples=500, deadline=None)
+    @given(start=st.floats(1e-30, 1e30), decades=st.floats(1e-3, 30.0),
+           num=st.integers(2, 200))
+    def test_close_to_numpy(self, start, decades, num):
+        stop = start * 10.0 ** decades
+        ours, ref = geomspace(start, stop, num), np.geomspace(start, stop, num).tolist()
+        assert (ours[0], ours[-1]) == (start, stop)
+        # numpy's log10 and power are its own SIMD kernels, not libm.  Where its
+        # log10 of both ends agrees with libm's, both grids take 10**v over the same
+        # exponents and differ by pow's last bit; otherwise the exponents v differ by a
+        # few ulp of max |v|, which moves 10**v by ln(10) times that, relatively.
+        same_exponents = all(float(np.log10(x)) == math.log10(x) for x in (start, stop))
+        worst_v = max(abs(math.log10(start)), abs(math.log10(stop)))
+        shift = 0.0 if same_exponents else 3.0 * math.log(10.0) * math.ulp(worst_v)
+        for a, b in zip(ours, ref):
+            assert abs(a - b) <= math.ulp(b) + b * shift
+
+    def test_endpoints_and_short_grids(self):
+        assert geomspace(2.0, 2e6, 7)[::6] == [2.0, 2e6]
+        assert geomspace(3.0, 30.0, 1) == [3.0]
+        assert geomspace(3.0, 30.0, 0) == []

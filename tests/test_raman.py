@@ -1,9 +1,12 @@
 """Raman cross-section table and scattering formulas."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkd_access.numerics import AttenuationCoefficient
 from qkd_access.raman import (
@@ -59,7 +62,7 @@ class TestCrossSectionTable:
 
     def test_vector_lookup_rejects_any_pump_out_of_range(self):
         table = flat_table(lo=1540.0, hi=1560.0)
-        assert table.gammas([1550.0, 1549.2], 1550.0).tolist() == [3e-9, 3e-9]
+        assert list(table.gammas([1550.0, 1549.2], 1550.0)) == [3e-9, 3e-9]
         with pytest.raises(ValueError, match="pump 1585.2 nm / receiver 1550.0 nm"):
             table.gammas([1550.0, 1585.2], 1550.0)
 
@@ -81,13 +84,56 @@ class TestCrossSectionTable:
         assert table.gamma(1550.0, 1500.0) == pytest.approx(1e-9)
         assert len(table.checksum) == 64
 
+    def test_in_memory_checksum_hashes_float64_bytes(self):
+        wl, ga = [1500.0, 1510.0, 1520.0], [1e-9, 3e-9, 2e-9]
+        digest = hashlib.sha256()
+        digest.update(np.asarray(wl, dtype=float).tobytes())
+        digest.update(np.asarray(ga, dtype=float).tobytes())
+        digest.update(b"1550.0")
+        assert RamanCrossSectionTable(wl, ga, 1550.0).checksum == digest.hexdigest()
+
     def test_builtin_table_loads(self):
         table = builtin_cross_section_table()
         # covers the full DWDM plan and has the Stokes peak near 13 THz
         assert table.gamma(1585.2, 1555.62) > 0.0
         peak_wl = table.wavelengths_nm[np.argmax(table.gamma_per_km_nm)]
         assert 1640.0 < peak_wl < 1680.0  # ~13 THz below the 1550 nm pump
-        assert table.gamma_per_km_nm.max() == pytest.approx(1.35e-9, rel=0.05)
+        assert max(table.gamma_per_km_nm) == pytest.approx(1.35e-9, rel=0.05)
+
+
+C_M_S = 299792458.0
+
+
+def numpy_interp(table, pumps_nm, rx_nm):
+    """``np.interp`` over the table's detuning axis, built from its public columns."""
+    nu_ref = C_M_S / (table.reference_pump_nm * 1e-9)
+    xp = [C_M_S / (w * 1e-9) - nu_ref for w in reversed(table.wavelengths_nm)]
+    fp = list(reversed(table.gamma_per_km_nm))
+    detuning = [C_M_S / (rx_nm * 1e-9) - C_M_S / (p * 1e-9) for p in pumps_nm]
+    return np.interp(detuning, xp, fp).tolist()
+
+
+class TestLookupEqualsNumpyInterp:
+    """The package interpolates without numpy; numpy is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pumps=st.lists(st.floats(1500.0, 1600.0), min_size=1, max_size=40),
+           rx=st.floats(1500.0, 1600.0))
+    def test_random_lookups(self, pumps, rx):
+        table = builtin_cross_section_table()
+        assert list(table.gammas(pumps, rx)) == numpy_interp(table, pumps, rx)
+
+    def test_every_node_hit(self):
+        # the reference pump into a tabulated wavelength lands exactly on its node
+        table = builtin_cross_section_table()
+        for wl, gamma in zip(table.wavelengths_nm, table.gamma_per_km_nm):
+            got = table.gammas((table.reference_pump_nm,), wl)
+            assert list(got) == numpy_interp(table, (table.reference_pump_nm,), wl) == [gamma]
+
+    def test_dwdm_grid(self):
+        table = builtin_cross_section_table()
+        pumps = tuple(1585.2 - 0.8 * k for k in range(32))
+        assert list(table.grid_gammas(pumps, 1555.62)) == numpy_interp(table, pumps, 1555.62)
 
 
 class TestScatteredPower:

@@ -27,7 +27,7 @@ from qkd_access import (
     noise_breakdown,
     run_sweep,
 )
-from qkd_access.raman import RamanCrossSectionTable
+from qkd_access.raman import RamanCrossSectionTable, builtin_cross_section_table
 from qkd_access.sweep import _SETUP_PROTOCOLS, SWEEP_VARIABLES, _evaluate_point, _model
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
@@ -89,6 +89,14 @@ class TestSweepSpec:
         assert values[-1] == pytest.approx(1e-5)
         ratios = [b / a for a, b in zip(values, values[1:])]
         assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
+
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.floats(0.0, 1e12), width=st.floats(1e-9, 1e12), points=st.integers(2, 300))
+    def test_linear_grid_equals_numpy(self, start, width, points):
+        stop = start + width
+        assume(start < stop)
+        spec = small_spec(start=start, stop=stop, points=points)
+        assert spec.values() == np.linspace(start, stop, points).tolist()
 
 
 class TestRunSweep:
@@ -240,6 +248,7 @@ class TestPerPlanWork:
                             counted(lookups, RamanCrossSectionTable.gammas))
         spec = SweepSpec(setup=setup, protocol=protocol, case=3, variable="L0_km",
                          start=1.0, stop=50.0, points=3)
+        builtin_cross_section_table.cache_clear()  # a fresh table has no grid lookups yet
         run_sweep(spec, default_config())
         # all users share one drop length, so one launch power per plan
         assert (len(launches), len(lookups)) == (3, 1)
