@@ -84,6 +84,8 @@ class DwdmPlan:
     rate is evaluated.  ``drop_km[k]`` is the distance of user k+1 from the
     splitting point; ``feeder_km`` is the shared feeder to the central
     office.  ``raman_totals`` computes each kind of Raman totals once per plan.
+    ``with_feeder`` gives the plan for another feeder length, which shares
+    this plan's checked grids and feeder-independent Raman inputs.
     """
 
     quantum_nm: tuple[float, ...]
@@ -94,6 +96,7 @@ class DwdmPlan:
     attenuation: AttenuationCoefficient = AttenuationCoefficient(0.2)
     sensitivity_dbm: float = DEFAULT_SENSITIVITY_DBM
     _raman: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
+    _inputs: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if len(self.quantum_nm) != len(self.data_nm) or not self.quantum_nm:
@@ -129,6 +132,19 @@ class DwdmPlan:
         data = tuple(data_start_nm - spacing_nm * k for k in range(n_users))
         return cls(quantum_nm=quantum, data_nm=data, **kwargs)
 
+    def with_feeder(self, feeder_km: float) -> "DwdmPlan":
+        """This plan with a ``feeder_km`` feeder, rejected as ``DwdmPlan(...)`` rejects it.
+
+        The grids and drops were checked when this plan was built, so only the
+        feeder is checked here.  The new plan starts its own totals memo and
+        shares this plan's feeder-independent Raman inputs.
+        """
+        if feeder_km < 0.0:
+            raise ValueError("fiber lengths must be >= 0")
+        plan = object.__new__(type(self))
+        plan.__dict__.update(self.__dict__, feeder_km=feeder_km, _raman={})
+        return plan
+
     @property
     def n_users(self) -> int:
         return len(self.quantum_nm)
@@ -147,6 +163,22 @@ class DwdmPlan:
         if key not in self._raman:
             self._raman[key] = totals(self, table, rx_bandwidth_nm)
         return self._raman[key]
+
+    def _raman_inputs(self, table: RamanCrossSectionTable):
+        """The feeder-independent inputs of the Raman sums, once per plan family and table.
+
+        Returns (first user of each distinct drop length, each user's index
+        into those, cross sections of every data channel into user 1's
+        quantum channel); ``with_feeder`` plans share them.
+        """
+        if table not in self._inputs:
+            first: dict = {}
+            for user, km in enumerate(self.drop_km):
+                first.setdefault(km, user)
+            slot = {km: k for k, km in enumerate(first)}
+            self._inputs[table] = (tuple(first.values()), tuple(map(slot.__getitem__, self.drop_km)),
+                                   table.grid_gammas(self.data_nm, self.quantum_nm[0]))
+        return self._inputs[table]
 
     def launch_power_mw(self, user: int) -> float:
         """Launch power of a user's data transmitter under the sensitivity rule."""
@@ -267,31 +299,33 @@ def fiber_transmittance(
     return 10.0 ** (-(alpha_db_per_km * (feeder_km + drop_km) + 2.0 * awg_db) / 10.0)
 
 
-def _channels(plan: DwdmPlan, table: RamanCrossSectionTable, rx_bandwidth_nm: float):
-    """Per-channel inputs of the Raman sums, one entry per data channel.
+def _drop_terms(plan: DwdmPlan, table: RamanCrossSectionTable, rx_bandwidth_nm: float):
+    """Per-drop inputs of the Raman sums at this plan's feeder.
 
-    Returns (alpha per km, launch powers in mW, drop attenuations
-    exp(-alpha L_k), cross sections into user 1's quantum channel).
+    Returns (alpha per km, launch power in mW and drop attenuation
+    exp(-alpha L) of each distinct drop length, user 1's first, each user's
+    index into those, cross sections into user 1's quantum channel).
     Launch power and drop attenuation depend on a user only through its
-    drop length, so each is computed once per distinct drop; the cross
-    sections depend only on the wavelength grid and come from the table's
-    per-grid lookup.
+    drop length, so each is computed once per distinct drop.
     """
     if rx_bandwidth_nm <= 0.0:
         raise ValueError(f"receiver bandwidth must be > 0, got {rx_bandwidth_nm}")
-    alpha, drops = plan.attenuation.per_km, plan.drop_km
-    distinct = dict.fromkeys(drops)
-    power = {km: plan.launch_power_mw(drops.index(km)) for km in distinct}
-    drop_att = {km: math.exp(-alpha * km) for km in distinct}
-    return (alpha, list(map(power.__getitem__, drops)), list(map(drop_att.__getitem__, drops)),
-            table.grid_gammas(plan.data_nm, plan.quantum_nm[0]))
+    alpha = plan.attenuation.per_km
+    users, slot, gamma = plan._raman_inputs(table)
+    power = [plan.launch_power_mw(user) for user in users]
+    drop_att = [math.exp(-alpha * plan.drop_km[user]) for user in users]
+    return alpha, power, drop_att, slot, gamma
 
 
 # The sums below run left to right over the channels with scalar libm
 # calls, so each total keeps its last bit.  A forward term is
 # P*exp(-alpha L)*L*Gamma*bw and a backward one P*L_eff*Gamma*bw (L_eff from
-# ``backward_length_km``), multiplied in that order; the factors that do not
-# depend on the channel are computed once per sum.  ``sum()`` is not used:
+# ``backward_length_km``), multiplied in that order.  Within a term the
+# factors before Gamma depend on the channel only through its drop length,
+# so their product is formed once per distinct drop (``fwd_pre``,
+# ``bwd_pre``) and each term is (prefix*Gamma)*bw: the same operations in
+# the same order as the whole product, hence the same bits.  Reordering the
+# factors or the channels would round differently.  ``sum()`` is not used:
 # from Python 3.12 it compensates, which would move the last bit.
 
 
@@ -309,15 +343,17 @@ def raman_totals_setup1(
     noise comes from the downstream transmitters at the central office,
     whose light enters the feeder unattenuated.
     """
-    alpha, power, drop_att, gamma = _channels(plan, table, rx_bandwidth_nm)
+    alpha, power, drop_att, slot, gamma = _drop_terms(plan, table, rx_bandwidth_nm)
     feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], rx_bandwidth_nm
     awg = 10.0 ** (-2.0 * plan.awg_insertion_loss_db / 10.0)
     e_feeder, eff_feeder = math.exp(-alpha * feeder), backward_length_km(alpha, feeder)
     fwd = power[0] * math.exp(-alpha * own_km) * own_km * gamma[0] * bw
     bwd = power[0] * backward_length_km(alpha, own_km) * gamma[0] * bw
-    for p, att, g in zip(power[1:], drop_att[1:], gamma[1:]):
-        fwd += p * att * e_feeder * feeder * g * bw
-        bwd += p * eff_feeder * g * bw
+    fwd_pre = [p * att * e_feeder * feeder for p, att in zip(power, drop_att)]
+    bwd_pre = [p * eff_feeder for p in power]
+    for k, g in zip(slot[1:], gamma[1:]):
+        fwd += fwd_pre[k] * g * bw
+        bwd += bwd_pre[k] * g * bw
     return fwd * awg, bwd * awg
 
 
@@ -333,17 +369,19 @@ def raman_totals_setup3(
     contributions start from launch powers already attenuated over the
     contributing user's drop.
     """
-    alpha, power, drop_att, gamma = _channels(plan, table, rx_bandwidth_nm)
+    alpha, power, drop_att, slot, gamma = _drop_terms(plan, table, rx_bandwidth_nm)
     feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], rx_bandwidth_nm
     awg = 10.0 ** (-2.0 * plan.awg_insertion_loss_db / 10.0)
     e_feeder, eff_feeder = math.exp(-alpha * feeder), backward_length_km(alpha, feeder)
     fwd = power[0] * math.exp(-alpha * own_km) * own_km * gamma[0] * bw
     bwd = power[0] * backward_length_km(alpha, own_km) * gamma[0] * bw
+    fwd_pre = [p * e_feeder * feeder for p in power]
+    bwd_pre = [p * att * eff_feeder for p, att in zip(power, drop_att)]
     # -0.0 is the exact additive identity; with no other users the sums are 0.0
-    fwd_rest = bwd_rest = -0.0 if len(power) > 1 else 0.0
-    for p, att, g in zip(power[1:], drop_att[1:], gamma[1:]):
-        fwd_rest += p * e_feeder * feeder * g * bw
-        bwd_rest += p * att * eff_feeder * g * bw
+    fwd_rest = bwd_rest = -0.0 if len(slot) > 1 else 0.0
+    for k, g in zip(slot[1:], gamma[1:]):
+        fwd_rest += fwd_pre[k] * g * bw
+        bwd_rest += bwd_pre[k] * g * bw
     return (fwd + drop_att[0] * fwd_rest) * awg, (bwd + drop_att[0] * bwd_rest) * awg
 
 
@@ -360,14 +398,16 @@ def raman_totals_setup4(
     upstream channels' backscatter over the feeder and the downstream
     user-1 channel's backscatter over the drop.
     """
-    alpha, power, drop_att, gamma = _channels(plan, table, rx_bandwidth_nm)
+    alpha, power, drop_att, slot, gamma = _drop_terms(plan, table, rx_bandwidth_nm)
     feeder, drop, bw = plan.feeder_km, plan.drop_km[0], rx_bandwidth_nm
     awg = 10.0 ** (-2.0 * plan.awg_insertion_loss_db / 10.0)
     e_feeder, eff_feeder = math.exp(-alpha * feeder), backward_length_km(alpha, feeder)
+    fwd_pre = [p * e_feeder * feeder for p in power]
+    bwd_pre = [p * att * eff_feeder for p, att in zip(power, drop_att)]
     fwd_mux = bwd = -0.0  # the exact additive identity
-    for p, att, g in zip(power, drop_att, gamma):
-        fwd_mux += p * e_feeder * feeder * g * bw
-        bwd += p * att * eff_feeder * g * bw
+    for k, g in zip(slot, gamma):
+        fwd_mux += fwd_pre[k] * g * bw
+        bwd += bwd_pre[k] * g * bw
     bwd += power[0] * e_feeder * backward_length_km(alpha, drop) * gamma[0] * bw
     fwd_direct = power[0] * drop_att[0] * drop * gamma[0] * bw
     return fwd_mux * awg + fwd_direct, bwd * awg

@@ -114,7 +114,13 @@ DEFAULTS: dict = {
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
+    """``base`` with ``override`` merged in, as a new dict.
+
+    The sections of ``base`` are copied and its leaves shared: every
+    ``DEFAULTS`` leaf is an immutable scalar, None or bool, so editing the
+    result in place never reaches ``base``.
+    """
+    out = {key: dict(value) if isinstance(value, dict) else value for key, value in base.items()}
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
         if key not in base:

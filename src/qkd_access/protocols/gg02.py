@@ -158,15 +158,16 @@ def _secret_fraction(transmissivity, excess, params: Gg02Params):
     return secret_fraction
 
 
-def _brent_max(fn, lo: float, hi: float, tol: float) -> float:
+def _brent_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Argmax of a unimodal function on [lo, hi] by Brent's method.
 
     Each step moves to the vertex of the parabola through the three best
     points so far, or takes a golden-section step into the larger side of
     the bracket when that parabola is unusable or shrinks the bracket too
     slowly (R. P. Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 5).  Returns the best point evaluated x, once both ends of the
-    bracket around it lie within 2 * (tol + sqrt(eps) * |x|) of it.
+    1973, ch. 5).  Returns the best point evaluated x and fn(x), once both
+    ends of the bracket around it lie within 2 * (tol + sqrt(eps) * |x|) of
+    it.
     """
     a, b = lo, hi
     x = w = v = a + _GOLDEN_STEP * (b - a)
@@ -177,7 +178,7 @@ def _brent_max(fn, lo: float, hi: float, tol: float) -> float:
         tol1 = _SQRT_EPS * abs(x) + tol
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return x
+            return x, fx
         p = q = r = 0.0
         if abs(e) > tol1:
             r = (x - w) * (fx - fv)
@@ -214,20 +215,31 @@ def _brent_max(fn, lo: float, hi: float, tol: float) -> float:
                 v, fv = u, fu
 
 
-def optimal_modulation_variance(
+def _best_modulation(
     transmissivity: float, excess: float, params: Gg02Params
-) -> float:
-    """Modulation variance maximizing the secret fraction at this operating point."""
+) -> tuple[float, float]:
+    """(V_A, K(V_A)) at the secret fraction's maximum found by the V_A search."""
     lo, hi = MODULATION_SEARCH_RANGE
     return _brent_max(_secret_fraction(transmissivity, excess, params), lo, hi,
                       MODULATION_SEARCH_TOL)
 
 
+def optimal_modulation_variance(
+    transmissivity: float, excess: float, params: Gg02Params
+) -> float:
+    """Modulation variance maximizing the secret fraction at this operating point."""
+    return _best_modulation(transmissivity, excess, params)[0]
+
+
 def gg02_rate_at(transmissivity: float, excess: float, params: Gg02Params) -> float:
-    """Key rate per pulse for explicit channel numbers."""
+    """Key rate per pulse for explicit channel numbers.
+
+    With an optimized V_A this is the search's own best K, the value K takes
+    when evaluated again at that V_A.
+    """
     v_a = params.modulation_variance
     if v_a is None:
-        v_a = optimal_modulation_variance(transmissivity, excess, params)
+        return max(0.0, _best_modulation(transmissivity, excess, params)[1])
     return max(0.0, _secret_fraction(transmissivity, excess, params)(v_a))
 
 

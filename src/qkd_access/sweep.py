@@ -9,11 +9,17 @@ evaluates once:
 * the model objects (Raman table, fiber plan, detectors, protocol
   parameters) and the room's two numbers, its line-of-sight gain and the
   bulb background count, once per run, from the config as it is when the
-  run starts; a point replaces only the object its value changes, so only
-  ``L0_km`` points build a new plan, only ``psd_w_per_nm`` points count
-  the bulb's photons again, and a clock only scales ``rate_bps``;
-* a plan's Raman totals once, so only ``L0_km`` sweeps redo the 32-channel
-  Raman pass;
+  run starts; a point hands the link builders only what its value
+  changes: an ``L0_km`` point a plan for its feeder
+  (``DwdmPlan.with_feeder``, which checks only the feeder and shares the
+  run's grids and feeder-independent Raman inputs), a
+  ``coupling_loss_db`` point its loss, a ``psd_w_per_nm`` point its bulb
+  count;
+* user 1's link budgets once, for the points whose value no budget reads:
+  a clock only scales ``rate_bps``, and a background value replaces the
+  noise of the first link;
+* a plan's Raman totals once, so only ``L0_km`` points redo the
+  32-channel Raman sums, with one launch power per distinct drop length;
 * each link's rate once per distinct (link budget, protocol parameters)
   pair, so a ``clock_rate_hz`` sweep rates each link once, and setup 1's
   wireless link is rated once unless the swept variable is the bulb PSD or
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .budget import (
     DetectorParams,
@@ -213,8 +219,8 @@ class _Model:
     ``h_dc`` is the room's line-of-sight gain and ``n_b1`` the bulb
     background per gate at the wavelength of the setup's room link;
     ``bulb`` is the light source behind ``n_b1``, None when the config
-    fixes the count.  A sweep point replaces only the field its value
-    changes.
+    fixes the count.  ``links`` holds user 1's links at these values, by
+    the coherent flag, built on first use (``_model_links``).
     """
 
     setup: int
@@ -234,6 +240,7 @@ class _Model:
     gg02: Gg02Params
     dv_clock_hz: float
     cv_clock_hz: float
+    links: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def _model(config: SimulationConfig, setup: int, case: int) -> _Model:
@@ -265,11 +272,14 @@ def _model(config: SimulationConfig, setup: int, case: int) -> _Model:
     )
 
 
-def _links(m: _Model, coherent: bool = False) -> tuple:
-    """User 1's link budgets: (wireless, fiber) on setup 1, else (link,).
+def _links(m: _Model, plan: DwdmPlan, coupling_loss_db: float, n_b1: float,
+           coherent: bool = False) -> tuple:
+    """User 1's links on ``plan``: (wireless, fiber) on setup 1, else (link,).
 
-    ``coherent`` selects the coherent-detection budgets of setups 1-2 over
-    the direct-detection (setups 1-2) or MDI (setups 3-4) ones.
+    ``coupling_loss_db`` and ``n_b1`` (the bulb background) stand in for the
+    model's, so a point passes what its value changes.  ``coherent``
+    selects the coherent-detection budgets of setups 1-2 over the
+    direct-detection (setups 1-2) or MDI (setups 3-4) ones.
     """
     if coherent:
         common = dict(
@@ -280,24 +290,31 @@ def _links(m: _Model, coherent: bool = False) -> tuple:
         )
         if m.setup == 1:
             return (
-                cv_budget("1-wireless", h_dc=m.h_dc, n_b1=m.n_b1, **common),
-                cv_budget("1-fiber", plan=m.plan, table=m.table, **common),
+                cv_budget("1-wireless", h_dc=m.h_dc, n_b1=n_b1, **common),
+                cv_budget("1-fiber", plan=plan, table=m.table, **common),
             )
         return (
-            cv_budget(str(m.setup), h_dc=m.h_dc, n_b1=m.n_b1, plan=m.plan, table=m.table,
-                      coupling_loss_db=m.coupling_loss_db, **common),
+            cv_budget(str(m.setup), h_dc=m.h_dc, n_b1=n_b1, plan=plan, table=m.table,
+                      coupling_loss_db=coupling_loss_db, **common),
         )
     if m.setup == 1:
         return (
-            budget_setup1_wireless(m.h_dc, m.n_b1, m.detectors),
-            budget_setup1_fiber(m.plan, m.detectors, m.table, m.rx_bandwidth_nm),
+            budget_setup1_wireless(m.h_dc, n_b1, m.detectors),
+            budget_setup1_fiber(plan, m.detectors, m.table, m.rx_bandwidth_nm),
         )
-    args = (m.h_dc, m.n_b1, m.plan, m.detectors, m.table)
-    kwargs = dict(coupling_loss_db=m.coupling_loss_db, rx_bandwidth_nm=m.rx_bandwidth_nm)
+    args = (m.h_dc, n_b1, plan, m.detectors, m.table)
+    kwargs = dict(coupling_loss_db=coupling_loss_db, rx_bandwidth_nm=m.rx_bandwidth_nm)
     if m.setup == 2:
         return (budget_setup2(*args, **kwargs),)
     builder = budget_setup3 if m.setup == 3 else budget_setup4
     return (builder(*args, polarization_factor=m.polarization_factor, **kwargs),)
+
+
+def _model_links(m: _Model, coherent: bool = False) -> tuple:
+    """``_links`` at the model's own plan, coupling loss and bulb count, once per model."""
+    if coherent not in m.links:
+        m.links[coherent] = _links(m, m.plan, m.coupling_loss_db, m.n_b1, coherent)
+    return m.links[coherent]
 
 
 def _evaluate_point(
@@ -318,21 +335,25 @@ def _evaluate_point(
         rate_fn = ds_bb84_rate if spec.protocol == "DS-BB84" else spp_bb84_rate
         params, clock = model.bb84, model.dv_clock_hz
 
-    if spec.variable == "clock_rate_hz":
-        clock = value
-    elif spec.variable == "coupling_loss_db":
-        model = replace(model, coupling_loss_db=value)
-    elif spec.variable == "L0_km":
+    coherent = spec.protocol == "GG02"
+    variable = spec.variable
+    if variable == "coupling_loss_db":
+        links = _links(model, model.plan, value, model.n_b1, coherent)
+    elif variable == "L0_km":
         # a new plan, so its Raman totals are computed afresh
-        model = replace(model, plan=replace(model.plan, feeder_km=value))
-    elif spec.variable == "psd_w_per_nm" and model.bulb is not None:
+        links = _links(model, model.plan.with_feeder(value), model.coupling_loss_db,
+                       model.n_b1, coherent)
+    elif variable == "psd_w_per_nm" and model.bulb is not None:
         # a count fixed by the config wins over the bulb's spectral density
-        model = replace(model, n_b1=bulb_noise_count(replace(model.bulb, psd_w_per_nm=value)))
-
-    links = _links(model, coherent=spec.protocol == "GG02")
-    if spec.variable == "background_noise":
+        n_b1 = bulb_noise_count(replace(model.bulb, psd_w_per_nm=value))
+        links = _links(model, model.plan, model.coupling_loss_db, n_b1, coherent)
+    else:  # a clock, a background or a PSD under a fixed count: no budget reads it
+        links = _model_links(model, coherent)
+    if variable == "clock_rate_hz":
+        clock = value
+    elif variable == "background_noise":
         noise = dict(frs=0.0, brs=0.0, bulb=value)
-        if spec.protocol == "GG02":
+        if coherent:
             noise.update(eps_bulb=2.0 * value / links[0].transmissivity, eps_raman=0.0)
         links = (replace(links[0], **noise),) + links[1:]
     for link in links:
@@ -382,8 +403,8 @@ def noise_breakdown(
     model = _model(config, setup, config.data["case"])
     rows = []
     for l0 in sorted(l0_values_km):
-        plan = replace(model.plan, feeder_km=float(l0))
-        link = _links(replace(model, plan=plan))[-1]
+        plan = model.plan.with_feeder(float(l0))
+        link = _links(model, plan, model.coupling_loss_db, model.n_b1)[-1]
         rows.append((float(l0), link.frs, link.brs, link.bulb, link.dark, link.noise_per_detector))
     return NoiseBreakdownResult(
         setup=setup,
@@ -407,8 +428,8 @@ def dv_cv_crossover(config: SimulationConfig, setup: int = 2) -> float:
     if setup not in (1, 2):
         raise ValueError(f"the crossover compares links on setups 1-2, not {setup}")
     model = _model(config, setup, config.data["case"])
-    dv_rate = min(ds_bb84_rate(link, model.bb84) for link in _links(model))
-    cv_rate = min(gg02_rate(link, model.gg02) for link in _links(model, coherent=True))
+    dv_rate = min(ds_bb84_rate(link, model.bb84) for link in _model_links(model))
+    cv_rate = min(gg02_rate(link, model.gg02) for link in _model_links(model, coherent=True))
     cv_bps = cv_rate * model.cv_clock_hz
 
     if cv_bps == 0.0:

@@ -32,12 +32,14 @@ DV_SETUP1_CLOCK = ["sweep", "--setup", "1", "--protocol", "DS-BB84", "--var", "c
 
 @pytest.mark.parametrize("argv,expected", [
     # one Raman pass per plan: the fiber budget carries its own photon counts,
-    # and the wireless link, which no feeder length changes, is rated (and its
-    # modulation variance searched) once
+    # and the wireless link, which no feeder length changes, is rated once; each
+    # rate runs its own modulation-variance search, inside the rate's span and
+    # not through the public optimal_modulation_variance
     (GG02_SETUP1_L0, {"budget.raman_totals.calls": 3, "budget.calls": 6,
-                      "protocols.rate.calls": 4, "protocols.gg02_search.calls": 4}),
-    # the background override goes through the budget builder
-    (DV_SETUP2_BACKGROUND, {"budget.calls": 3}),
+                      "protocols.rate.calls": 4, "protocols.gg02_search.calls": 0}),
+    # no background value changes what a budget reads: the run builds its one
+    # budget once and each point replaces that budget's noise
+    (DV_SETUP2_BACKGROUND, {"budget.calls": 1}),
     (NOISE_SETUP4, {"budget.calls": 3}),
     # coupling loss leaves the plan and the room alone, so its Raman totals are
     # computed once, and the room's gain and bulb count once each

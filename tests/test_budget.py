@@ -4,6 +4,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkd_access.budget import (
     DetectorParams,
@@ -165,6 +167,63 @@ class TestRamanTotals:
             4, FlatRamanData(3e-9), plan.quantum_nm, plan.data_nm, 10.0, (0.0,) * 8, 0.2, 2.0, 0.8
         )
         assert fwd4 == pytest.approx(want[0], rel=1e-12, abs=0.0)
+
+
+TOTALS = (raman_totals_setup1, raman_totals_setup3, raman_totals_setup4)
+DROP = st.one_of(st.floats(0.0, 5.0), st.integers(0, 5), st.just(0.0))
+
+
+@st.composite
+def plan_kwargs(draw):
+    """``DwdmPlan.from_grid`` arguments: 1-32 users with equal, mixed, integer or zero drops."""
+    n = draw(st.integers(1, 32))
+    drops = draw(st.one_of(DROP.map(lambda km: (km,) * n),
+                           st.lists(DROP, min_size=n, max_size=n).map(tuple)))
+    return dict(
+        n_users=n,
+        spacing_nm=draw(st.floats(0.4, 0.9)),
+        feeder_km=draw(st.floats(0.0, 120.0)),
+        drop_km=drops,
+        awg_insertion_loss_db=draw(st.floats(0.0, 4.0)),
+        attenuation=AttenuationCoefficient(draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))),
+        sensitivity_dbm=draw(st.floats(-45.0, -30.0)),
+    )
+
+
+class TestFeederVariant:
+    @settings(max_examples=150, deadline=None)
+    @given(kwargs=plan_kwargs(), feeders=st.lists(
+        st.one_of(st.floats(0.0, 150.0), st.integers(0, 150)), min_size=1, max_size=3),
+        flat=st.booleans(), bw=st.floats(0.01, 2.0))
+    def test_totals_equal_a_fresh_plan(self, kwargs, feeders, flat, bw):
+        table = flat_table(2.2e-9) if flat else builtin_cross_section_table()
+        plan = DwdmPlan.from_grid(**kwargs)
+        for fn in TOTALS:  # the variants share what the parent has computed
+            plan.raman_totals(fn, table, bw)
+        for feeder in feeders:  # variants of variants too
+            plan = plan.with_feeder(feeder)
+            fresh = DwdmPlan.from_grid(**{**kwargs, "feeder_km": feeder})
+            assert plan == fresh
+            for fn in TOTALS:
+                want = fn(fresh, table, bw)
+                assert fn(plan, table, bw) == pytest.approx(want, rel=0.0, abs=0.0)
+                assert plan.raman_totals(fn, table, bw) == pytest.approx(want, rel=0.0, abs=0.0)
+
+    @pytest.mark.parametrize("feeder", [-5.0, -1e-300, -1])
+    def test_rejects_what_the_constructor_rejects(self, feeder):
+        with pytest.raises(ValueError, match="fiber lengths must be >= 0"):
+            nominal_plan(feeder_km=feeder)
+        with pytest.raises(ValueError, match="fiber lengths must be >= 0"):
+            nominal_plan().with_feeder(feeder)
+
+    def test_shares_inputs_not_totals(self):
+        plan, table = nominal_plan(), builtin_cross_section_table()
+        near = raman_totals_setup1(plan, table, 0.8)
+        assert plan.raman_totals(raman_totals_setup1, table, 0.8) == near
+        variant = plan.with_feeder(40.0)
+        assert variant._inputs is plan._inputs
+        assert variant.raman_totals(raman_totals_setup1, table, 0.8)[1] > near[1]
+        assert plan.raman_totals(raman_totals_setup1, table, 0.8) == near
 
 
 class TestDvBudgets:

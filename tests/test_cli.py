@@ -1,5 +1,6 @@
 """Command-line interface behavior and exit codes."""
 
+import copy
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from qkd_access.cli import main
-from qkd_access.config import ConfigError, SimulationConfig
+from qkd_access.config import DEFAULTS, ConfigError, SimulationConfig
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -138,6 +139,28 @@ class TestValidateConfig:
         data = json.loads(capsys.readouterr().out.split("\n", 2)[2])
         assert (data["dv"]["mu"], data["dv"]["nu"]) == (0.25, 0.3)
 
+class TestMerge:
+    def test_in_place_edit_never_reaches_defaults(self):
+        before = copy.deepcopy(DEFAULTS)
+        for overrides in ({}, {"network": {"feeder_km": 20.0}}, {"case": 1, "dv": {"mu": 0.4}}):
+            cfg = SimulationConfig.from_dict(overrides)
+            for section in cfg.data.values():
+                if isinstance(section, dict):
+                    for key in section:
+                        section[key] = "edited"
+            cfg.data["case"] = "edited"
+            assert DEFAULTS == before
+            assert SimulationConfig.from_dict({}).data == before
+
+    def test_errors_name_the_key(self):
+        with pytest.raises(ConfigError, match=r"^unknown configuration key: network\.feeder$"):
+            SimulationConfig.from_dict({"network": {"feeder": 1.0}})
+        with pytest.raises(ConfigError, match=r"^unknown configuration key: colour$"):
+            SimulationConfig.from_dict({"colour": 1})
+        with pytest.raises(ConfigError, match=r"^dv must be a section, got 3$"):
+            SimulationConfig.from_dict({"dv": 3})
+
+
 class TestSweepCommand:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"
@@ -226,6 +249,13 @@ class TestNoiseCommand:
         code = run_cli("noise", "--setup", "2", "--points", "-1", "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setup", [1, 4])
+    def test_negative_feeder_fails(self, tmp_path, capsys, setup):
+        code = run_cli("noise", "--setup", str(setup), "--l0-start", "-5",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "fiber lengths must be >= 0" in capsys.readouterr().err
 
 
 class TestCrossoverCommand:

@@ -141,6 +141,19 @@ class TestOptimizer:
         # outside the try: a raise in the shipped search alone is a failure
         assert gg02_rate_at(t, eps, params) >= reference - 1e-10
 
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(1e-3, 1.0), eps=st.floats(0.0, 0.2),
+           beta=st.sampled_from((0.9, 0.95, 0.98, 1.0)))
+    def test_rate_is_k_at_the_searched_variance(self, t, eps, beta):
+        # the rate reuses the search's best K instead of evaluating K again
+        params = Gg02Params(beta=beta)
+        try:
+            v_a = optimal_modulation_variance(t, eps, params)
+        except ValueError:
+            assume(False)  # K undefined at some V_A: test_near_lossless_channel_has_a_rate
+        want = max(0.0, _secret_fraction(t, eps, params)(v_a))
+        assert gg02_rate_at(t, eps, params) == pytest.approx(want, rel=0.0, abs=0.0)
+
     @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
         "with T within ~1e-7 of 1 and excess noise below ~1e-9, rounding in the "
         "symplectic discriminants puts an eigenvalue below holevo_g's 1e-9 clamp"))

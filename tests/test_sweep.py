@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qkd_access import budget
+from qkd_access.budget import DwdmPlan
 from qkd_access import (
     CvLinkBudget,
     SimulationConfig,
@@ -252,6 +253,22 @@ class TestPerPlanWork:
         run_sweep(spec, default_config())
         # all users share one drop length, so one launch power per plan
         assert (len(launches), len(lookups)) == (3, 1)
+
+    @pytest.mark.parametrize("setup,protocol", [(1, "GG02"), (2, "DS-BB84"), (3, "MDI-SPP")])
+    def test_grids_checked_once_per_l0_sweep(self, monkeypatch, setup, protocol):
+        cfg = default_config()
+        checks = []
+        monkeypatch.setattr(DwdmPlan, "__post_init__", counted(checks, DwdmPlan.__post_init__))
+        run_sweep(SweepSpec(setup=setup, protocol=protocol, case=3, variable="L0_km",
+                            start=1.0, stop=50.0, points=20), cfg)
+        assert len(checks) == 1
+
+    def test_grids_checked_once_per_noise_breakdown(self, monkeypatch):
+        cfg = default_config()
+        checks = []
+        monkeypatch.setattr(DwdmPlan, "__post_init__", counted(checks, DwdmPlan.__post_init__))
+        noise_breakdown(4, cfg, [float(v) for v in range(20)])
+        assert len(checks) == 1
 
     @pytest.mark.parametrize("setup,protocol", [(1, "GG02"), (2, "DS-BB84"), (4, "MDI-DS")])
     def test_integer_drop_length(self, setup, protocol):
