@@ -103,6 +103,8 @@ class DwdmPlan:
             raise ValueError("quantum and data grids must be non-empty and equally sized")
         if set(self.quantum_nm) & set(self.data_nm):
             raise ValueError("quantum and data grids must be disjoint")
+        if min(self.quantum_nm) <= 0.0 or min(self.data_nm) <= 0.0:
+            raise ValueError("grid wavelengths must be > 0")
         if not self.drop_km:
             object.__setattr__(self, "drop_km", (0.5,) * len(self.quantum_nm))
         if len(self.drop_km) != len(self.quantum_nm):
@@ -179,16 +181,6 @@ class DwdmPlan:
             self._inputs[table] = (tuple(first.values()), tuple(map(slot.__getitem__, self.drop_km)),
                                    table.grid_gammas(self.data_nm, self.quantum_nm[0]))
         return self._inputs[table]
-
-    def launch_power_mw(self, user: int) -> float:
-        """Launch power of a user's data transmitter under the sensitivity rule."""
-        total_km = self.feeder_km + self.drop_km[user]
-        return launch_power(
-            total_km,
-            self.attenuation.db_per_km,
-            self.awg_insertion_loss_db,
-            self.sensitivity_dbm,
-        )
 
 
 @dataclass(frozen=True)
@@ -300,29 +292,36 @@ def fiber_transmittance(
 
 
 def _drop_terms(plan: DwdmPlan, table: RamanCrossSectionTable, rx_bandwidth_nm: float):
-    """Per-drop inputs of the Raman sums at this plan's feeder.
+    """The inputs of the Raman sums at this plan's feeder.
 
-    Returns (alpha per km, launch power in mW and drop attenuation
-    exp(-alpha L) of each distinct drop length, user 1's first, each user's
-    index into those, cross sections into user 1's quantum channel).
-    Launch power and drop attenuation depend on a user only through its
-    drop length, so each is computed once per distinct drop.
+    Returns (alpha per km; the feeder factors: two-multiplexer transmittance,
+    feeder attenuation exp(-alpha L0) and feeder backscatter length; launch
+    power in mW and drop attenuation exp(-alpha L) of each distinct drop
+    length, user 1's first; each user's index into those; cross sections
+    into user 1's quantum channel).  Launch power and drop attenuation
+    depend on a user only through its drop length, so each is computed once
+    per distinct drop.
     """
     if rx_bandwidth_nm <= 0.0:
         raise ValueError(f"receiver bandwidth must be > 0, got {rx_bandwidth_nm}")
-    alpha = plan.attenuation.per_km
+    alpha, alpha_db, feeder = plan.attenuation.per_km, plan.attenuation.db_per_km, plan.feeder_km
+    awg_db = plan.awg_insertion_loss_db
     users, slot, gamma = plan._raman_inputs(table)
-    power = [plan.launch_power_mw(user) for user in users]
+    power = [launch_power(feeder + plan.drop_km[user], alpha_db, awg_db, plan.sensitivity_dbm)
+             for user in users]
     drop_att = [math.exp(-alpha * plan.drop_km[user]) for user in users]
-    return alpha, power, drop_att, slot, gamma
+    return (alpha, fiber_transmittance(0.0, 0.0, alpha_db, awg_db), math.exp(-alpha * feeder),
+            backward_length_km(alpha, feeder), power, drop_att, slot, gamma)
 
 
 # The sums below run left to right over the channels with scalar libm
 # calls, so each total keeps its last bit.  A forward term is
 # P*exp(-alpha L)*L*Gamma*bw and a backward one P*L_eff*Gamma*bw (L_eff from
-# ``backward_length_km``), multiplied in that order.  Within a term the
-# factors before Gamma depend on the channel only through its drop length,
-# so their product is formed once per distinct drop (``fwd_pre``,
+# ``backward_length_km``), multiplied in that order.  The factors shared by
+# every term, the multiplexer transmittance and the feeder's exp(-alpha L0)
+# and L_eff, come from ``_drop_terms`` with the per-drop ones.  Within a
+# term the factors before Gamma depend on the channel only through its drop
+# length, so their product is formed once per distinct drop (``fwd_pre``,
 # ``bwd_pre``) and each term is (prefix*Gamma)*bw: the same operations in
 # the same order as the whole product, hence the same bits.  Reordering the
 # factors or the channels would round differently.  ``sum()`` is not used:
@@ -343,10 +342,9 @@ def raman_totals_setup1(
     noise comes from the downstream transmitters at the central office,
     whose light enters the feeder unattenuated.
     """
-    alpha, power, drop_att, slot, gamma = _drop_terms(plan, table, rx_bandwidth_nm)
+    alpha, awg, e_feeder, eff_feeder, power, drop_att, slot, gamma = _drop_terms(
+        plan, table, rx_bandwidth_nm)
     feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], rx_bandwidth_nm
-    awg = 10.0 ** (-2.0 * plan.awg_insertion_loss_db / 10.0)
-    e_feeder, eff_feeder = math.exp(-alpha * feeder), backward_length_km(alpha, feeder)
     fwd = power[0] * math.exp(-alpha * own_km) * own_km * gamma[0] * bw
     bwd = power[0] * backward_length_km(alpha, own_km) * gamma[0] * bw
     fwd_pre = [p * att * e_feeder * feeder for p, att in zip(power, drop_att)]
@@ -369,10 +367,9 @@ def raman_totals_setup3(
     contributions start from launch powers already attenuated over the
     contributing user's drop.
     """
-    alpha, power, drop_att, slot, gamma = _drop_terms(plan, table, rx_bandwidth_nm)
+    alpha, awg, e_feeder, eff_feeder, power, drop_att, slot, gamma = _drop_terms(
+        plan, table, rx_bandwidth_nm)
     feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], rx_bandwidth_nm
-    awg = 10.0 ** (-2.0 * plan.awg_insertion_loss_db / 10.0)
-    e_feeder, eff_feeder = math.exp(-alpha * feeder), backward_length_km(alpha, feeder)
     fwd = power[0] * math.exp(-alpha * own_km) * own_km * gamma[0] * bw
     bwd = power[0] * backward_length_km(alpha, own_km) * gamma[0] * bw
     fwd_pre = [p * e_feeder * feeder for p in power]
@@ -398,10 +395,9 @@ def raman_totals_setup4(
     upstream channels' backscatter over the feeder and the downstream
     user-1 channel's backscatter over the drop.
     """
-    alpha, power, drop_att, slot, gamma = _drop_terms(plan, table, rx_bandwidth_nm)
+    alpha, awg, e_feeder, eff_feeder, power, drop_att, slot, gamma = _drop_terms(
+        plan, table, rx_bandwidth_nm)
     feeder, drop, bw = plan.feeder_km, plan.drop_km[0], rx_bandwidth_nm
-    awg = 10.0 ** (-2.0 * plan.awg_insertion_loss_db / 10.0)
-    e_feeder, eff_feeder = math.exp(-alpha * feeder), backward_length_km(alpha, feeder)
     fwd_pre = [p * e_feeder * feeder for p in power]
     bwd_pre = [p * att * eff_feeder for p, att in zip(power, drop_att)]
     fwd_mux = bwd = -0.0  # the exact additive identity
@@ -521,11 +517,11 @@ def budget_setup4(
     """
     fwd, bwd = plan.raman_totals(raman_totals_setup4, table, rx_bandwidth_nm)
     alpha_db = plan.attenuation.db_per_km
-    drop_loss = 10.0 ** (-alpha_db * plan.drop_km[0] / 10.0)
+    drop_loss = fiber_transmittance(0.0, plan.drop_km[0], alpha_db, 0.0)
     eta_coup = 10.0 ** (-coupling_loss_db / 10.0)
     quarter = det.eta_telecom / 4.0
     count = quarter * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
-    eta_bob = 10.0 ** (-(alpha_db * plan.feeder_km + 2.0 * plan.awg_insertion_loss_db) / 10.0)
+    eta_bob = fiber_transmittance(plan.feeder_km, 0.0, alpha_db, plan.awg_insertion_loss_db)
     return MdiLinkBudget(
         eta_alice=h_dc * det.eta_telecom * eta_coup * drop_loss * polarization_factor,
         eta_bob=det.eta_telecom * eta_bob * polarization_factor,

@@ -20,7 +20,9 @@ import json
 import math
 import sys
 
-from .config import ConfigError, SimulationConfig, apply_assignments, read_overrides, set_leaf
+from .config import (
+    CASE_PRESETS, ConfigError, SimulationConfig, apply_assignments, read_overrides, set_leaf,
+)
 from .numerics import linspace
 from .sweep import (
     PROTOCOLS,
@@ -58,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="sweep one variable and write a CSV of key rates")
     sweep.add_argument("--setup", type=int, required=True, choices=(1, 2, 3, 4))
     sweep.add_argument("--protocol", required=True, choices=PROTOCOLS)
-    sweep.add_argument("--case", type=int, default=None, choices=(1, 2, 3),
+    sweep.add_argument("--case", type=int, default=None, choices=tuple(CASE_PRESETS),
                        help="transmitter placement case (default: config value)")
     sweep.add_argument("--var", required=True, choices=SWEEP_VARIABLES)
     sweep.add_argument("--start", type=float, required=True)

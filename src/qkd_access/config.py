@@ -240,12 +240,15 @@ class SimulationConfig:
             self.bb84_params()
             self.mdi_params()
             self.gg02_params()
-            self.bulb_model(1550.0)  # checked also when n_b1_per_pulse fixes the count
+            # checked also when n_b1_per_pulse fixes the count
+            self.bulb_model(self.data["link"]["wireless_wavelength_nm"])
             n_b1 = self.data["bulb"]["n_b1_per_pulse"]
             if n_b1 is not None and n_b1 < 0:
                 raise ConfigError("bulb.n_b1_per_pulse must be >= 0")
             if self.data["link"]["coupling_loss_db"] < 0:
                 raise ConfigError("link.coupling_loss_db must be >= 0")
+            if self.data["network"]["rx_bandwidth_nm"] <= 0:
+                raise ConfigError("network.rx_bandwidth_nm must be > 0")
             if self.data["dv"]["clock_hz"] <= 0 or self.data["cv"]["clock_hz"] < 0:
                 raise ConfigError("clock rates must be positive")
             table = self.data["raman_table"]

@@ -32,9 +32,7 @@ __all__ = [
     "RamanCrossSectionTable",
     "RamanQuery",
     "builtin_cross_section_table",
-    "forward_power",
     "backward_length_km",
-    "backward_power",
     "raman_forward",
     "raman_backward",
     "photons_per_gate",
@@ -197,12 +195,6 @@ class RamanQuery:
             raise ValueError(f"receiver bandwidth must be > 0, got {self.rx_bandwidth_nm}")
 
 
-def forward_power(intensity_mw: float, length_km: float, alpha_per_km: float, gamma: float,
-                  rx_bandwidth_nm: float) -> float:
-    """Forward-scattered power (mW)."""
-    return intensity_mw * math.exp(-alpha_per_km * length_km) * length_km * gamma * rx_bandwidth_nm
-
-
 def backward_length_km(alpha_per_km: float, length_km: float) -> float:
     """Effective length (1 - e^(-2 alpha L)) / (2 alpha) of backscatter over L km.
 
@@ -213,26 +205,16 @@ def backward_length_km(alpha_per_km: float, length_km: float) -> float:
     return -math.expm1(-2.0 * alpha_per_km * length_km) / (2.0 * alpha_per_km)
 
 
-def backward_power(intensity_mw: float, length_km: float, alpha_per_km: float, gamma: float,
-                   rx_bandwidth_nm: float) -> float:
-    """Backward-scattered power (mW)."""
-    return intensity_mw * backward_length_km(alpha_per_km, length_km) * gamma * rx_bandwidth_nm
-
-
 def raman_forward(query: RamanQuery, table: RamanCrossSectionTable) -> float:
     """Forward-scattered power (mW) arriving with the signal."""
-    gamma = table.gamma(query.pump_nm, query.rx_nm)
-    return forward_power(
-        query.intensity_mw, query.length_km, query.attenuation.per_km, gamma, query.rx_bandwidth_nm
-    )
+    return (query.intensity_mw * math.exp(-query.attenuation.per_km * query.length_km)
+            * query.length_km * table.gamma(query.pump_nm, query.rx_nm) * query.rx_bandwidth_nm)
 
 
 def raman_backward(query: RamanQuery, table: RamanCrossSectionTable) -> float:
     """Backward-scattered power (mW) returning against the pump."""
-    gamma = table.gamma(query.pump_nm, query.rx_nm)
-    return backward_power(
-        query.intensity_mw, query.length_km, query.attenuation.per_km, gamma, query.rx_bandwidth_nm
-    )
+    return (query.intensity_mw * backward_length_km(query.attenuation.per_km, query.length_km)
+            * table.gamma(query.pump_nm, query.rx_nm) * query.rx_bandwidth_nm)
 
 
 def photons_per_gate(power_mw: float, rx_nm: float, gate_s: float) -> float:

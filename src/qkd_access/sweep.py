@@ -59,7 +59,7 @@ from .budget import (
     budget_setup4,
     cv_budget,
 )
-from .config import SimulationConfig
+from .config import CASE_PRESETS, SimulationConfig
 from .numerics import geomspace, linspace
 from .owc import BulbNoiseModel, bulb_noise_count, los_dc_gain
 from .protocols import (
@@ -124,8 +124,8 @@ class SweepSpec:
                 f"direct-detection/coherent protocols use setups 1-2, "
                 f"untrusted-measurement protocols use setups 3-4"
             )
-        if self.case not in (1, 2, 3):
-            raise ValueError(f"case must be 1, 2 or 3, got {self.case}")
+        if self.case not in CASE_PRESETS:
+            raise ValueError(f"case must be one of {sorted(CASE_PRESETS)}, got {self.case}")
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
         if self.points < 2:
@@ -233,7 +233,6 @@ class _Model:
     coupling_loss_db: float
     polarization_factor: float
     rx_bandwidth_nm: float
-    receiver_efficiency: float
     eps_receiver_measured: float
     bb84: Bb84Params
     mdi: MdiParams
@@ -262,7 +261,6 @@ def _model(config: SimulationConfig, setup: int, case: int) -> _Model:
         coupling_loss_db=link["coupling_loss_db"],
         polarization_factor=link["polarization_factor"],
         rx_bandwidth_nm=data["network"]["rx_bandwidth_nm"],
-        receiver_efficiency=data["cv"]["receiver_efficiency"],
         eps_receiver_measured=data["cv"]["eps_receiver_measured"],
         bb84=config.bb84_params(),
         mdi=config.mdi_params(),
@@ -283,7 +281,7 @@ def _links(m: _Model, plan: DwdmPlan, coupling_loss_db: float, n_b1: float,
     """
     if coherent:
         common = dict(
-            receiver_efficiency=m.receiver_efficiency,
+            receiver_efficiency=m.gg02.receiver_efficiency,
             eps_receiver_measured=m.eps_receiver_measured,
             gate_s=m.detectors.gate_s,
             rx_bandwidth_nm=m.rx_bandwidth_nm,

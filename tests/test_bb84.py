@@ -31,12 +31,12 @@ class TestGainAndQber:
     def test_noise_only_limit(self):
         noise = 1e-3
         g = gain_and_qber(0.0, noise, NOMINAL)
-        assert g.gain == pytest.approx(1.0 - (1.0 - noise) ** 2, rel=1e-12)
-        assert g.qber == pytest.approx(0.5, rel=1e-9)
+        assert g.gain == pytest.approx(1.0 - (1.0 - noise) ** 2, rel=1e-12, abs=0.0)
+        assert g.qber == pytest.approx(0.5, rel=1e-9, abs=0.0)
 
     def test_reference_gain(self):
         g = gain_and_qber(0.1, 1e-7, Bb84Params(mu=0.5))
-        assert g.gain == pytest.approx(0.04877076574516138, rel=1e-12)
+        assert g.gain == pytest.approx(0.04877076574516138, rel=1e-12, abs=0.0)
 
     def test_zero_gain_guard(self):
         g = gain_and_qber(0.0, 0.0, NOMINAL)
@@ -90,7 +90,7 @@ class TestKeyRate:
     def test_budget_wrapper(self):
         link = LinkBudget(transmissivity=0.01, bulb=1e-6, dark=1e-7)
         assert ds_bb84_rate(link, NOMINAL) == pytest.approx(
-            ds_bb84_rate_at(0.01, 1.1e-6, NOMINAL), rel=1e-12
+            ds_bb84_rate_at(0.01, 1.1e-6, NOMINAL), rel=1e-12, abs=0.0
         )
 
     def test_spp_exceeds_ds(self):

@@ -89,19 +89,15 @@ class TestDwdmPlan:
     def test_grid_generation(self):
         plan = nominal_plan()
         assert plan.n_users == 32
-        assert plan.quantum_nm[0] == pytest.approx(1555.62)
-        assert plan.data_nm[0] == pytest.approx(1585.2)
-        assert plan.quantum_nm[-1] == pytest.approx(1555.62 - 0.8 * 31)
-        assert plan.data_nm[-1] == pytest.approx(1560.4)
+        assert plan.quantum_nm[0] == pytest.approx(1555.62, abs=0.0)
+        assert plan.data_nm[0] == pytest.approx(1585.2, abs=0.0)
+        assert plan.quantum_nm[-1] == pytest.approx(1555.62 - 0.8 * 31, abs=0.0)
+        assert plan.data_nm[-1] == pytest.approx(1560.4, abs=0.0)
         assert plan.drop_km == (0.5,) * 32
 
     def test_grids_must_be_disjoint(self):
         with pytest.raises(ValueError):
             DwdmPlan(quantum_nm=(1550.0, 1551.0), data_nm=(1551.0, 1560.0))
-
-    def test_launch_uses_full_path(self):
-        plan = nominal_plan()
-        assert plan.launch_power_mw(0) == pytest.approx(launch_power(10.5, 0.2, 2.0), rel=1e-12, abs=0.0)
 
 
 class TestRamanTotals:
@@ -125,7 +121,7 @@ class TestRamanTotals:
         plan1 = DwdmPlan.from_grid(n_users=1)
         fwd_one, _ = raman_totals_setup1(plan1, table, 0.8)
         per_extra = fwd_two - fwd_one
-        assert fwd_all == pytest.approx(fwd_one + 31.0 * per_extra, rel=1e-9)
+        assert fwd_all == pytest.approx(fwd_one + 31.0 * per_extra, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("setup,fn", [(1, raman_totals_setup1), (3, raman_totals_setup3), (4, raman_totals_setup4)])
     def test_against_summation_oracle(self, setup, fn):
@@ -224,6 +220,93 @@ class TestFeederVariant:
         assert variant._inputs is plan._inputs
         assert variant.raman_totals(raman_totals_setup1, table, 0.8)[1] > near[1]
         assert plan.raman_totals(raman_totals_setup1, table, 0.8) == near
+
+
+# Plans of the pinned Raman totals, built by ``DwdmPlan.from_grid``.
+PIN_PLANS = {
+    "default": {},
+    "one_user": dict(n_users=1),
+    "cycled_drops": dict(drop_km=(0.1, 0.5, 2.0, 5.0) * 8),
+    "integer_drop": dict(drop_km=(1,) * 32),
+    "zero_drops": dict(drop_km=(0.0,) * 32),
+    "lossless": dict(attenuation=AttenuationCoefficient(0.0)),
+    "variant": dict(drop_km=(0.1, 0.5, 2.0, 5.0) * 8),  # moved to its feeder by with_feeder
+}
+
+# float.hex() of (fwd, bwd) from raman_totals_setup1, 3 and 4, in that order,
+# on the built-in table at 0.8 nm, by (plan, feeder km).  Every sweep output
+# inherits these bits, and reordering a sum's factors or terms moves them.
+PINNED_TOTALS = {
+    ("default", 0.0): ("0x1.626cad27722b4p-48", "0x1.6274b1b628d75p-48",
+                       "0x1.626cad27722b4p-48", "0x1.6274b1b628d75p-48",
+                       "0x1.bd2316dfafd08p-47", "0x1.6274b1b628d75p-48"),
+    ("default", 10.0): ("0x1.29978208f5594p-40", "0x1.3aceee6ad5fb4p-40",
+                        "0x1.29978208f5594p-40", "0x1.2dffef8fe2ffdp-40",
+                        "0x1.349e5bee3cedfp-40", "0x1.342c5b9ef9debp-40"),
+    ("default", 87.3): ("0x1.4368ca5506946p-37", "0x1.1e6b1a18a0b55p-34",
+                        "0x1.4368ca5506945p-37", "0x1.12bb839775b9fp-34",
+                        "0x1.62fc8c4559ed4p-37", "0x1.17eb816f65de5p-34"),
+    ("one_user", 0.0): ("0x1.626cad27722b4p-48", "0x1.6274b1b628d75p-48",
+                        "0x1.626cad27722b4p-48", "0x1.6274b1b628d75p-48",
+                        "0x1.bd2316dfafd08p-47", "0x1.6274b1b628d75p-48"),
+    ("one_user", 10.0): ("0x1.d12ea343c5d8fp-44", "0x1.e385dff786573p-44",
+                         "0x1.d12ea343c5d8fp-44", "0x1.e385dff786573p-44",
+                         "0x1.0ec4bc3b5fe05p-43", "0x1.e102a85aadeefp-44"),
+    ("one_user", 87.3): ("0x1.e639e3f21d6c2p-41", "0x1.ac6525b7f776bp-38",
+                         "0x1.e639e3f21d6c2p-41", "0x1.ac6525b7f776bp-38",
+                         "0x1.b920c18043d35p-40", "0x1.a2fbd521b7ca0p-38"),
+    ("cycled_drops", 0.0): ("0x1.1b8a241f8e896p-50", "0x1.1b8a65cdae015p-50",
+                            "0x1.1b8a241f8e896p-50", "0x1.1b8a65cdae015p-50",
+                            "0x1.641c124c8ca74p-49", "0x1.1b8a65cdae015p-50"),
+    ("cycled_drops", 10.0): ("0x1.287bf7e4d5caap-40", "0x1.4d4d44895703bp-40",
+                             "0x1.406fbc9b5b277p-40", "0x1.31d16608eed8dp-40",
+                             "0x1.42bd5d23df999p-40", "0x1.3310c986b7214p-40"),
+    ("cycled_drops", 87.3): ("0x1.4345591082a2cp-37", "0x1.2feda09877a50p-34",
+                             "0x1.5d68a3e334cebp-37", "0x1.16da75c073567p-34",
+                             "0x1.63d4bc2851547p-37", "0x1.17e7132704d38p-34"),
+    ("integer_drop", 0.0): ("0x1.626cad27722b8p-47", "0x1.628cc00975f64p-47",
+                            "0x1.626cad27722b8p-47", "0x1.628cc00975f64p-47",
+                            "0x1.bd2316dfafd0dp-46", "0x1.628cc00975f64p-47"),
+    ("integer_drop", 10.0): ("0x1.2af9eeb61ccb9p-40", "0x1.42feb0e27ea4ap-40",
+                             "0x1.2af9eeb61ccb9p-40", "0x1.295ef619e1690p-40",
+                             "0x1.4130c6e0d1e1bp-40", "0x1.358f006d56a22p-40"),
+    ("integer_drop", 87.3): ("0x1.439517eaab82dp-37", "0x1.25171d0fca08bp-34",
+                             "0x1.439517eaab82ep-37", "0x1.0db659fd97dbfp-34",
+                             "0x1.82e9813fc3458p-37", "0x1.17f10c029f519p-34"),
+    ("zero_drops", 0.0): ("0x0.0p+0", "0x0.0p+0",
+                          "0x0.0p+0", "0x0.0p+0",
+                          "0x0.0p+0", "0x0.0p+0"),
+    ("zero_drops", 10.0): ("0x1.2835155bcde6fp-40", "0x1.32c9e6ed43b5bp-40",
+                           "0x1.2835155bcde6fp-40", "0x1.32c9e6ed43b5bp-40",
+                           "0x1.2835155bcde6fp-40", "0x1.32c9e6ed43b5bp-40"),
+    ("zero_drops", 87.3): ("0x1.433c7cbf61a65p-37", "0x1.17e5f79c9f05ep-34",
+                           "0x1.433c7cbf61a65p-37", "0x1.17e5f79c9f05fp-34",
+                           "0x1.433c7cbf61a65p-37", "0x1.17e5f79c9f05ep-34"),
+    ("lossless", 0.0): ("0x1.626cad27722b1p-48", "0x1.626cad27722b1p-48",
+                        "0x1.626cad27722b1p-48", "0x1.626cad27722b1p-48",
+                        "0x1.bd2316dfafd04p-47", "0x1.626cad27722b1p-48"),
+    ("lossless", 10.0): ("0x1.29978208f5591p-40", "0x1.29978208f5591p-40",
+                         "0x1.29978208f5590p-40", "0x1.29978208f5590p-40",
+                         "0x1.2baf5b898d468p-40", "0x1.29978208f5590p-40"),
+    ("lossless", 87.3): ("0x1.4368ca550694cp-37", "0x1.4368ca550694cp-37",
+                         "0x1.4368ca550694cp-37", "0x1.4368ca550694cp-37",
+                         "0x1.43abc58519928p-37", "0x1.4368ca550694dp-37"),
+    ("variant", 42.0): ("0x1.37164242a6f82p-38", "0x1.27b0f0593cc58p-37",
+                        "0x1.503c9d9be6331p-38", "0x1.0f4bd90e63739p-37",
+                        "0x1.52ec157758722p-38", "0x1.1057b3369cf13p-37"),
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("name,feeder", list(PINNED_TOTALS))
+    def test_raman_totals(self, name, feeder):
+        if name == "variant":
+            plan = DwdmPlan.from_grid(**PIN_PLANS[name]).with_feeder(feeder)
+        else:
+            plan = DwdmPlan.from_grid(feeder_km=feeder, **PIN_PLANS[name])
+        table = builtin_cross_section_table()
+        got = tuple(x.hex() for fn in TOTALS for x in fn(plan, table, 0.8))
+        assert got == PINNED_TOTALS[name, feeder]
 
 
 class TestDvBudgets:

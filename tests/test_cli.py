@@ -108,6 +108,15 @@ class TestValidateConfig:
         assert code == 2
         assert "PSD must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment,message", [
+        ("link.wireless_wavelength_nm=-5", "wavelength_m must be > 0"),
+        ("network.quantum_start_nm=-1", "grid wavelengths must be > 0"),
+        ("network.rx_bandwidth_nm=0", "network.rx_bandwidth_nm must be > 0"),
+    ])
+    def test_rejects_what_every_run_rejects(self, capsys, assignment, message):
+        assert run_cli("validate-config", "--set", assignment) == 2
+        assert message in capsys.readouterr().err
+
     def test_non_string_table_path_rejected(self):
         # a JSON 0 would otherwise open file descriptor 0, standard input
         with pytest.raises(ConfigError, match="raman_table.path must be a file path"):

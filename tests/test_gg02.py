@@ -34,7 +34,7 @@ class TestMutualInformation:
 
     def test_reference_value(self):
         got = mutual_information(4.0, 0.25, 0.01, **RECEIVER)
-        assert got == pytest.approx(0.3346316461406765, rel=1e-12)
+        assert got == pytest.approx(0.3346316461406765, rel=1e-12, abs=0.0)
 
     def test_rejects_zero_transmissivity(self):
         with pytest.raises(ValueError):
@@ -101,7 +101,7 @@ class TestKeyRate:
     def test_budget_wrapper(self):
         link = CvLinkBudget(transmissivity=0.25, eps_bulb=0.01, eps_raman=0.02, eps_receiver=0.005)
         assert gg02_rate(link, NOMINAL) == pytest.approx(
-            gg02_rate_at(0.25, 0.035, NOMINAL), rel=1e-12
+            gg02_rate_at(0.25, 0.035, NOMINAL), rel=1e-12, abs=0.0
         )
 
 

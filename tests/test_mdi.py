@@ -45,7 +45,7 @@ class TestExactEnumeration:
         assert p_success == y_closed
         assert p_error == ex_y_closed
         got = single_photon_yield(float(ea), float(eb), float(nn))
-        assert got == pytest.approx(float(y_closed), rel=1e-12)
+        assert got == pytest.approx(float(y_closed), rel=1e-12, abs=0.0)
 
 
 class TestSinglePhotonYield:
@@ -57,14 +57,14 @@ class TestSinglePhotonYield:
 
     def test_reference_value(self):
         got = single_photon_yield(0.01, 0.1, 1e-5)
-        assert got == pytest.approx(5.0216031304308904e-4, rel=1e-12)
+        assert got == pytest.approx(5.0216031304308904e-4, rel=1e-12, abs=0.0)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             ea, eb, n = rng.random(), rng.random(), rng.random() * 0.3
             assert single_photon_yield(ea, eb, n) == pytest.approx(
-                single_photon_yield(eb, ea, n), rel=1e-14
+                single_photon_yield(eb, ea, n), rel=1e-14, abs=0.0
             )
 
     def test_monte_carlo_agreement(self):
@@ -81,13 +81,13 @@ class TestSinglePhotonErrors:
 
     def test_noise_only_is_random(self):
         e_x, e_z = single_photon_errors(0.0, 0.0, 1e-3, 0.033)
-        assert e_x == pytest.approx(0.5, rel=1e-12)
-        assert e_z == pytest.approx(0.5, rel=1e-12)
+        assert e_x == pytest.approx(0.5, rel=1e-12, abs=0.0)
+        assert e_z == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     def test_reference_values(self):
         e_x, e_z = single_photon_errors(0.05, 0.2, 1e-4, 0.033)
-        assert e_x == pytest.approx(0.037351706857164958, rel=1e-12)
-        assert e_z == pytest.approx(0.037444236515793525, rel=1e-12)
+        assert e_x == pytest.approx(0.037351706857164958, rel=1e-12, abs=0.0)
+        assert e_z == pytest.approx(0.037444236515793525, rel=1e-12, abs=0.0)
 
     def test_zero_yield_marker(self):
         assert single_photon_errors(0.0, 0.0, 0.0, 0.033) == (0.0, 0.0)
@@ -105,16 +105,16 @@ class TestDecoyGains:
     def test_noise_free_error_floor(self):
         g = decoy_gains(0.3, 0.2, 0.0, 0.5, 0.5, 0.033)
         assert g.erroneous_gain == 0.0
-        assert g.qber_z == pytest.approx(0.033, rel=1e-12)
+        assert g.qber_z == pytest.approx(0.033, rel=1e-12, abs=0.0)
 
     def test_reference_correct_gain(self):
         g = decoy_gains(1.0, 1.0, 0.0, 0.5, 0.5, 0.0)
-        assert g.correct_gain == pytest.approx(0.059353990804092662, rel=1e-12)
+        assert g.correct_gain == pytest.approx(0.059353990804092662, rel=1e-12, abs=0.0)
 
     def test_reference_noisy_gains(self):
         g = decoy_gains(0.1, 0.2, 1e-3, 0.5, 0.5, 0.033)
-        assert g.correct_gain == pytest.approx(2.3631091006123829e-3, rel=1e-11)
-        assert g.erroneous_gain == pytest.approx(1.3783643244970234e-4, rel=1e-11)
+        assert g.correct_gain == pytest.approx(2.3631091006123829e-3, rel=1e-11, abs=0.0)
+        assert g.erroneous_gain == pytest.approx(1.3783643244970234e-4, rel=1e-11, abs=0.0)
 
     def test_single_photon_gain_below_yield(self):
         rng = np.random.default_rng(10)
@@ -126,9 +126,9 @@ class TestDecoyGains:
     def test_swap_symmetry(self):
         g1 = decoy_gains(0.3, 0.05, 2e-3, 0.7, 0.4, 0.033)
         g2 = decoy_gains(0.05, 0.3, 2e-3, 0.4, 0.7, 0.033)
-        assert g1.correct_gain == pytest.approx(g2.correct_gain, rel=1e-12)
-        assert g1.erroneous_gain == pytest.approx(g2.erroneous_gain, rel=1e-12)
-        assert g1.gain_z == pytest.approx(g2.gain_z, rel=1e-12)
+        assert g1.correct_gain == pytest.approx(g2.correct_gain, rel=1e-12, abs=0.0)
+        assert g1.erroneous_gain == pytest.approx(g2.erroneous_gain, rel=1e-12, abs=0.0)
+        assert g1.gain_z == pytest.approx(g2.gain_z, rel=1e-12, abs=0.0)
 
 
 class TestRates:
@@ -147,16 +147,16 @@ class TestRates:
         fast = MdiParams(misalignment=0.0)
         slow = MdiParams(misalignment=0.0, fast_detectors=False)
         assert mdi_rate_spp_at(0.2, 0.3, 0.0, slow) == pytest.approx(
-            0.5 * mdi_rate_spp_at(0.2, 0.3, 0.0, fast), rel=1e-12
+            0.5 * mdi_rate_spp_at(0.2, 0.3, 0.0, fast), rel=1e-12, abs=0.0
         )
         assert mdi_rate_ds_at(0.2, 0.3, 0.0, slow) == pytest.approx(
-            0.5 * mdi_rate_ds_at(0.2, 0.3, 0.0, fast), rel=1e-12
+            0.5 * mdi_rate_ds_at(0.2, 0.3, 0.0, fast), rel=1e-12, abs=0.0
         )
 
     def test_swap_symmetry(self):
         a = mdi_rate_ds_at(0.2, 0.05, 1e-4, MdiParams(mu=0.7, nu=0.3))
         b = mdi_rate_ds_at(0.05, 0.2, 1e-4, MdiParams(mu=0.3, nu=0.7))
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
     def test_monotone_in_noise(self):
         grid = np.linspace(0.0, 5e-3, 100)
@@ -168,10 +168,10 @@ class TestRates:
     def test_budget_wrapper(self):
         link = MdiLinkBudget(eta_alice=0.01, eta_bob=0.03, bulb=1e-5, dark=1e-7)
         assert mdi_rate_spp(link, NOMINAL) == pytest.approx(
-            mdi_rate_spp_at(0.01, 0.03, 1.01e-5, NOMINAL), rel=1e-12
+            mdi_rate_spp_at(0.01, 0.03, 1.01e-5, NOMINAL), rel=1e-12, abs=0.0
         )
         assert mdi_rate_ds(link, NOMINAL) == pytest.approx(
-            mdi_rate_ds_at(0.01, 0.03, 1.01e-5, NOMINAL), rel=1e-12
+            mdi_rate_ds_at(0.01, 0.03, 1.01e-5, NOMINAL), rel=1e-12, abs=0.0
         )
 
 

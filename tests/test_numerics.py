@@ -75,19 +75,19 @@ class TestBesselI0:
         assert bessel_i0(0.0) == 1.0
 
     def test_reference_values(self):
-        assert bessel_i0(1.0) == pytest.approx(1.2660658777520083, rel=1e-12)
-        assert bessel_i0(2.0) == pytest.approx(2.2795853023360673, rel=1e-12)
+        assert bessel_i0(1.0) == pytest.approx(1.2660658777520083, rel=1e-12, abs=0.0)
+        assert bessel_i0(2.0) == pytest.approx(2.2795853023360673, rel=1e-12, abs=0.0)
 
     def test_series_oracle_agreement(self):
         for x in np.linspace(0.0, 10.0, 201):
             ref = bessel_i0_series(float(x))
-            assert bessel_i0(float(x)) == pytest.approx(ref, rel=1e-10)
+            assert bessel_i0(float(x)) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_wide_range(self):
         # relative error stays tight out to x = 50 (60-term reference)
         for x in np.linspace(10.0, 50.0, 41):
             ref = bessel_i0_series(float(x), terms=60)
-            assert bessel_i0(float(x)) == pytest.approx(ref, rel=1e-10)
+            assert bessel_i0(float(x)) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_monotone_and_bounded_below(self):
         xs = np.linspace(0.0, 20.0, 200)
@@ -102,17 +102,17 @@ class TestBesselI0:
 
 class TestDecibels:
     def test_trivial(self):
-        assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
+        assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15, abs=0.0)
         assert db_to_linear(0.0) == 1.0
 
     def test_reference_value(self):
-        assert db_to_linear(3.0) == pytest.approx(1.9952623149688796, rel=1e-14)
+        assert db_to_linear(3.0) == pytest.approx(1.9952623149688796, rel=1e-14, abs=0.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         for db in rng.uniform(-80.0, 80.0, 1000):
             assert db_to_linear(linear_to_db(db_to_linear(db))) == pytest.approx(
-                db_to_linear(db), rel=1e-12
+                db_to_linear(db), rel=1e-12, abs=0.0
             )
 
     def test_rejects_nonpositive(self):
@@ -125,8 +125,8 @@ class TestDecibels:
 class TestAttenuationCoefficient:
     def test_natural_units(self):
         alpha = AttenuationCoefficient(0.2)
-        assert alpha.per_km == pytest.approx(0.2 * math.log(10.0) / 10.0, rel=1e-15)
-        assert alpha.per_km == pytest.approx(0.04605170185988091, rel=1e-12)
+        assert alpha.per_km == pytest.approx(0.2 * math.log(10.0) / 10.0, rel=1e-15, abs=0.0)
+        assert alpha.per_km == pytest.approx(0.04605170185988091, rel=1e-12, abs=0.0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -34,8 +34,8 @@ class TestLambertianOrder:
         assert lambertian_order(60.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_reference_values(self):
-        assert lambertian_order(20.0) == pytest.approx(11.143405279234114, rel=1e-12)
-        assert lambertian_order(1.0) == pytest.approx(4550.704875571081, rel=1e-12)
+        assert lambertian_order(20.0) == pytest.approx(11.143405279234114, rel=1e-12, abs=0.0)
+        assert lambertian_order(1.0) == pytest.approx(4550.704875571081, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("bad", [0.0, 90.0, -5.0, 120.0])
     def test_domain(self, bad):
@@ -45,32 +45,32 @@ class TestLambertianOrder:
 
 class TestConcentratorGain:
     def test_reference_value(self):
-        assert concentrator_gain(0.0, 6.0, 1.5) == pytest.approx(205.92704467749201, rel=1e-12)
+        assert concentrator_gain(0.0, 6.0, 1.5) == pytest.approx(205.92704467749201, rel=1e-12, abs=0.0)
 
     def test_outside_fov(self):
         assert concentrator_gain(7.0, 6.0, 1.5) == 0.0
 
     def test_unit_index_hemisphere(self):
-        assert concentrator_gain(0.0, 90.0, 1.0) == pytest.approx(1.0, rel=1e-15)
+        assert concentrator_gain(0.0, 90.0, 1.0) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
 class TestLosGain:
     def test_case1_reference(self):
         # transmitter straight below the receiver: d=3 m, vertical beam
-        assert los_dc_gain(scenario_for_case(1)) == pytest.approx(4.4221299286531556e-3, rel=1e-9)
+        assert los_dc_gain(scenario_for_case(1)) == pytest.approx(4.4221299286531556e-3, rel=1e-9, abs=0.0)
 
     def test_case2_reference(self):
         # corner placement: d = sqrt(2^2+2^2+3^2), irradiance angle acos(3/d)
-        assert los_dc_gain(scenario_for_case(2)) == pytest.approx(6.7683855906770364e-5, rel=1e-9)
+        assert los_dc_gain(scenario_for_case(2)) == pytest.approx(6.7683855906770364e-5, rel=1e-9, abs=0.0)
 
     def test_case2_geometry(self):
         s = scenario_for_case(2)
-        assert s.distance_m == pytest.approx(math.sqrt(17.0), rel=1e-12)
-        assert s.irradiance_deg == pytest.approx(43.313856658283051, rel=1e-12)
+        assert s.distance_m == pytest.approx(math.sqrt(17.0), rel=1e-12, abs=0.0)
+        assert s.irradiance_deg == pytest.approx(43.313856658283051, rel=1e-12, abs=0.0)
 
     def test_case3_reference(self):
         # aimed narrow beam: irradiance angle zero despite the corner position
-        assert los_dc_gain(scenario_for_case(3)) == pytest.approx(0.8775233724388741, rel=1e-9)
+        assert los_dc_gain(scenario_for_case(3)) == pytest.approx(0.8775233724388741, rel=1e-9, abs=0.0)
 
     def test_clamped_to_unity(self):
         gain = los_gain_from_angles(
@@ -126,7 +126,7 @@ class TestBulbNoise:
         # kappa * PSD * bandwidth * gate / (hc/lambda) at 880 nm
         model = BulbNoiseModel(psd_w_per_nm=1e-5, filter_bandwidth_nm=1.0,
                                gate_s=100e-12, wavelength_m=880e-9, collection_factor=1e-3)
-        assert bulb_noise_count(model) == pytest.approx(4.4300225794375842, rel=1e-12)
+        assert bulb_noise_count(model) == pytest.approx(4.4300225794375842, rel=1e-12, abs=0.0)
 
     def test_linear_in_each_factor(self):
         base = dict(psd_w_per_nm=2e-6, filter_bandwidth_nm=0.8, gate_s=100e-12,
@@ -137,7 +137,7 @@ class TestBulbNoise:
             scaled = dict(base)
             scaled[key] = base[key] * scale
             assert bulb_noise_count(BulbNoiseModel(**scaled)) == pytest.approx(
-                scale * reference, rel=1e-12
+                scale * reference, rel=1e-12, abs=0.0
             )
 
     def test_validation(self):

@@ -38,7 +38,7 @@ class TestCrossSectionTable:
         wl = np.array([1500.0, 1510.0, 1520.0])
         ga = np.array([1e-9, 3e-9, 2e-9])
         table = RamanCrossSectionTable(wl, ga, reference_pump_nm=1550.0)
-        assert table.gamma(1550.0, 1510.0) == pytest.approx(3e-9, rel=1e-12)
+        assert table.gamma(1550.0, 1510.0) == pytest.approx(3e-9, rel=1e-12, abs=0.0)
         mid = table.gamma(1550.0, 1505.0)
         assert 1e-9 < mid < 3e-9
 
@@ -53,7 +53,7 @@ class TestCrossSectionTable:
         pump, rx = 1585.2, 1555.62
         detuning = c / (rx * 1e-9) - c / (pump * 1e-9)
         expected = 1e-9 * (1.0 + 0.05 * detuning / 1e12)
-        assert table.gamma(pump, rx) == pytest.approx(expected, rel=1e-9)
+        assert table.gamma(pump, rx) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_out_of_range_rejected(self):
         table = flat_table(lo=1540.0, hi=1560.0)
@@ -81,7 +81,7 @@ class TestCrossSectionTable:
         path = tmp_path / "table.csv"
         path.write_text(text)
         table = RamanCrossSectionTable.from_csv_file(path, 1550.0)
-        assert table.gamma(1550.0, 1500.0) == pytest.approx(1e-9)
+        assert table.gamma(1550.0, 1500.0) == pytest.approx(1e-9, abs=0.0)
         assert len(table.checksum) == 64
 
     def test_in_memory_checksum_hashes_float64_bytes(self):
@@ -98,7 +98,7 @@ class TestCrossSectionTable:
         assert table.gamma(1585.2, 1555.62) > 0.0
         peak_wl = table.wavelengths_nm[np.argmax(table.gamma_per_km_nm)]
         assert 1640.0 < peak_wl < 1680.0  # ~13 THz below the 1550 nm pump
-        assert max(table.gamma_per_km_nm) == pytest.approx(1.35e-9, rel=0.05)
+        assert max(table.gamma_per_km_nm) == pytest.approx(1.35e-9, rel=0.05, abs=0.0)
 
 
 C_M_S = 299792458.0
@@ -149,17 +149,17 @@ class TestScatteredPower:
     def test_forward_reference_value(self):
         # 1 mW, 10 km, alpha=0.2 dB/km, flat 3e-9, 0.8 nm
         got = raman_forward(query(), flat_table())
-        assert got == pytest.approx(1.5142976267524638e-8, rel=1e-12)
+        assert got == pytest.approx(1.5142976267524638e-8, rel=1e-12, abs=0.0)
 
     def test_backward_reference_value(self):
         got = raman_backward(query(), flat_table())
-        assert got == pytest.approx(1.5683924071545074e-8, rel=1e-12)
+        assert got == pytest.approx(1.5683924071545074e-8, rel=1e-12, abs=0.0)
 
     def test_backward_saturates(self):
         table = flat_table()
         alpha = ALPHA_02.per_km
         asymptote = 1.0 * 3e-9 * 0.8 / (2.0 * alpha)
-        assert raman_backward(query(length=500.0), table) == pytest.approx(asymptote, rel=1e-8)
+        assert raman_backward(query(length=500.0), table) == pytest.approx(asymptote, rel=1e-8, abs=0.0)
 
     def test_transparent_fiber_limits(self):
         table = flat_table()
@@ -167,14 +167,14 @@ class TestScatteredPower:
         fwd = raman_forward(query(length=10.0, alpha=tiny), table)
         bwd = raman_backward(query(length=10.0, alpha=tiny), table)
         expected = 1.0 * 10.0 * 3e-9 * 0.8
-        assert fwd == pytest.approx(expected, rel=1e-6)
-        assert bwd == pytest.approx(expected, rel=1e-6)
+        assert fwd == pytest.approx(expected, rel=1e-6, abs=0.0)
+        assert bwd == pytest.approx(expected, rel=1e-6, abs=0.0)
 
     def test_zero_attenuation_exact(self):
         table = flat_table()
         none = AttenuationCoefficient(0.0)
         assert raman_backward(query(length=7.0, alpha=none), table) == pytest.approx(
-            7.0 * 3e-9 * 0.8, rel=1e-12
+            7.0 * 3e-9 * 0.8, rel=1e-12, abs=0.0
         )
 
     def test_backward_exceeds_forward(self):
@@ -200,9 +200,23 @@ class TestScatteredPower:
     def test_linear_scaling(self):
         table2 = flat_table(gamma=6e-9)
         base = raman_forward(query(), flat_table())
-        assert raman_forward(query(intensity=2.0), flat_table()) == pytest.approx(2 * base, rel=1e-12)
-        assert raman_forward(query(bandwidth=1.6), flat_table()) == pytest.approx(2 * base, rel=1e-12)
-        assert raman_forward(query(), table2) == pytest.approx(2 * base, rel=1e-12)
+        assert raman_forward(query(intensity=2.0), flat_table()) == pytest.approx(2 * base, rel=1e-12, abs=0.0)
+        assert raman_forward(query(bandwidth=1.6), flat_table()) == pytest.approx(2 * base, rel=1e-12, abs=0.0)
+        assert raman_forward(query(), table2) == pytest.approx(2 * base, rel=1e-12, abs=0.0)
+
+    # float.hex() of (raman_forward, raman_backward) on the built-in table;
+    # reordering a formula's factors moves these bits
+    @pytest.mark.parametrize("kwargs,want", [
+        ({}, ("0x1.e324134a7584fp-32", "0x1.f4666723948a0p-32")),
+        (dict(intensity=3.7, length=87.3, pump=1570.0, rx=1549.3, bandwidth=0.4,
+              alpha=AttenuationCoefficient(0.25)),
+         ("0x1.0bde355bcb3eap-35", "0x1.fb1f26149066ap-32")),
+        (dict(intensity=0.5, length=7.0, bandwidth=1.6, alpha=AttenuationCoefficient(0.0)),
+         ("0x1.0c011dfe9801ep-31", "0x1.0c011dfe9801ep-31")),
+    ])
+    def test_pinned_bits(self, kwargs, want):
+        q, table = query(**kwargs), builtin_cross_section_table()
+        assert (raman_forward(q, table).hex(), raman_backward(q, table).hex()) == want
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -219,12 +233,12 @@ class TestPhotonCount:
 
     def test_reference_value(self):
         got = raman_photon_count(1.571e-8, 1555.62, 100e-12, 0.3)
-        assert got == pytest.approx(3.6908315590956121e-3, rel=1e-12)
+        assert got == pytest.approx(3.6908315590956121e-3, rel=1e-12, abs=0.0)
 
     def test_linear_in_gate(self):
         one = raman_photon_count(1e-8, 1555.62, 100e-12, 0.3)
         two = raman_photon_count(1e-8, 1555.62, 200e-12, 0.3)
-        assert two == pytest.approx(2.0 * one, rel=1e-12)
+        assert two == pytest.approx(2.0 * one, rel=1e-12, abs=0.0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

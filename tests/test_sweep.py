@@ -86,10 +86,10 @@ class TestSweepSpec:
         spec = small_spec(variable="psd_w_per_nm", start=1e-8, stop=1e-5, points=4,
                           log_spacing=True)
         values = spec.values()
-        assert values[0] == pytest.approx(1e-8)
-        assert values[-1] == pytest.approx(1e-5)
+        assert values[0] == pytest.approx(1e-8, abs=0.0)
+        assert values[-1] == pytest.approx(1e-5, abs=0.0)
         ratios = [b / a for a, b in zip(values, values[1:])]
-        assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
+        assert all(r == pytest.approx(ratios[0], rel=1e-9, abs=0.0) for r in ratios)
 
     @settings(max_examples=300, deadline=None)
     @given(start=st.floats(0.0, 1e12), width=st.floats(1e-9, 1e12), points=st.integers(2, 300))
@@ -443,4 +443,4 @@ class TestCrossover:
                             start=5.0, stop=6.0, points=2)
         cv_bps = run_sweep(spec_cv, cfg).rows[0].rate_bps
         crossings = grid[dv_rate * grid >= cv_bps]
-        assert clock == pytest.approx(float(crossings[0]), rel=1e-3)
+        assert clock == pytest.approx(float(crossings[0]), rel=1e-3, abs=0.0)
