@@ -304,28 +304,27 @@ def _drop_terms(plan: DwdmPlan, table: RamanCrossSectionTable, rx_bandwidth_nm: 
     """
     if rx_bandwidth_nm <= 0.0:
         raise ValueError(f"receiver bandwidth must be > 0, got {rx_bandwidth_nm}")
-    alpha, alpha_db, feeder = plan.attenuation.per_km, plan.attenuation.db_per_km, plan.feeder_km
-    awg_db = plan.awg_insertion_loss_db
+    alpha, feeder, awg_db = plan.attenuation.per_km, plan.feeder_km, plan.awg_insertion_loss_db
     users, slot, gamma = plan._raman_inputs(table)
-    power = [launch_power(feeder + plan.drop_km[user], alpha_db, awg_db, plan.sensitivity_dbm)
-             for user in users]
+    power = [launch_power(feeder + plan.drop_km[user], plan.attenuation.db_per_km, awg_db,
+                          plan.sensitivity_dbm) for user in users]
     drop_att = [math.exp(-alpha * plan.drop_km[user]) for user in users]
-    return (alpha, fiber_transmittance(0.0, 0.0, alpha_db, awg_db), math.exp(-alpha * feeder),
+    return (alpha, 10.0 ** (-2.0 * awg_db / 10.0), math.exp(-alpha * feeder),
             backward_length_km(alpha, feeder), power, drop_att, slot, gamma)
 
 
 # The sums below run left to right over the channels with scalar libm
 # calls, so each total keeps its last bit.  A forward term is
 # P*exp(-alpha L)*L*Gamma*bw and a backward one P*L_eff*Gamma*bw (L_eff from
-# ``backward_length_km``), multiplied in that order.  The factors shared by
-# every term, the multiplexer transmittance and the feeder's exp(-alpha L0)
-# and L_eff, come from ``_drop_terms`` with the per-drop ones.  Within a
-# term the factors before Gamma depend on the channel only through its drop
-# length, so their product is formed once per distinct drop (``fwd_pre``,
-# ``bwd_pre``) and each term is (prefix*Gamma)*bw: the same operations in
-# the same order as the whole product, hence the same bits.  Reordering the
-# factors or the channels would round differently.  ``sum()`` is not used:
-# from Python 3.12 it compensates, which would move the last bit.
+# ``backward_length_km``), multiplied in that order.  ``_drop_terms`` gives
+# the feeder factors (multiplexer transmittance, the feeder's exp(-alpha L0)
+# and L_eff) with the per-drop ones.  Within a term the factors before
+# Gamma depend on the channel only through its drop length, so their
+# product is formed once per distinct drop (``fwd_pre``, ``bwd_pre``) and
+# each term is (prefix*Gamma)*bw: the same operations in the same order as
+# the whole product, hence the same bits.  Reordering the factors or the
+# channels would round differently.  ``sum()`` is not used: from Python
+# 3.12 it compensates, which would move the last bit.
 
 
 def raman_totals_setup1(
