@@ -230,11 +230,11 @@ PIN_PLANS = {
     "integer_drop": dict(drop_km=(1,) * 32),
     "zero_drops": dict(drop_km=(0.0,) * 32),
     "lossless": dict(attenuation=AttenuationCoefficient(0.0)),
-    "variant": dict(drop_km=(0.1, 0.5, 2.0, 5.0) * 8),  # moved to its feeder by with_feeder
 }
 
 # float.hex() of (fwd, bwd) from raman_totals_setup1, 3 and 4, in that order,
-# on the built-in table at 0.8 nm, by (plan, feeder km).  Every sweep output
+# on the built-in table at 0.8 nm, by (plan, feeder km); "variant" is the
+# cycled-drop plan moved to its feeder by ``with_feeder``.  Every sweep output
 # inherits these bits, and reordering a sum's factors or terms moves them.
 PINNED_TOTALS = {
     ("default", 0.0): ("0x1.626cad27722b4p-48", "0x1.6274b1b628d75p-48",
@@ -301,7 +301,7 @@ class TestPinnedBits:
     @pytest.mark.parametrize("name,feeder", list(PINNED_TOTALS))
     def test_raman_totals(self, name, feeder):
         if name == "variant":
-            plan = DwdmPlan.from_grid(**PIN_PLANS[name]).with_feeder(feeder)
+            plan = DwdmPlan.from_grid(**PIN_PLANS["cycled_drops"]).with_feeder(feeder)
         else:
             plan = DwdmPlan.from_grid(feeder_km=feeder, **PIN_PLANS[name])
         table = builtin_cross_section_table()
