@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numerics import AttenuationCoefficient
+from .numerics import AttenuationCoefficient, db_to_linear
 from .raman import RamanCrossSectionTable, backward_length_km, photons_per_gate
 
 __all__ = [
@@ -183,19 +183,13 @@ class DwdmPlan:
         return self._inputs[table]
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Transmissivity and per-detector noise consumed by the BB84 formulas."""
+class _DetectorNoise:
+    """The per-detector counts ``frs``, ``brs``, ``bulb`` and ``dark`` of a budget.
 
-    transmissivity: float
-    frs: float = 0.0
-    brs: float = 0.0
-    bulb: float = 0.0
-    dark: float = 0.0
+    Each count is >= 0 and their sum stays below one count per pulse.
+    """
 
-    def __post_init__(self):
-        if not 0.0 <= self.transmissivity <= 1.0:
-            raise ValueError(f"transmissivity must be in [0, 1], got {self.transmissivity}")
+    def _check_noise(self):
         if min(self.frs, self.brs, self.bulb, self.dark) < 0.0:
             raise ValueError("noise components must be >= 0")
         if self.noise_per_detector >= 1.0:
@@ -208,7 +202,23 @@ class LinkBudget:
 
 
 @dataclass(frozen=True)
-class MdiLinkBudget:
+class LinkBudget(_DetectorNoise):
+    """Transmissivity and per-detector noise consumed by the BB84 formulas."""
+
+    transmissivity: float
+    frs: float = 0.0
+    brs: float = 0.0
+    bulb: float = 0.0
+    dark: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.transmissivity <= 1.0:
+            raise ValueError(f"transmissivity must be in [0, 1], got {self.transmissivity}")
+        self._check_noise()
+
+
+@dataclass(frozen=True)
+class MdiLinkBudget(_DetectorNoise):
     """Two-sided budget for the untrusted-measurement setups."""
 
     eta_alice: float
@@ -220,17 +230,10 @@ class MdiLinkBudget:
     polarization_factor: float = 0.5
 
     def __post_init__(self):
-        for name in ("eta_alice", "eta_bob"):
+        for name in ("polarization_factor", "eta_alice", "eta_bob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if min(self.frs, self.brs, self.bulb, self.dark) < 0.0:
-            raise ValueError("noise components must be >= 0")
-        if self.noise_per_detector >= 1.0:
-            raise ValueError("total noise per detector must stay below one count per pulse")
-
-    @property
-    def noise_per_detector(self) -> float:
-        return self.frs + self.brs + self.bulb + self.dark
+        self._check_noise()
 
 
 @dataclass(frozen=True)
@@ -455,7 +458,7 @@ def budget_setup2(
     """
     # same totals as setup 1
     fwd, bwd = plan.raman_totals(raman_totals_setup1, table, rx_bandwidth_nm)
-    eta_coup = 10.0 ** (-coupling_loss_db / 10.0)
+    eta_coup = db_to_linear(-coupling_loss_db)
     eta_fib = plan.transmittance
     half_det = det.eta_telecom / 2.0
     count = half_det * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
@@ -485,7 +488,7 @@ def budget_setup3(
     loss (0.5 for passive filtering, 1.0 for active stabilization).
     """
     fwd, bwd = plan.raman_totals(raman_totals_setup3, table, rx_bandwidth_nm)
-    eta_coup = 10.0 ** (-coupling_loss_db / 10.0)
+    eta_coup = db_to_linear(-coupling_loss_db)
     quarter = det.eta_telecom / 4.0
     count = quarter * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
     return MdiLinkBudget(
@@ -517,7 +520,7 @@ def budget_setup4(
     fwd, bwd = plan.raman_totals(raman_totals_setup4, table, rx_bandwidth_nm)
     alpha_db = plan.attenuation.db_per_km
     drop_loss = fiber_transmittance(0.0, plan.drop_km[0], alpha_db, 0.0)
-    eta_coup = 10.0 ** (-coupling_loss_db / 10.0)
+    eta_coup = db_to_linear(-coupling_loss_db)
     quarter = det.eta_telecom / 4.0
     count = quarter * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
     eta_bob = fiber_transmittance(plan.feeder_km, 0.0, alpha_db, plan.awg_insertion_loss_db)
@@ -573,7 +576,7 @@ def cv_budget(
         frs, brs = count * fwd, count * bwd
         transmissivity = plan.transmittance
         if setup == "2":
-            transmissivity = h_dc * 10.0 ** (-coupling_loss_db / 10.0) * transmissivity
+            transmissivity = h_dc * db_to_linear(-coupling_loss_db) * transmissivity
         if transmissivity <= 0.0:
             raise ValueError("channel transmissivity is zero; budget undefined")
         eps_raman = count * (fwd + bwd) / transmissivity

@@ -20,12 +20,13 @@ import json
 import math
 import sys
 
-from .config import (
-    CASE_PRESETS, ConfigError, SimulationConfig, apply_assignments, read_overrides, set_leaf,
-)
+from .config import ConfigError, SimulationConfig, apply_assignments, read_overrides, set_leaf
 from .numerics import linspace
+from .owc import CASE_PRESETS
 from .sweep import (
+    COHERENT_SETUPS,
     PROTOCOLS,
+    SETUPS,
     SWEEP_VARIABLES,
     SweepSpec,
     dv_cv_crossover,
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="sweep one variable and write a CSV of key rates")
-    sweep.add_argument("--setup", type=int, required=True, choices=(1, 2, 3, 4))
+    sweep.add_argument("--setup", type=int, required=True, choices=SETUPS)
     sweep.add_argument("--protocol", required=True, choices=PROTOCOLS)
     sweep.add_argument("--case", type=int, default=None, choices=tuple(CASE_PRESETS),
                        help="transmitter placement case (default: config value)")
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sweep)
 
     noise = sub.add_parser("noise", help="noise breakdown versus feeder length")
-    noise.add_argument("--setup", type=int, required=True, choices=(1, 2, 3, 4))
+    noise.add_argument("--setup", type=int, required=True, choices=SETUPS)
     noise.add_argument("--l0-start", type=float, default=1.0)
     noise.add_argument("--l0-stop", type=float, default=100.0)
     noise.add_argument("--points", type=int, default=50)
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     crossover = sub.add_parser(
         "crossover", help="DV clock rate matching the CV total key rate at the operating point"
     )
-    crossover.add_argument("--setup", type=int, default=2, choices=(1, 2))
+    crossover.add_argument("--setup", type=int, default=2, choices=COHERENT_SETUPS)
     _add_common(crossover)
 
     validate = sub.add_parser("validate-config", help="check a config file and print the result")

@@ -5,13 +5,8 @@ network (32 users, 100 GHz DWDM grid in the C band, 10 km feeder, 500 m
 drops) and the nominal device parameters, so an empty config file
 reproduces the reference operating point.  A JSON file with the same
 nesting overrides any subset; CLI flags override single keys by dotted
-path (``dv.mu=0.4``).
-
-Three transmitter placements are selected by ``case``:
-
-* 1 -- centre of the floor, 20 degree half-power semi-angle;
-* 2 -- corner of the room, same beam;
-* 3 -- corner of the room, 1 degree beam aimed at the receiver.
+path (``dv.mu=0.4``).  ``case`` selects one of the transmitter placements
+of ``owc.CASE_PRESETS``.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from dataclasses import dataclass
 
 from .budget import DetectorParams, DwdmPlan
 from .numerics import AttenuationCoefficient
-from .owc import BulbNoiseModel, RoomScenario
+from .owc import CASE_PRESETS, BulbNoiseModel, RoomScenario
 from .protocols import Bb84Params, Gg02Params, MdiParams
 from .raman import RamanCrossSectionTable, builtin_cross_section_table
 
@@ -34,13 +29,6 @@ __all__ = ["DEFAULTS", "CASE_PRESETS", "SimulationConfig", "ConfigError"]
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
 
-
-# (tx_x fraction of room x, tx_y fraction of room y, semi-angle in degrees)
-CASE_PRESETS = {
-    1: {"tx_frac": (0.5, 0.5), "semi_angle_deg": 20.0},
-    2: {"tx_frac": (0.0, 0.0), "semi_angle_deg": 20.0},
-    3: {"tx_frac": (0.0, 0.0), "semi_angle_deg": 1.0},
-}
 
 DEFAULTS: dict = {
     "case": 3,
@@ -116,21 +104,21 @@ DEFAULTS: dict = {
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     """``base`` with ``override`` merged in, as a new dict.
 
-    The sections of ``base`` are copied and its leaves shared: every
-    ``DEFAULTS`` leaf is an immutable scalar, None or bool, so editing the
-    result in place never reaches ``base``.
+    Each key of ``override`` must name a section of ``base`` where it holds
+    a dict and a value of ``base`` where it does not; errors name the
+    dotted key.  The sections of ``base`` are copied and its leaves shared:
+    every ``DEFAULTS`` leaf is an immutable scalar, None or bool, so editing
+    the result in place never reaches ``base``.
     """
     out = {key: dict(value) if isinstance(value, dict) else value for key, value in base.items()}
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown configuration key: {here}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, here)
-        elif isinstance(base[key], dict):
-            raise ConfigError(f"{here} must be a section, got {value!r}")
-        else:
-            out[key] = value
+        if isinstance(base[key], dict) != isinstance(value, dict):
+            kind = "a section" if isinstance(base[key], dict) else "a value"
+            raise ConfigError(f"{here} must be {kind}, got {value!r}")
+        out[key] = _merge(base[key], value, here) if isinstance(value, dict) else value
     return out
 
 
@@ -158,8 +146,8 @@ def read_overrides(path: str | None) -> dict:
 def apply_assignments(overrides: dict, assignments: list[str]) -> dict:
     """``overrides`` with ``section.key=value`` assignments set in place, later ones winning.
 
-    Paths are checked against ``DEFAULTS``; the result is still to be merged
-    by ``SimulationConfig.from_dict``.
+    The result is still to be merged by ``SimulationConfig.from_dict``,
+    which checks the paths.
     """
     for item in assignments:
         if "=" not in item:
@@ -170,18 +158,15 @@ def apply_assignments(overrides: dict, assignments: list[str]) -> dict:
 
 
 def set_leaf(overrides: dict, dotted: str, value) -> None:
-    """Set ``overrides[section]...[key] = value`` for a dotted path checked against ``DEFAULTS``."""
-    *sections, leaf = dotted.strip().split(".")
-    node, default = overrides, DEFAULTS
+    """Set ``overrides[section]...[key] = value`` for a dotted path, unchecked until merged."""
+    *sections, leaf = keys = dotted.strip().split(".")
+    if not all(keys):
+        raise ConfigError(f"override key must look like section.key, got {dotted!r}")
+    node = overrides
     for key in sections:
-        if not isinstance(default.get(key), dict):
-            raise ConfigError(f"unknown configuration section: {dotted}")
-        default = default[key]
         node = node.setdefault(key, {})
         if not isinstance(node, dict):
             raise ConfigError(f"{key} must be a section, got {node!r}")
-    if leaf not in default:
-        raise ConfigError(f"unknown configuration key: {dotted}")
     node[leaf] = value
 
 
@@ -249,8 +234,12 @@ class SimulationConfig:
                 raise ConfigError("link.coupling_loss_db must be >= 0")
             if self.data["network"]["rx_bandwidth_nm"] <= 0:
                 raise ConfigError("network.rx_bandwidth_nm must be > 0")
-            if self.data["dv"]["clock_hz"] <= 0 or self.data["cv"]["clock_hz"] < 0:
-                raise ConfigError("clock rates must be positive")
+            if self.data["dv"]["clock_hz"] <= 0:
+                raise ConfigError("dv.clock_hz must be > 0")
+            if self.data["cv"]["clock_hz"] < 0:
+                raise ConfigError("cv.clock_hz must be >= 0")
+            if not 0 <= self.data["link"]["polarization_factor"] <= 1:
+                raise ConfigError("link.polarization_factor must be in [0, 1]")
             table = self.data["raman_table"]
             if table["path"] is not None and not isinstance(table["path"], str):
                 raise ConfigError(f"raman_table.path must be a file path, got {table['path']!r}")

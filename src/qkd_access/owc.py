@@ -26,6 +26,7 @@ from .numerics import LIGHTSPEED_M_S, PLANCK_J_S
 
 
 __all__ = [
+    "CASE_PRESETS",
     "RoomScenario",
     "BulbNoiseModel",
     "lambertian_order",
@@ -35,7 +36,12 @@ __all__ = [
     "bulb_noise_count",
 ]
 
-CASE_LABELS = (1, 2, 3)
+# case -> (tx_x fraction of room x, tx_y fraction of room y, semi-angle in degrees)
+CASE_PRESETS = {
+    1: {"tx_frac": (0.5, 0.5), "semi_angle_deg": 20.0},
+    2: {"tx_frac": (0.0, 0.0), "semi_angle_deg": 20.0},
+    3: {"tx_frac": (0.0, 0.0), "semi_angle_deg": 1.0},
+}
 
 
 def lambertian_order(semi_angle_deg: float) -> float:
@@ -119,8 +125,8 @@ class RoomScenario:
     case: int = 1
 
     def __post_init__(self):
-        if self.case not in CASE_LABELS:
-            raise ValueError(f"case must be one of {CASE_LABELS}, got {self.case}")
+        if self.case not in CASE_PRESETS:
+            raise ValueError(f"case must be one of {sorted(CASE_PRESETS)}, got {self.case}")
         if not 0.0 < self.tx_semi_angle_deg < 90.0:
             raise ValueError(f"source semi-angle out of range: {self.tx_semi_angle_deg}")
         if not 0.0 < self.rx_fov_deg < 90.0:

@@ -56,12 +56,17 @@ class Bb84Params:
     def __post_init__(self):
         if self.mu <= 0.0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not 0.0 < self.sift_factor <= 1.0:
-            raise ValueError(f"sift factor must be in (0, 1], got {self.sift_factor}")
-        if self.ec_inefficiency < 1.0:
-            raise ValueError(f"error-correction inefficiency must be >= 1, got {self.ec_inefficiency}")
-        if not 0.0 <= self.misalignment < 0.5:
-            raise ValueError(f"misalignment must be in [0, 0.5), got {self.misalignment}")
+        check_post_processing(self)
+
+
+def check_post_processing(params) -> None:
+    """Check the sift factor, error-correction inefficiency and misalignment of ``params``."""
+    if not 0.0 < params.sift_factor <= 1.0:
+        raise ValueError(f"sift factor must be in (0, 1], got {params.sift_factor}")
+    if params.ec_inefficiency < 1.0:
+        raise ValueError(f"error-correction inefficiency must be >= 1, got {params.ec_inefficiency}")
+    if not 0.0 <= params.misalignment < 0.5:
+        raise ValueError(f"misalignment must be in [0, 0.5), got {params.misalignment}")
 
 
 @dataclass(frozen=True)

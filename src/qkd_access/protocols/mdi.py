@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from ..budget import MdiLinkBudget
 from ..numerics import bessel_i0, binary_entropy
+from .bb84 import check_post_processing
 
 __all__ = [
     "MdiParams",
@@ -45,12 +46,7 @@ class MdiParams:
     def __post_init__(self):
         if self.mu <= 0.0 or self.nu <= 0.0:
             raise ValueError("signal intensities must be > 0")
-        if not 0.0 < self.sift_factor <= 1.0:
-            raise ValueError("sift factor must be in (0, 1]")
-        if self.ec_inefficiency < 1.0:
-            raise ValueError("error-correction inefficiency must be >= 1")
-        if not 0.0 <= self.misalignment < 0.5:
-            raise ValueError("misalignment must be in [0, 0.5)")
+        check_post_processing(self)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ evaluates once:
   noise of the first link;
 * a plan's Raman totals once, so only ``L0_km`` points redo the
   32-channel Raman sums, with one launch power per distinct drop length;
-* each link's rate once per distinct (link budget, protocol parameters)
-  pair, so a ``clock_rate_hz`` sweep rates each link once, and setup 1's
-  wireless link is rated once unless the swept variable is the bulb PSD or
-  the background count.
+* each link's rate once per distinct link budget (a run has one set of
+  protocol parameters), so a ``clock_rate_hz`` sweep rates each link once,
+  and setup 1's wireless link is rated once unless the swept variable is
+  the bulb PSD or the background count.
 
 Conventions used in the result rows:
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .budget import (
     DetectorParams,
@@ -59,9 +59,9 @@ from .budget import (
     budget_setup4,
     cv_budget,
 )
-from .config import CASE_PRESETS, SimulationConfig
+from .config import SimulationConfig
 from .numerics import geomspace, linspace
-from .owc import BulbNoiseModel, bulb_noise_count, los_dc_gain
+from .owc import CASE_PRESETS, BulbNoiseModel, bulb_noise_count, los_dc_gain
 from .protocols import (
     Bb84Params,
     Gg02Params,
@@ -76,6 +76,8 @@ from .raman import RamanCrossSectionTable
 
 __all__ = [
     "PROTOCOLS",
+    "SETUPS",
+    "COHERENT_SETUPS",
     "SWEEP_VARIABLES",
     "SweepSpec",
     "SweepPoint",
@@ -96,6 +98,8 @@ _SETUP_PROTOCOLS = {
     3: {"MDI-DS", "MDI-SPP"},
     4: {"MDI-DS", "MDI-SPP"},
 }
+SETUPS = tuple(_SETUP_PROTOCOLS)
+COHERENT_SETUPS = tuple(setup for setup, names in _SETUP_PROTOCOLS.items() if "GG02" in names)
 
 CROSSOVER_CLOCK_RANGE_HZ = (1e6, 1e10)
 
@@ -114,8 +118,8 @@ class SweepSpec:
     log_spacing: bool = False
 
     def __post_init__(self):
-        if self.setup not in _SETUP_PROTOCOLS:
-            raise ValueError(f"setup must be 1-4, got {self.setup}")
+        if self.setup not in SETUPS:
+            raise ValueError(f"setup must be one of {list(SETUPS)}, got {self.setup}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}")
         if self.protocol not in _SETUP_PROTOCOLS[self.setup]:
@@ -145,21 +149,19 @@ class SweepSpec:
         return (geomspace if self.log_spacing else linspace)(self.start, self.stop, self.points)
 
     def as_dict(self) -> dict:
-        return {
-            "setup": self.setup,
-            "protocol": self.protocol,
-            "case": self.case,
-            "variable": self.variable,
-            "start": self.start,
-            "stop": self.stop,
-            "points": self.points,
-            "log_spacing": self.log_spacing,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # One CSV row: every number in ``%.17e``, which round-trips a double.
 _ROW = ",".join(["%.17e"] * 7)
 _NOISE_ROW = ",".join(["%.17e"] * 6)
+
+
+def _csv_text(result, title: str, header: str, rows) -> str:
+    """The CSV of ``result``: its two provenance lines, ``title``, ``header``, then ``rows``."""
+    lines = [f"# config_sha256={result.config_sha256}", f"# table_sha256={result.table_sha256}",
+             title, header, *rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -181,17 +183,14 @@ class SweepResult:
     table_sha256: str
 
     def csv_text(self) -> str:
-        lines = [
-            f"# config_sha256={self.config_sha256}",
-            f"# table_sha256={self.table_sha256}",
+        return _csv_text(
+            self,
             f"# setup={self.spec.setup} protocol={self.spec.protocol} case={self.spec.case}",
             f"{self.spec.variable},key_rate_per_pulse,key_rate_bps,"
             "n_frs_per_pulse,n_brs_per_pulse,n_bulb_per_pulse,n_dark_per_pulse",
-        ]
-        for row in self.rows:
-            lines.append(_ROW % (row.value, row.rate_per_pulse, row.rate_bps,
-                                 row.frs, row.brs, row.bulb, row.dark))
-        return "\n".join(lines) + "\n"
+            (_ROW % (row.value, row.rate_per_pulse, row.rate_bps, row.frs, row.brs, row.bulb,
+                     row.dark) for row in self.rows),
+        )
 
 
 @dataclass(frozen=True)
@@ -202,14 +201,12 @@ class NoiseBreakdownResult:
     table_sha256: str
 
     def csv_text(self) -> str:
-        lines = [
-            f"# config_sha256={self.config_sha256}",
-            f"# table_sha256={self.table_sha256}",
+        return _csv_text(
+            self,
             f"# setup={self.setup}",
             "l0_km,n_frs_per_pulse,n_brs_per_pulse,n_bulb_per_pulse,n_dark_per_pulse,n_total_per_pulse",
-        ]
-        lines.extend(_NOISE_ROW % row for row in self.rows)
-        return "\n".join(lines) + "\n"
+            (_NOISE_ROW % row for row in self.rows),
+        )
 
 
 @dataclass(frozen=True)
@@ -320,8 +317,9 @@ def _evaluate_point(
 ) -> SweepPoint:
     """One row of ``spec`` at ``value``, on ``_model(config, spec.setup, spec.case)``.
 
-    ``rates`` maps (link budget, protocol parameters) to the rate already
-    evaluated for them in this sweep; it is filled as points are evaluated.
+    ``rates`` maps each link budget to the rate already evaluated for it in
+    this sweep, whose protocol and parameters are fixed; it is filled as
+    points are evaluated.
     """
     rates = {} if rates is None else rates
     if spec.protocol == "GG02":
@@ -355,9 +353,9 @@ def _evaluate_point(
             noise.update(eps_bulb=2.0 * value / links[0].transmissivity, eps_raman=0.0)
         links = (replace(links[0], **noise),) + links[1:]
     for link in links:
-        if (link, params) not in rates:
-            rates[link, params] = rate_fn(link, params)
-    rate = min(rates[link, params] for link in links)
+        if link not in rates:
+            rates[link] = rate_fn(link, params)
+    rate = min(rates[link] for link in links)
     report = links[-1]
     return SweepPoint(
         value=value,
@@ -396,13 +394,14 @@ def noise_breakdown(
     Setup 1 reports its fiber link (the wireless link does not depend on
     the feeder).
     """
-    if setup not in (1, 2, 3, 4):
-        raise ValueError(f"setup must be 1-4, got {setup}")
+    if setup not in SETUPS:
+        raise ValueError(f"setup must be one of {list(SETUPS)}, got {setup}")
     model = _model(config, setup, config.data["case"])
     rows = []
     for l0 in sorted(l0_values_km):
         plan = model.plan.with_feeder(float(l0))
-        link = _links(model, plan, model.coupling_loss_db, model.n_b1)[-1]
+        link = (budget_setup1_fiber(plan, model.detectors, model.table, model.rx_bandwidth_nm)
+                if setup == 1 else _links(model, plan, model.coupling_loss_db, model.n_b1)[0])
         rows.append((float(l0), link.frs, link.brs, link.bulb, link.dark, link.noise_per_detector))
     return NoiseBreakdownResult(
         setup=setup,
@@ -423,8 +422,8 @@ def dv_cv_crossover(config: SimulationConfig, setup: int = 2) -> float:
     when the crossover lies above ``CROSSOVER_CLOCK_RANGE_HZ``.  A
     crossover below the range is returned as is.
     """
-    if setup not in (1, 2):
-        raise ValueError(f"the crossover compares links on setups 1-2, not {setup}")
+    if setup not in COHERENT_SETUPS:
+        raise ValueError(f"the crossover compares setups {list(COHERENT_SETUPS)}, not {setup}")
     model = _model(config, setup, config.data["case"])
     dv_rate = min(ds_bb84_rate(link, model.bb84) for link in _model_links(model))
     cv_rate = min(gg02_rate(link, model.gg02) for link in _model_links(model, coherent=True))

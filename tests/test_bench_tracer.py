@@ -24,6 +24,7 @@ DV_SETUP2_BACKGROUND = ["sweep", "--setup", "2", "--protocol", "DS-BB84", "--var
                         "background_noise", "--start", "1e-8", "--stop", "1e-4", "--points", "3",
                         "--log"]
 NOISE_SETUP4 = ["noise", "--setup", "4", "--l0-start", "1", "--l0-stop", "50", "--points", "3"]
+NOISE_SETUP1 = ["noise", "--setup", "1", "--l0-start", "1", "--l0-stop", "50", "--points", "3"]
 DV_SETUP2_COUPLING = ["sweep", "--setup", "2", "--protocol", "DS-BB84", "--var",
                       "coupling_loss_db", "--start", "0", "--stop", "20", "--points", "3"]
 DV_SETUP1_CLOCK = ["sweep", "--setup", "1", "--protocol", "DS-BB84", "--var", "clock_rate_hz",
@@ -46,6 +47,8 @@ DV_SETUP1_CLOCK = ["sweep", "--setup", "1", "--protocol", "DS-BB84", "--var", "c
     (DV_SETUP2_COUPLING, {"budget.raman_totals.calls": 1, "budget.calls": 3, "owc.calls": 2}),
     # a clock only scales the rate: each of the two links is rated once
     (DV_SETUP1_CLOCK, {"budget.raman_totals.calls": 1, "protocols.rate.calls": 2}),
+    # setup 1 reports its fiber link only, so it builds no wireless budget
+    (NOISE_SETUP1, {"budget.calls": 3}),
 ])
 def test_group_call_counts(tmp_path, capsys, argv, expected):
     tracer = spans.Tracer()

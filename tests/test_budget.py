@@ -408,6 +408,12 @@ class TestMdiBudgets:
         assert full.eta_bob == pytest.approx(2.0 * half.eta_bob, rel=1e-12, abs=0.0)
         assert full.noise_per_detector == pytest.approx(half.noise_per_detector, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("factor", [-0.5, 2.0])
+    def test_polarization_factor_outside_unit_interval_rejected(self, factor):
+        args = (*room(3, nominal_bulb()), nominal_plan(), DET, flat_table())
+        with pytest.raises(ValueError, match=r"^polarization_factor must be in \[0, 1\]$"):
+            budget_setup3(*args, polarization_factor=factor)
+
     def test_setup3_nominal_against_composed_oracle(self):
         plan = nominal_plan()
         table = flat_table()

@@ -112,10 +112,31 @@ class TestValidateConfig:
         ("link.wireless_wavelength_nm=-5", "wavelength_m must be > 0"),
         ("network.quantum_start_nm=-1", "grid wavelengths must be > 0"),
         ("network.rx_bandwidth_nm=0", "network.rx_bandwidth_nm must be > 0"),
+        ("link.polarization_factor=2", "link.polarization_factor must be in [0, 1]"),
+        ("link.polarization_factor=-1", "link.polarization_factor must be in [0, 1]"),
+        ("network.quantum_nm=[1555.62]", "explicit grids need both"),
     ])
     def test_rejects_what_every_run_rejects(self, capsys, assignment, message):
         assert run_cli("validate-config", "--set", assignment) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("assignment,message", [
+        ("dv.clock_hz=0", "error: dv.clock_hz must be > 0"),
+        ("cv.clock_hz=-1", "error: cv.clock_hz must be >= 0"),
+    ])
+    def test_clock_bounds_name_their_key(self, capsys, assignment, message):
+        assert run_cli("validate-config", "--set", assignment) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("assignment,message", [
+        ('case={"x":1}', "error: case must be a value, got {'x': 1}"),
+        ("foo.bar=1", "error: unknown configuration key: foo"),
+        ("dv.mu.x=1", "error: dv.mu must be a value, got {'x': 1}"),
+        (".mu=1", "error: override key must look like section.key, got '.mu'"),
+    ])
+    def test_bad_set_paths_name_the_key(self, capsys, assignment, message):
+        assert run_cli("validate-config", "--set", assignment) == 2
+        assert capsys.readouterr().err.strip() == message
 
     def test_non_string_table_path_rejected(self):
         # a JSON 0 would otherwise open file descriptor 0, standard input
@@ -169,6 +190,14 @@ class TestMerge:
         with pytest.raises(ConfigError, match=r"^dv must be a section, got 3$"):
             SimulationConfig.from_dict({"dv": 3})
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"case": {"x": 1}}, r"^case must be a value, got \{'x': 1\}$"),
+        ({"room": {"x_m": {"a": 1}}}, r"^room\.x_m must be a value, got \{'a': 1\}$"),
+    ])
+    def test_section_where_a_value_belongs(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            SimulationConfig.from_dict(overrides)
+
 
 class TestSweepCommand:
     def test_writes_csv(self, tmp_path, capsys):
@@ -190,6 +219,17 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "setup" in capsys.readouterr().err
+
+    def test_polarization_factor_above_one_fails(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "sweep", "--setup", "3", "--protocol", "MDI-DS", "--var", "coupling_loss_db",
+            "--start", "0", "--stop", "20", "--points", "3", "--out", str(out),
+            "--set", "link.polarization_factor=2",
+        )
+        assert code == 2
+        assert "link.polarization_factor must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_path_fails(self, tmp_path, capsys):
         code = run_cli(

@@ -143,6 +143,13 @@ class TestRunSweep:
         )
         assert direct == via_shuffle
 
+    def test_explicit_grids_equal_to_the_generated_ones(self):
+        spec = small_spec(variable="L0_km", start=1.0, stop=60.0, points=5)
+        plan = default_config().plan()
+        explicit = default_config(network={"quantum_nm": list(plan.quantum_nm),
+                                           "data_nm": list(plan.data_nm)})
+        assert run_sweep(spec, explicit).rows == run_sweep(spec, default_config()).rows
+
     def test_golden_file(self, tmp_path):
         spec = small_spec()
         out = tmp_path / "sweep.csv"
