@@ -2,9 +2,9 @@
 
 Everything in here is a pure scalar function used by the channel-noise and
 key-rate formulas: Shannon binary entropy, the bosonic entropy function
-g(x) entering Holevo bounds, the modified Bessel function I0, and dB/linear
-power conversions; plus the two physical constants the photon counts need
-and the linear and logarithmic grids the sweeps run over.
+g(x) entering Holevo bounds and its slope, the modified Bessel function I0,
+and dB/linear power conversions; plus the two physical constants the photon
+counts need and the linear and logarithmic grids the sweeps run over.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ __all__ = [
     "AttenuationCoefficient",
     "binary_entropy",
     "holevo_g",
+    "holevo_g_excess",
     "bessel_i0",
     "db_to_linear",
     "linear_to_db",
@@ -32,6 +33,7 @@ LIGHTSPEED_M_S = 299792458.0
 # x < 1 by at most this much is treated as floating-point noise in a
 # symplectic eigenvalue and clamped to 1.
 HOLEVO_G_CLAMP_TOL = 1e-9
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,25 @@ def holevo_g(x: float) -> float:
     ``HOLEVO_G_CLAMP_TOL``) are clamped to 1; anything lower is rejected,
     since physical symplectic eigenvalues satisfy x >= 1.
     """
-    if x < 1.0 - HOLEVO_G_CLAMP_TOL:
-        raise ValueError(f"holevo_g argument must be >= 1, got {x}")
-    if x <= 1.0:
-        return 0.0
-    up = (x + 1.0) / 2.0
-    dn = (x - 1.0) / 2.0
-    return up * math.log2(up) - dn * math.log2(dn)
+    return holevo_g_excess(x - 1.0)[0]
+
+
+def holevo_g_excess(delta: float) -> tuple[float, float]:
+    """g(x) and g'(x) = log2((x+1)/(x-1)) / 2 in bits at x = 1 + delta.
+
+    Taking the excess delta rather than x keeps the precision of an x close
+    to 1.  At x = 1, where g' is infinite, both are 0, so a term g'(x) dx
+    there reads 0.  A delta below 0 by at most ``HOLEVO_G_CLAMP_TOL`` is
+    clamped to 0; anything lower is rejected.
+    """
+    half = 0.5 * delta
+    if half <= 0.0:  # also a delta so small that half of it rounds to 0
+        if delta < -HOLEVO_G_CLAMP_TOL:
+            raise ValueError(f"symplectic eigenvalue must be >= 1, got 1 - {-delta}")
+        return 0.0, 0.0
+    up = math.log1p(half) / _LN2
+    dn = math.log2(half)
+    return (1.0 + half) * up - half * dn, 0.5 * (up - dn)
 
 
 def bessel_i0(x: float) -> float:

@@ -12,21 +12,25 @@ from the symplectic eigenvalues of the shared state before and after Bob's
 measurement.  Detection is trusted: receiver efficiency and electronic
 noise enter through the homodyne noise term only.
 
+Each eigenvalue is computed as its excess over 1 from the sum and product
+of its pair, written without cancellation, so chi_BE keeps its precision
+and K stays defined up to a lossless, noiseless channel.
+
 Unless fixed in ``Gg02Params``, V_A is chosen per operating point by
-maximizing K over ``MODULATION_SEARCH_RANGE`` with Brent's method.  The
-terms of K that do not depend on V_A are computed once per operating point
-(``_fraction_terms``), and ``mutual_information`` and ``holevo_bound``
-evaluate the same two formulas.
+maximizing K over ``MODULATION_SEARCH_RANGE``: a bracketed secant search
+for the root of dK/dV_A, which the same arithmetic gives in closed form.
+The terms of K that do not depend on V_A are computed once per operating
+point (``_fraction_terms``), and the search, ``mutual_information`` and
+``holevo_bound`` evaluate the same closure.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from ..budget import CvLinkBudget
-from ..numerics import holevo_g
+from ..numerics import holevo_g_excess
 
 __all__ = [
     "Gg02Params",
@@ -37,15 +41,17 @@ __all__ = [
     "optimal_modulation_variance",
 ]
 
-# The V_A search: its range in shot-noise units and its absolute tolerance
-# on V_A.  K is flat at an interior maximum, so a V_A within ~1e-6 leaves K
-# within float noise (~1e-12 absolute) of it; where K still rises at the top
-# of the range, the search stops within a few 1e-6 of it.  About 19
-# evaluations of K per search.
+# The V_A search: its range in shot-noise units, its first two points and its
+# relative tolerance on V_A.  It stops once a secant step would move V_A by
+# less than MODULATION_SEARCH_TOL * V_A, which leaves K within float noise
+# of an interior maximum; where K still rises at the top of the range, it
+# stops at the top.  About 7 evaluations of K and dK/dV_A per search.
 MODULATION_SEARCH_RANGE = (0.1, 100.0)
 MODULATION_SEARCH_TOL = 1e-6
-_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of a bracket
-_SQRT_EPS = math.sqrt(sys.float_info.epsilon)  # relative resolution of an argmax
+_SEARCH_START = (3.5, 5.0)  # near most optima of the package's links, 3.6-5.8 SNU
+_MAX_EVALUATIONS = 100  # a guard: accepted steps halve at least every other evaluation
+# (lambda3 - lambda4)^2 below 0 by at most this much times lambda3 + lambda4 - 2
+# is treated as rounding in a degenerate pair.
 DISCRIMINANT_TOL = 1e-9
 
 
@@ -73,43 +79,104 @@ class Gg02Params:
             raise ValueError("electronic noise must be >= 0")
 
 
-def _noise_terms(transmissivity, excess, receiver_eff, electronic):
+def _fraction_terms(transmissivity, excess, receiver_eff, electronic):
+    """I_AB, chi_BE and their slopes at one operating point, as one function of V_A.
+
+    With v = V_A + 1, u = 1 - T, chi_line = u/T + eps and the homodyne noise
+    chi_hom, the pairs of symplectic eigenvalues have the invariants
+    (Lodewyck et al., PRA 76, 042305, 2007)
+
+        A = (v u)^2 + 2T + T^2 chi_line (2v + chi_line),  sqrt(B) = T (v chi_line + 1),
+        C = [v sqrt(B) + T (v + chi_line) + A chi_hom] / den,
+        D = sqrt(B) [v + sqrt(B) chi_hom] / den,  den = T (v + chi_line) + chi_hom,
+
+    and lambda1 - lambda2 = |v u - T chi_line|.  Their distances from a
+    lossless, noiseless channel are sums of non-negative terms:
+
+        A - 2 = u V_A (u V_A + 2) + T eps (2u + 2vT + T eps),
+        sqrt(B) - 1 = u V_A + v T eps,
+        C - 2 = [T chi_line V_A (v + 1) + (A - 2) chi_hom] / den,
+        D - 1 = [T chi_line V_A (v + 1) + (B - 1) chi_hom] / den,
+
+    so each lambda - 1 follows without cancellation from the sum of its
+    pair, sqrt(A + 2 sqrt(B)) or sqrt(C + 2 sqrt(D)), and from that gap or
+    the product sqrt(D).  The terms that do not depend on V_A are computed
+    here, once, so a modulation-variance search pays for them once per
+    operating point.
+    """
     if not 0.0 < transmissivity <= 1.0:
         raise ValueError(f"channel transmissivity must be in (0, 1], got {transmissivity}")
-    chi_line = (1.0 - transmissivity) / transmissivity + excess
-    chi_hom = (1.0 - receiver_eff) / receiver_eff + electronic / receiver_eff
-    chi_tot = chi_line + chi_hom / transmissivity
-    return chi_line, chi_hom, chi_tot
-
-
-def _fraction_terms(transmissivity, excess, receiver_eff, electronic):
-    """I_AB(V_A) and chi_BE(V_A) at one operating point, as two functions of V_A.
-
-    The terms that do not depend on V_A are computed here, once, so a
-    modulation-variance search pays for them once per operating point.
-    """
-    chi_line, chi_hom, chi_tot = _noise_terms(transmissivity, excess, receiver_eff, electronic)
     t = transmissivity
-    one_minus_2t, two_t, t_sq, info_den = 1.0 - 2.0 * t, 2.0 * t, t * t, 1.0 + chi_tot
+    u = 1.0 - t
+    chi_line = u / t + excess
+    chi_hom = (1.0 - receiver_eff) / receiver_eff + electronic / receiver_eff
+    chi_tot = chi_line + chi_hom / t
+    t_chi, t_eps, info_den = t * chi_line, t * excess, 1.0 + chi_tot
+    info_slope = 0.5 / math.log(2.0)
 
-    def information(v_a: float) -> float:
+    def terms(v_a: float) -> tuple[float, float, float, float]:
+        """(I_AB, chi_BE, dI_AB/dV_A, dchi_BE/dV_A) in bits per pulse.
+
+        ``d1`` to ``d4`` are lambda1 - 1 to lambda4 - 1; a ``_v`` suffix
+        marks a derivative by V_A.
+        """
         v = v_a + 1.0
-        return 0.5 * math.log2((v + chi_tot) / info_den)
+        u_a = u * v_a
+        # first pair: A - 2, sqrt(B) - 1, then lambda1 + lambda2 - 2
+        a_m2 = u_a * (u_a + 2.0) + t_eps * (2.0 * (u + v * t) + t_eps)
+        a_m2_v = 2.0 * (u * (u_a + 1.0) + t * t_eps)
+        rb_m1 = u_a + v * t_eps
+        rb_m1_v = u + t_eps
+        sum_m4 = a_m2 + 2.0 * rb_m1
+        root = math.sqrt(4.0 + sum_m4)
+        sum12 = sum_m4 / (root + 2.0)
+        sum12_v = (a_m2_v + 2.0 * rb_m1_v) / (2.0 * root)
+        gap = v * u - t_chi
+        gap_v = u if gap >= 0.0 else -u
+        d1 = 0.5 * (sum12 + abs(gap))
+        d2 = (rb_m1 - d1) / (1.0 + d1)
+        # second pair: C - 2, D - 1, sqrt(D) - 1, then lambda3 + lambda4 - 2
+        # and (lambda3 - 1)(lambda4 - 1)
+        den = t * v + t_chi + chi_hom
+        shared = t_chi * v_a * (v + 1.0)
+        shared_v = 2.0 * v * t_chi
+        c_m2 = (shared + a_m2 * chi_hom) / den
+        c_m2_v = (shared_v + a_m2_v * chi_hom - t * c_m2) / den
+        d_m1 = (shared + rb_m1 * (rb_m1 + 2.0) * chi_hom) / den
+        d_m1_v = (shared_v + 2.0 * (rb_m1 + 1.0) * rb_m1_v * chi_hom - t * d_m1) / den
+        root = math.sqrt(1.0 + d_m1)
+        rd_m1 = d_m1 / (root + 1.0)
+        rd_m1_v = d_m1_v / (2.0 * root)
+        sum_m4 = c_m2 + 2.0 * rd_m1
+        root = math.sqrt(4.0 + sum_m4)
+        sum34 = sum_m4 / (root + 2.0)
+        sum34_v = (c_m2_v + 2.0 * rd_m1_v) / (2.0 * root)
+        prod34 = rd_m1 - sum34
+        prod34_v = rd_m1_v - sum34_v
+        disc = sum34 * sum34 - 4.0 * prod34  # (lambda3 - lambda4)^2
+        if disc < 0.0:
+            if disc < -DISCRIMINANT_TOL * sum34:
+                raise ValueError(f"negative symplectic discriminant: {disc}")
+            disc = 0.0
+        split = math.sqrt(disc)
+        d3 = 0.5 * (sum34 + split)
+        d4 = prod34 / d3 if d3 > 0.0 else 0.0
 
-    def holevo(v_a: float) -> float:
-        v = v_a + 1.0
-        a_inv = v * v * one_minus_2t + two_t + t_sq * (v + chi_line) ** 2
-        b_inv = (t * (v * chi_line + 1.0)) ** 2
-        root_b = math.sqrt(b_inv)
-        denom = t * (v + chi_tot)
-        c_inv = (v * root_b + t * (v + chi_line) + a_inv * chi_hom) / denom
-        d_inv = root_b * (v + root_b * chi_hom) / denom
+        g1, g1_v = holevo_g_excess(d1)
+        g2, g2_v = holevo_g_excess(d2)
+        g3, g3_v = holevo_g_excess(d3)
+        g4, g4_v = holevo_g_excess(d4)
+        # g'(l1) l1' + g'(l2) l2' with l1,2' = (sum12' +- gap') / 2, and
+        # likewise for the second pair, whose split' = (sum34 sum34' -
+        # 2 prod34') / split carries g'(l3) - g'(l4), 0 when split is 0
+        chi_v = 0.5 * (sum12_v * (g1_v + g2_v) + gap_v * (g1_v - g2_v)
+                       - sum34_v * (g3_v + g4_v))
+        if split > 0.0:
+            chi_v -= (sum34 * sum34_v - 2.0 * prod34_v) * (g3_v - g4_v) / (2.0 * split)
+        return (0.5 * math.log2((v + chi_tot) / info_den), g1 + g2 - g3 - g4,
+                info_slope / (v + chi_tot), chi_v)
 
-        lam1, lam2 = _sym_eigs(a_inv, b_inv)
-        lam3, lam4 = _sym_eigs(c_inv, d_inv)
-        return holevo_g(lam1) + holevo_g(lam2) - holevo_g(lam3) - holevo_g(lam4)
-
-    return information, holevo
+    return terms
 
 
 def mutual_information(
@@ -120,18 +187,7 @@ def mutual_information(
     electronic: float = 0.015,
 ) -> float:
     """Alice-Bob mutual information in bits per pulse (homodyne detection)."""
-    return _fraction_terms(transmissivity, excess, receiver_eff, electronic)[0](v_a)
-
-
-def _sym_eigs(a: float, b: float) -> tuple[float, float]:
-    """Symplectic eigenvalue pair from invariants (sum-square a, det b)."""
-    disc = a * a - 4.0 * b
-    if disc < 0.0:
-        if disc < -DISCRIMINANT_TOL * max(1.0, a * a):
-            raise ValueError(f"negative symplectic discriminant: {disc}")
-        disc = 0.0
-    root = math.sqrt(disc)
-    return math.sqrt((a + root) / 2.0), math.sqrt(max((a - root) / 2.0, 0.0))
+    return _fraction_terms(transmissivity, excess, receiver_eff, electronic)(v_a)[0]
 
 
 def holevo_bound(
@@ -142,86 +198,75 @@ def holevo_bound(
     electronic: float = 0.015,
 ) -> float:
     """Holevo information of the eavesdropper about Bob's measurement, bits/pulse."""
-    return _fraction_terms(transmissivity, excess, receiver_eff, electronic)[1](v_a)
+    return _fraction_terms(transmissivity, excess, receiver_eff, electronic)(v_a)[1]
 
 
 def _secret_fraction(transmissivity, excess, params: Gg02Params):
-    """K(V_A) = beta * I_AB - chi_BE at one operating point, as a function of V_A."""
-    information, holevo = _fraction_terms(
+    """V_A -> (K, dK/dV_A), K = beta * I_AB - chi_BE, at one operating point."""
+    terms = _fraction_terms(
         transmissivity, excess, params.receiver_efficiency, params.electronic_noise
     )
     beta = params.beta
 
-    def secret_fraction(v_a: float) -> float:
-        return beta * information(v_a) - holevo(v_a)
+    def secret_fraction(v_a: float) -> tuple[float, float]:
+        info, chi, info_v, chi_v = terms(v_a)
+        return beta * info - chi, beta * info_v - chi_v
 
     return secret_fraction
-
-
-def _brent_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Argmax of a unimodal function on [lo, hi] by Brent's method.
-
-    Each step moves to the vertex of the parabola through the three best
-    points so far, or takes a golden-section step into the larger side of
-    the bracket when that parabola is unusable or shrinks the bracket too
-    slowly (R. P. Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 5).  Returns the best point evaluated x and fn(x), once both
-    ends of the bracket around it lie within 2 * (tol + sqrt(eps) * |x|) of
-    it.
-    """
-    a, b = lo, hi
-    x = w = v = a + _GOLDEN_STEP * (b - a)
-    fx = fw = fv = fn(x)
-    d = e = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + tol
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return x, fx
-        p = q = r = 0.0
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if x + d - a < tol2 or b - (x + d) < tol2:
-                d = tol1 if x < m else -tol1
-        else:
-            e = (b if x < m else a) - x
-            d = _GOLDEN_STEP * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = fn(u)
-        if fu >= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
 
 
 def _best_modulation(
     transmissivity: float, excess: float, params: Gg02Params
 ) -> tuple[float, float]:
-    """(V_A, K(V_A)) at the secret fraction's maximum found by the V_A search."""
+    """(V_A, K(V_A)) at the secret fraction's maximum found by the V_A search.
+
+    Secant steps on dK/dV_A from ``_SEARCH_START``, inside the bracket [a, b]
+    that the slopes seen so far leave for the maximum.  A step that leaves
+    the bracket, or that is not shorter than half the step before last,
+    bisects the bracket instead, except that a step past a range end whose
+    slope is not yet known evaluates that end.  K is taken to be unimodal,
+    so a range end where K still rises towards the end is the maximum.
+    Returns the evaluated V_A with the largest K, and that K.
+    """
+    fraction = _secret_fraction(transmissivity, excess, params)
     lo, hi = MODULATION_SEARCH_RANGE
-    return _brent_max(_secret_fraction(transmissivity, excess, params), lo, hi,
-                      MODULATION_SEARCH_TOL)
+    a, b = lo, hi
+    a_seen = b_seen = False  # whether a and b are evaluated points
+    x, x_old, s_old = _SEARCH_START[0], None, None
+    step = step_old = math.inf
+    best_x, best_k = x, -math.inf
+    for _ in range(_MAX_EVALUATIONS):
+        k, s = fraction(x)
+        if k > best_k:
+            best_x, best_k = x, k
+        if s > 0.0:
+            if x == hi:
+                break
+            a, a_seen = max(a, x), True
+        elif s < 0.0:
+            if x == lo:
+                break
+            b, b_seen = min(b, x), True
+        else:
+            break
+        if x_old is None:
+            x_next = _SEARCH_START[1]
+        else:
+            x_next = x - s * (x - x_old) / (s - s_old) if s != s_old else 0.5 * (a + b)
+            if not a < x_next < b:
+                if x_next >= b and not b_seen:
+                    x_next = hi
+                elif x_next <= a and not a_seen:
+                    x_next = lo
+                else:
+                    x_next = 0.5 * (a + b)
+            elif abs(x_next - x) >= 0.5 * step_old:
+                x_next = 0.5 * (a + b)
+            step, step_old = abs(x_next - x), step
+            if step <= MODULATION_SEARCH_TOL * x:
+                break
+        x_old, s_old, x = x, s, x_next
+    return best_x, best_k
 
 
 def optimal_modulation_variance(
@@ -240,7 +285,7 @@ def gg02_rate_at(transmissivity: float, excess: float, params: Gg02Params) -> fl
     v_a = params.modulation_variance
     if v_a is None:
         return max(0.0, _best_modulation(transmissivity, excess, params)[1])
-    return max(0.0, _secret_fraction(transmissivity, excess, params)(v_a))
+    return max(0.0, _secret_fraction(transmissivity, excess, params)(v_a)[0])
 
 
 def gg02_rate(link: CvLinkBudget, params: Gg02Params) -> float:

@@ -8,8 +8,8 @@ evaluates once:
 
 * the model objects (Raman table, fiber plan, detectors, protocol
   parameters) and the room's two numbers, its line-of-sight gain and the
-  bulb background count, once per run, from the config as it is when the
-  run starts; a point hands the link builders only what its value
+  bulb background count, at most once per run, each when the run first
+  reads it; a point hands the link builders only what its value
   changes: an ``L0_km`` point a plan for its feeder
   (``DwdmPlan.with_feeder``, which checks only the feeder and shares the
   run's grids and feeder-independent Raman inputs), a
@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from .budget import (
-    DetectorParams,
     DwdmPlan,
     budget_setup1_fiber,
     budget_setup1_wireless,
@@ -72,7 +72,6 @@ from .protocols import (
     mdi_rate_spp,
     spp_bb84_rate,
 )
-from .raman import RamanCrossSectionTable
 
 __all__ = [
     "PROTOCOLS",
@@ -209,62 +208,64 @@ class NoiseBreakdownResult:
         )
 
 
-@dataclass(frozen=True)
 class _Model:
     """What user 1's links on one setup are built from, resolved once per run.
 
     ``h_dc`` is the room's line-of-sight gain and ``n_b1`` the bulb
     background per gate at the wavelength of the setup's room link;
     ``bulb`` is the light source behind ``n_b1``, None when the config
-    fixes the count.  ``links`` holds user 1's links at these values, by
-    the coherent flag, built on first use (``_model_links``).
+    fixes the count.  These and the protocol parameters are built on first
+    read, so a run builds only what its command reads: no ``noise`` run
+    builds protocol parameters, and a setup-1 one, which reports the fiber
+    link, never resolves the room.  ``links`` holds user 1's links at these
+    values, by the coherent flag, built on first use (``_model_links``).
     """
 
-    setup: int
-    h_dc: float
-    n_b1: float
-    bulb: BulbNoiseModel | None
-    plan: DwdmPlan
-    detectors: DetectorParams
-    table: RamanCrossSectionTable
-    coupling_loss_db: float
-    polarization_factor: float
-    rx_bandwidth_nm: float
-    eps_receiver_measured: float
-    bb84: Bb84Params
-    mdi: MdiParams
-    gg02: Gg02Params
-    dv_clock_hz: float
-    cv_clock_hz: float
-    links: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    def __init__(self, config: SimulationConfig, setup: int, case: int):
+        data = config.data
+        link = data["link"]
+        self.config, self.setup, self.case = config, setup, case
+        self.plan = config.plan()
+        self.detectors = config.detectors()
+        self.table = config.raman_table()
+        self.coupling_loss_db = link["coupling_loss_db"]
+        self.polarization_factor = link["polarization_factor"]
+        self.rx_bandwidth_nm = data["network"]["rx_bandwidth_nm"]
+        self.eps_receiver_measured = data["cv"]["eps_receiver_measured"]
+        self.dv_clock_hz = data["dv"]["clock_hz"]
+        self.cv_clock_hz = data["cv"]["clock_hz"]
+        self.links: dict = {}
 
+    @cached_property
+    def h_dc(self) -> float:
+        return los_dc_gain(self.config.scenario(self.case))
 
-def _model(config: SimulationConfig, setup: int, case: int) -> _Model:
-    """``config``'s model objects for user 1 on ``setup``, with the room in ``case``."""
-    data = config.data
-    plan = config.plan()
-    link = data["link"]
-    room_nm = link["wireless_wavelength_nm"] if setup == 1 else plan.quantum_nm[0]
-    fixed_n_b1 = data["bulb"]["n_b1_per_pulse"]
-    bulb = None if fixed_n_b1 is not None else config.bulb_model(room_nm)
-    return _Model(
-        setup=setup,
-        h_dc=los_dc_gain(config.scenario(case)),
-        n_b1=fixed_n_b1 if bulb is None else bulb_noise_count(bulb),
-        bulb=bulb,
-        plan=plan,
-        detectors=config.detectors(),
-        table=config.raman_table(),
-        coupling_loss_db=link["coupling_loss_db"],
-        polarization_factor=link["polarization_factor"],
-        rx_bandwidth_nm=data["network"]["rx_bandwidth_nm"],
-        eps_receiver_measured=data["cv"]["eps_receiver_measured"],
-        bb84=config.bb84_params(),
-        mdi=config.mdi_params(),
-        gg02=config.gg02_params(),
-        dv_clock_hz=data["dv"]["clock_hz"],
-        cv_clock_hz=data["cv"]["clock_hz"],
-    )
+    @cached_property
+    def bulb(self) -> BulbNoiseModel | None:
+        data = self.config.data
+        if data["bulb"]["n_b1_per_pulse"] is not None:
+            return None
+        room_nm = (data["link"]["wireless_wavelength_nm"] if self.setup == 1
+                   else self.plan.quantum_nm[0])
+        return self.config.bulb_model(room_nm)
+
+    @cached_property
+    def n_b1(self) -> float:
+        if self.bulb is None:
+            return self.config.data["bulb"]["n_b1_per_pulse"]
+        return bulb_noise_count(self.bulb)
+
+    @cached_property
+    def bb84(self) -> Bb84Params:
+        return self.config.bb84_params()
+
+    @cached_property
+    def mdi(self) -> MdiParams:
+        return self.config.mdi_params()
+
+    @cached_property
+    def gg02(self) -> Gg02Params:
+        return self.config.gg02_params()
 
 
 def _links(m: _Model, plan: DwdmPlan, coupling_loss_db: float, n_b1: float,
@@ -315,7 +316,7 @@ def _model_links(m: _Model, coherent: bool = False) -> tuple:
 def _evaluate_point(
     spec: SweepSpec, model: _Model, value: float, rates: dict | None = None
 ) -> SweepPoint:
-    """One row of ``spec`` at ``value``, on ``_model(config, spec.setup, spec.case)``.
+    """One row of ``spec`` at ``value``, on ``_Model(config, spec.setup, spec.case)``.
 
     ``rates`` maps each link budget to the rate already evaluated for it in
     this sweep, whose protocol and parameters are fixed; it is filled as
@@ -370,7 +371,7 @@ def _evaluate_point(
 
 def run_sweep(spec: SweepSpec, config: SimulationConfig) -> SweepResult:
     """Evaluate the sweep point by point and return rows sorted by value."""
-    model = _model(config, spec.setup, spec.case)
+    model = _Model(config, spec.setup, spec.case)
     rates: dict = {}
     rows = sorted(
         (_evaluate_point(spec, model, v, rates) for v in spec.values()), key=lambda r: r.value
@@ -396,7 +397,7 @@ def noise_breakdown(
     """
     if setup not in SETUPS:
         raise ValueError(f"setup must be one of {list(SETUPS)}, got {setup}")
-    model = _model(config, setup, config.data["case"])
+    model = _Model(config, setup, config.data["case"])
     rows = []
     for l0 in sorted(l0_values_km):
         plan = model.plan.with_feeder(float(l0))
@@ -424,7 +425,7 @@ def dv_cv_crossover(config: SimulationConfig, setup: int = 2) -> float:
     """
     if setup not in COHERENT_SETUPS:
         raise ValueError(f"the crossover compares setups {list(COHERENT_SETUPS)}, not {setup}")
-    model = _model(config, setup, config.data["case"])
+    model = _Model(config, setup, config.data["case"])
     dv_rate = min(ds_bb84_rate(link, model.bb84) for link in _model_links(model))
     cv_rate = min(gg02_rate(link, model.gg02) for link in _model_links(model, coherent=True))
     cv_bps = cv_rate * model.cv_clock_hz

@@ -3,9 +3,9 @@
 Everything in here re-derives expected values without calling the package
 code under test: Monte-Carlo click simulations for the BB84 and MDI
 acceptance formulas, a covariance-matrix computation of the CV Holevo
-bound, a golden-section search for the CV modulation variance, a 30-term
-Bessel series, and a from-scratch summation of the per-channel Raman
-noise totals.
+bound and a 50-digit one from its invariants, a golden-section search for
+the CV modulation variance, a 30-term Bessel series, and a from-scratch
+summation of the per-channel Raman noise totals.
 """
 
 from __future__ import annotations
@@ -232,6 +232,56 @@ def holevo_bound_cm(v_a, transmissivity, excess, receiver_eff, electronic):
     conditional = sigma_keep - cross @ pseudo @ cross.T
     entropy_cond = sum(_g_entropy(x) for x in _symplectic_eigerrvalues(conditional))
     return entropy_e - entropy_cond
+
+
+def holevo_bound_mp(v_a, transmissivity, excess, receiver_eff, electronic, digits=50):
+    """Eve's information in bits from the invariant formulas, in ``digits``-digit arithmetic.
+
+    The textbook route (Lodewyck et al., PRA 76, 042305, 2007): each pair of
+    symplectic eigenvalues from its invariants, lambda^2 = (A +- sqrt(A^2 -
+    4B)) / 2.  Its cancellations cost at most ~32 digits near a lossless,
+    noiseless channel, so 50 digits leave the result exact to double
+    precision.  The inputs are taken as the exact values of their floats.
+    """
+    import mpmath  # here, not at the top: bench/checks.py imports this module
+
+    with mpmath.workdps(digits):
+        v_a, t, eps, eta, v_el = (mpmath.mpf(x) for x in (
+            v_a, transmissivity, excess, receiver_eff, electronic))
+        v = v_a + 1
+        chi_line = (1 - t) / t + eps
+        chi_hom = (1 - eta) / eta + v_el / eta
+        a = v * v * (1 - 2 * t) + 2 * t + t * t * (v + chi_line) ** 2
+        root_b = t * (v * chi_line + 1)
+        den = t * (v + chi_line) + chi_hom
+        c = (v * root_b + t * (v + chi_line) + a * chi_hom) / den
+        root_d = mpmath.sqrt(root_b * (v + root_b * chi_hom) / den)
+
+        def pair(s, p):
+            root = mpmath.sqrt(s * s - 4 * p * p)
+            return mpmath.sqrt((s + root) / 2), mpmath.sqrt((s - root) / 2)
+
+        def g(x):
+            if x <= 1:
+                return mpmath.mpf(0)
+            return ((x + 1) / 2 * mpmath.log((x + 1) / 2, 2)
+                    - (x - 1) / 2 * mpmath.log((x - 1) / 2, 2))
+
+        lam1, lam2 = pair(a, root_b)
+        lam3, lam4 = pair(c, root_d)
+        return g(lam1) + g(lam2) - g(lam3) - g(lam4)
+
+
+def secret_fraction_mp(v_a, transmissivity, excess, beta, receiver_eff, electronic, digits=50):
+    """beta * I_AB - chi_BE in bits, in ``digits``-digit arithmetic; V_A may be an mpf."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        t, eps, eta, v_el = (mpmath.mpf(x) for x in (transmissivity, excess, receiver_eff,
+                                                     electronic))
+        chi_tot = (1 - t) / t + eps + ((1 - eta) / eta + v_el / eta) / t
+        info = mpmath.log((mpmath.mpf(v_a) + 1 + chi_tot) / (1 + chi_tot), 2) / 2
+        return beta * info - holevo_bound_mp(v_a, t, eps, eta, v_el, digits)
 
 
 def golden_section_max(fn, lo: float, hi: float, tol: float) -> float:

@@ -47,8 +47,9 @@ DV_SETUP1_CLOCK = ["sweep", "--setup", "1", "--protocol", "DS-BB84", "--var", "c
     (DV_SETUP2_COUPLING, {"budget.raman_totals.calls": 1, "budget.calls": 3, "owc.calls": 2}),
     # a clock only scales the rate: each of the two links is rated once
     (DV_SETUP1_CLOCK, {"budget.raman_totals.calls": 1, "protocols.rate.calls": 2}),
-    # setup 1 reports its fiber link only, so it builds no wireless budget
-    (NOISE_SETUP1, {"budget.calls": 3}),
+    # setup 1 reports its fiber link only, so it builds no wireless budget and
+    # resolves no room
+    (NOISE_SETUP1, {"budget.calls": 3, "owc.calls": 0}),
 ])
 def test_group_call_counts(tmp_path, capsys, argv, expected):
     tracer = spans.Tracer()

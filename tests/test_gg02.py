@@ -1,8 +1,11 @@
 """Coherent-state CV-QKD rate: mutual information, Holevo bound, optimizer."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkd_access.budget import CvLinkBudget
@@ -13,16 +16,24 @@ from qkd_access.protocols import (
     holevo_bound,
     mutual_information,
 )
+from qkd_access.protocols import gg02
 from qkd_access.protocols.gg02 import (
     MODULATION_SEARCH_RANGE,
     _secret_fraction,
     optimal_modulation_variance,
 )
 
-from oracles import golden_section_max, holevo_bound_cm
+from oracles import golden_section_max, holevo_bound_cm, holevo_bound_mp, secret_fraction_mp
 
 NOMINAL = Gg02Params()
 RECEIVER = dict(receiver_eff=0.6, electronic=0.015)
+
+# T over the whole range and down to 1 - 1e-16 (the float below 1), eps over
+# the whole range and down to 1e-12, and both exactly 1 and 0
+TRANSMISSIVITIES = st.one_of(st.floats(1e-3, 1.0), st.just(1.0),
+                             st.floats(-16.0, -1.0).map(lambda x: 1.0 - 10.0 ** x))
+EXCESS_NOISES = st.one_of(st.floats(0.0, 0.2), st.just(0.0),
+                          st.floats(-12.0, -1.0).map(lambda x: 10.0 ** x))
 
 
 class TestMutualInformation:
@@ -58,6 +69,17 @@ class TestHolevoBound:
             closed = holevo_bound(v_a, t, eps, **RECEIVER)
             oracle = holevo_bound_cm(v_a, t, eps, 0.6, 0.015)
             assert closed == pytest.approx(oracle, abs=1e-8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=TRANSMISSIVITIES, eps=EXCESS_NOISES, v_a=st.floats(0.1, 100.0))
+    def test_matches_50_digit_reference(self, t, eps, v_a):
+        # the bound is below 1e-9 bits and below the worst error of the former
+        # discriminant forms in every band of T: 7e-13 bits for T <= 0.9, 8e-10
+        # up to 1 - 1e-6 and 1.9e-7 above, where they also raised
+        got = holevo_bound(v_a, t, eps, **RECEIVER)
+        assert abs(got - float(holevo_bound_mp(v_a, t, eps, 0.6, 0.015))) <= 5e-13
+        k, slope = _secret_fraction(t, eps, NOMINAL)(v_a)
+        assert math.isfinite(k) and math.isfinite(slope)
 
     def test_non_negative(self):
         rng = np.random.default_rng(8)
@@ -131,34 +153,105 @@ class TestOptimizer:
         # the reference is the golden-section search with a 1e-4 bracket; an
         # absolute bound, because K's own float noise near V_A = 100 is ~1e-12
         params = Gg02Params(beta=beta)
-        k = _secret_fraction(t, eps, params)
-        try:
-            reference = max(0.0, k(golden_section_max(k, *MODULATION_SEARCH_RANGE, 1e-4)))
-        except ValueError:
-            # K itself is undefined at some V_A here; that defect has its own
-            # test, test_near_lossless_channel_has_a_rate
-            assume(False)
-        # outside the try: a raise in the shipped search alone is a failure
+        fraction = _secret_fraction(t, eps, params)
+
+        def k(v_a):
+            return fraction(v_a)[0]
+
+        reference = max(0.0, k(golden_section_max(k, *MODULATION_SEARCH_RANGE, 1e-4)))
         assert gg02_rate_at(t, eps, params) >= reference - 1e-10
 
     @settings(max_examples=200, deadline=None)
-    @given(t=st.floats(1e-3, 1.0), eps=st.floats(0.0, 0.2),
+    @given(t=TRANSMISSIVITIES, eps=EXCESS_NOISES,
            beta=st.sampled_from((0.9, 0.95, 0.98, 1.0)))
     def test_rate_is_k_at_the_searched_variance(self, t, eps, beta):
         # the rate reuses the search's best K instead of evaluating K again
         params = Gg02Params(beta=beta)
-        try:
-            v_a = optimal_modulation_variance(t, eps, params)
-        except ValueError:
-            assume(False)  # K undefined at some V_A: test_near_lossless_channel_has_a_rate
-        want = max(0.0, _secret_fraction(t, eps, params)(v_a))
+        v_a = optimal_modulation_variance(t, eps, params)
+        want = max(0.0, _secret_fraction(t, eps, params)(v_a)[0])
         assert gg02_rate_at(t, eps, params) == pytest.approx(want, rel=0.0, abs=0.0)
 
-    @pytest.mark.xfail(strict=True, raises=ValueError, reason=(
-        "with T within ~1e-7 of 1 and excess noise below ~1e-9, rounding in the "
-        "symplectic discriminants puts an eigenvalue below holevo_g's 1e-9 clamp"))
     def test_near_lossless_channel_has_a_rate(self):
         assert gg02_rate_at(1.0, 1e-12, NOMINAL) >= 0.0
+
+    # GG02 links of setups 1-2 over the coupling-loss (0-30 dB) and feeder
+    # (0.5-100 km) ranges of the bench's cv workload, as (T, eps), from the
+    # lowest transmissivity to the highest
+    CV_LINKS = [
+        (0.0002263, 14.74), (0.0008594, 3.93), (0.001372, 2.452), (0.001942, 1.729),
+        (0.002631, 1.269), (0.003451, 0.9714), (0.004589, 0.7285), (0.006082, 0.5501),
+        (0.007888, 0.4251), (0.009872, 0.342), (0.01265, 0.2654), (0.01544, 0.2177),
+        (0.0193, 0.174), (0.02291, 0.1464), (0.0277, 0.121), (0.0329, 0.1018),
+        (0.04258, 0.07857), (0.05612, 0.06114), (0.0733, 0.04721), (0.09692, 0.03446),
+        (0.1241, 0.02859), (0.1664, 0.02175), (0.2447, 0.01363), (0.8775, 0.004768),
+    ]
+
+    def test_evaluations_per_search(self, monkeypatch):
+        # Brent's search on K alone took 19.4 evaluations per search here
+        evaluated = []
+
+        def counting(*args):
+            fraction = _secret_fraction(*args)
+
+            def counted(v_a):
+                evaluated.append(v_a)
+                return fraction(v_a)
+            return counted
+
+        monkeypatch.setattr(gg02, "_secret_fraction", counting)
+        for t, eps in self.CV_LINKS:
+            gg02_rate_at(t, eps, NOMINAL)
+        assert len(evaluated) / len(self.CV_LINKS) <= 10
+
+
+class TestSlope:
+    """dK/dV_A against a central difference of K in 50-digit arithmetic."""
+
+    @staticmethod
+    def central_difference(v_a, t, eps, beta=NOMINAL.beta):
+        h = mpmath.mpf("1e-12")
+
+        def k(x):
+            return secret_fraction_mp(x, t, eps, beta, 0.6, 0.015)
+
+        with mpmath.workdps(50):
+            return float((k(mpmath.mpf(v_a) + h) - k(mpmath.mpf(v_a) - h)) / (2 * h))
+
+    @pytest.mark.parametrize("t,eps", [(0.25, 0.01), (0.05, 0.05), (0.5, 0.002), (0.9, 0.0)])
+    def test_near_the_optimum(self, t, eps):
+        v_a = optimal_modulation_variance(t, eps, NOMINAL)
+        v_a += 1e-3 * v_a  # off the root, where the slope is small but not 0
+        slope = _secret_fraction(t, eps, NOMINAL)(v_a)[1]
+        assert slope == pytest.approx(self.central_difference(v_a, t, eps), rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("v_a", MODULATION_SEARCH_RANGE)
+    @pytest.mark.parametrize("t,eps", [(0.5, 0.002), (0.01, 0.05), (1e-3, 0.2)])
+    def test_at_the_range_ends(self, v_a, t, eps):
+        slope = _secret_fraction(t, eps, NOMINAL)(v_a)[1]
+        assert slope == pytest.approx(self.central_difference(v_a, t, eps), rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("t,eps,v_a", [
+        (1.0 - 1e-12, 0.0, 4.0), (1.0 - 1e-7, 1e-10, 50.0), (1.0 - 2.0**-53, 0.0, 0.1),
+    ])
+    def test_near_lossless(self, t, eps, v_a):
+        slope = _secret_fraction(t, eps, NOMINAL)(v_a)[1]
+        assert slope == pytest.approx(self.central_difference(v_a, t, eps), rel=1e-9, abs=1e-15)
+
+    # lambda1 - lambda2 = |v (1 - T) - T chi_line|: below, at (to rounding) and
+    # above the V_A where the two swap
+    @pytest.mark.parametrize("t,eps,v_a", [(0.99, 0.01, 0.5), (0.99, 0.01, 0.99),
+                                           (0.99, 0.01, 2.0), (0.9, 0.1, 0.1)])
+    def test_around_the_first_pair_crossing(self, t, eps, v_a):
+        slope = _secret_fraction(t, eps, NOMINAL)(v_a)[1]
+        assert slope == pytest.approx(self.central_difference(v_a, t, eps), rel=1e-9, abs=1e-15)
+
+    def test_at_unit_eigenvalues(self):
+        # T = 1 and eps = 0 put lambda1 = lambda2 = 1 exactly, where g' is
+        # infinite and g is 0: their terms are 0, not NaN
+        for v_a in (0.1, 3.0, 100.0):
+            slope = _secret_fraction(1.0, 0.0, NOMINAL)(v_a)[1]
+            assert slope == pytest.approx(self.central_difference(v_a, 1.0, 0.0), rel=1e-9,
+                                          abs=1e-15)
 
 
 class TestParamsValidation:

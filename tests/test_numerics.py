@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from qkd_access.numerics import (
     db_to_linear,
     geomspace,
     holevo_g,
+    holevo_g_excess,
     linear_to_db,
     linspace,
 )
@@ -68,6 +70,23 @@ class TestHolevoG:
     def test_rejects_below_tolerance(self):
         with pytest.raises(ValueError):
             holevo_g(1.0 - 1e-6)
+
+    @pytest.mark.parametrize("delta", [1e-300, 1e-17, 1e-9, 0.5, 2.0, 99.0])
+    def test_excess_form(self, delta):
+        # g(1 + delta) and g'(1 + delta) = log2((2 + delta) / delta) / 2, at 50 digits
+        d = mpmath.mpf(delta)
+        with mpmath.workdps(50):
+            up = mpmath.log1p(d / 2) / mpmath.log(2)
+            g = (1 + d / 2) * up - d / 2 * mpmath.log(d / 2, 2)
+            slope = (up - mpmath.log(d / 2, 2)) / 2
+        got = holevo_g_excess(delta)
+        assert got[0] == pytest.approx(float(g), rel=1e-14, abs=0.0)
+        assert got[1] == pytest.approx(float(slope), rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-10, 5e-324])
+    def test_excess_at_unit_eigenvalue(self, delta):
+        # g'(1) is infinite; it reads 0 like g(1), so g'(x) dx/dV reads 0 there
+        assert holevo_g_excess(delta) == (0.0, 0.0)
 
 
 class TestBesselI0:

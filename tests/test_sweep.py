@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qkd_access import budget
+from qkd_access import budget, sweep
 from qkd_access.budget import DwdmPlan
 from qkd_access import (
     CvLinkBudget,
@@ -29,7 +29,7 @@ from qkd_access import (
     run_sweep,
 )
 from qkd_access.raman import RamanCrossSectionTable, builtin_cross_section_table
-from qkd_access.sweep import _SETUP_PROTOCOLS, SWEEP_VARIABLES, _evaluate_point, _model
+from qkd_access.sweep import _SETUP_PROTOCOLS, SWEEP_VARIABLES, _evaluate_point, _Model
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
 
@@ -43,7 +43,7 @@ def default_config(**overrides):
 
 
 def resolved(spec, cfg):
-    return _model(cfg, spec.setup, spec.case)
+    return _Model(cfg, spec.setup, spec.case)
 
 
 def small_spec(**kwargs):
@@ -288,6 +288,29 @@ class TestPerPlanWork:
         assert as_int == as_float
 
 
+class TestNoiseBuildsWhatItReads:
+    @pytest.mark.parametrize("setup,gains", [(1, 0), (2, 1), (3, 1), (4, 1)])
+    def test_room_resolved_where_the_row_reads_it(self, monkeypatch, setup, gains):
+        # setup 1 reports its fiber link, which no room quantity enters
+        cfg = default_config()
+        calls = []
+        monkeypatch.setattr(sweep, "los_dc_gain", counted(calls, los_dc_gain))
+        monkeypatch.setattr(SimulationConfig, "bulb_model",
+                            counted(calls, SimulationConfig.bulb_model))
+        noise_breakdown(setup, cfg, [1.0, 10.0, 50.0])
+        assert len(calls) == 2 * gains
+
+    def test_no_protocol_parameters(self, monkeypatch):
+        cfg = default_config()
+        built = []
+        for name in ("bb84_params", "mdi_params", "gg02_params"):
+            monkeypatch.setattr(SimulationConfig, name,
+                                counted(built, getattr(SimulationConfig, name)))
+        for setup in _SETUP_PROTOCOLS:
+            noise_breakdown(setup, cfg, [10.0])
+        assert built == []
+
+
 class TestSetupOneComposition:
     def test_rows_report_min_of_links(self):
         cfg = default_config()
@@ -345,7 +368,7 @@ class TestBackgroundSweep:
     def test_modelled_noise_as_background_reproduces_rate(self, setup, protocol, coupling_loss_db):
         cfg = default_config(link={"coupling_loss_db": coupling_loss_db})
         grid = dict(setup=setup, protocol=protocol, case=3, points=2)
-        model = _model(cfg, setup, 3)
+        model = _Model(cfg, setup, 3)
         modelled = _evaluate_point(
             SweepSpec(variable="coupling_loss_db", start=0.0, stop=30.0, **grid),
             model, coupling_loss_db,
