@@ -149,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,9 @@ network (32 users, 100 GHz DWDM grid in the C band, 10 km feeder, 500 m
 drops) and the nominal device parameters, so an empty config file
 reproduces the reference operating point.  A JSON file with the same
 nesting overrides any subset; CLI flags override single keys by dotted
-path (``dv.mu=0.4``).  ``case`` selects one of the transmitter placements
-of ``owc.CASE_PRESETS``.
+path (``dv.mu=0.4``, a JSON value).  An override must have its default's
+kind (``_KINDS``); a bad one's error starts with its dotted key.  ``case``
+selects one of the transmitter placements of ``owc.CASE_PRESETS``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 from .budget import DetectorParams, DwdmPlan
@@ -101,11 +102,34 @@ DEFAULTS: dict = {
 }
 
 
+def _finite(value) -> bool:
+    """An int or float, not a bool, within float range: not NaN, inf or a 400-digit int."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and (
+        abs(value) <= sys.float_info.max)
+
+
+# Each leaf kind's name and test.  A leaf takes its default's kind, and a leaf
+# whose default is None takes null or the kind that ``_NULL_LEAF_KINDS`` declares.
+_KINDS = {
+    bool: ("a boolean", lambda value: isinstance(value, bool)),
+    int: ("an integer", lambda value: isinstance(value, int) and _finite(value)),
+    float: ("a finite number", _finite),
+    list: ("a list of finite numbers", lambda value: isinstance(value, (list, tuple))
+           and all(map(_finite, value))),
+    str: ("a file path", lambda value: isinstance(value, str)),
+}
+_NULL_LEAF_KINDS = {
+    "room.tx_x_m": float, "room.tx_y_m": float, "room.tx_semi_angle_deg": float,
+    "bulb.n_b1_per_pulse": float, "cv.modulation_variance_snu": float,
+    "network.quantum_nm": list, "network.data_nm": list, "raman_table.path": str,
+}
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     """``base`` with ``override`` merged in, as a new dict.
 
     Each key of ``override`` must name a section of ``base`` where it holds
-    a dict and a value of ``base`` where it does not; errors name the
+    a dict, and else a value of ``base`` whose kind it has; errors name the
     dotted key.  The sections of ``base`` are copied and its leaves shared:
     every ``DEFAULTS`` leaf is an immutable scalar, None or bool, so editing
     the result in place never reaches ``base``.
@@ -118,15 +142,12 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(base[key], dict) != isinstance(value, dict):
             kind = "a section" if isinstance(base[key], dict) else "a value"
             raise ConfigError(f"{here} must be {kind}, got {value!r}")
+        if not isinstance(value, dict):
+            kind, fits = _KINDS[_NULL_LEAF_KINDS[here] if base[key] is None else type(base[key])]
+            if not (fits(value) or base[key] is None and value is None):
+                raise ConfigError(f"{here} must be {kind}, got {value!r}")
         out[key] = _merge(base[key], value, here) if isinstance(value, dict) else value
     return out
-
-
-def _parse_override_value(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
 
 
 def read_overrides(path: str | None) -> dict:
@@ -147,13 +168,17 @@ def apply_assignments(overrides: dict, assignments: list[str]) -> dict:
     """``overrides`` with ``section.key=value`` assignments set in place, later ones winning.
 
     The result is still to be merged by ``SimulationConfig.from_dict``,
-    which checks the paths.
+    which checks each path and kind.
     """
     for item in assignments:
         if "=" not in item:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         dotted, text = item.split("=", 1)
-        set_leaf(overrides, dotted, _parse_override_value(text))
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text  # a bare word is a string
+        set_leaf(overrides, dotted, value)
     return overrides
 
 
@@ -168,23 +193,6 @@ def set_leaf(overrides: dict, dotted: str, value) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"{key} must be a section, got {node!r}")
     node[leaf] = value
-
-
-def _non_finite(node, path: str = "") -> str | None:
-    """Dotted path of the first NaN or infinite number in ``node``, or None."""
-    if isinstance(node, float):
-        return None if math.isfinite(node) else path
-    if isinstance(node, dict):
-        items = ((f"{path}.{key}" if path else key, value) for key, value in node.items())
-    elif isinstance(node, (list, tuple)):
-        items = ((f"{path}[{i}]", value) for i, value in enumerate(node))
-    else:
-        return None
-    for here, value in items:
-        bad = _non_finite(value, here)
-        if bad is not None:
-            return bad
-    return None
 
 
 @dataclass
@@ -215,9 +223,6 @@ class SimulationConfig:
         return SimulationConfig.from_dict(apply_assignments(copy.deepcopy(self.data), assignments))
 
     def validate(self):
-        bad = _non_finite(self.data)
-        if bad is not None:
-            raise ConfigError(f"{bad} must be a finite number")
         try:
             self.scenario()  # also rejects an unknown case
             self.plan()
@@ -240,17 +245,11 @@ class SimulationConfig:
                 raise ConfigError("cv.clock_hz must be >= 0")
             if not 0 <= self.data["link"]["polarization_factor"] <= 1:
                 raise ConfigError("link.polarization_factor must be in [0, 1]")
-            table = self.data["raman_table"]
-            if table["path"] is not None and not isinstance(table["path"], str):
-                raise ConfigError(f"raman_table.path must be a file path, got {table['path']!r}")
-            pump = table["reference_pump_nm"]
-            if isinstance(pump, bool) or not isinstance(pump, (int, float)) or pump <= 0:
-                raise ConfigError(
-                    f"raman_table.reference_pump_nm must be a number > 0, got {pump!r}"
-                )
+            if self.data["raman_table"]["reference_pump_nm"] <= 0:
+                raise ConfigError("raman_table.reference_pump_nm must be > 0")
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     @property

@@ -3,9 +3,9 @@
 Everything in here re-derives expected values without calling the package
 code under test: Monte-Carlo click simulations for the BB84 and MDI
 acceptance formulas, a covariance-matrix computation of the CV Holevo
-bound and a 50-digit one from its invariants, a golden-section search for
-the CV modulation variance, a 30-term Bessel series, and a from-scratch
-summation of the per-channel Raman noise totals.
+bound and one from its invariants in exact arithmetic, a golden-section
+search for the CV modulation variance, a 30-term Bessel series, and a
+from-scratch summation of the per-channel Raman noise totals.
 """
 
 from __future__ import annotations
@@ -235,31 +235,47 @@ def holevo_bound_cm(v_a, transmissivity, excess, receiver_eff, electronic):
 
 
 def holevo_bound_mp(v_a, transmissivity, excess, receiver_eff, electronic, digits=50):
-    """Eve's information in bits from the invariant formulas, in ``digits``-digit arithmetic.
+    """Eve's information in bits from the invariant formulas, exact but for roots and logs.
 
     The textbook route (Lodewyck et al., PRA 76, 042305, 2007): each pair of
     symplectic eigenvalues from its invariants, lambda^2 = (A +- sqrt(A^2 -
-    4B)) / 2.  Its cancellations cost at most ~32 digits near a lossless,
-    noiseless channel, so 50 digits leave the result exact to double
-    precision.  The inputs are taken as the exact values of their floats.
+    4B)) / 2.  At T = 1 each discriminant A^2 - 4B is about 4 eps^2 against
+    A^2 = 4, so its cancellation costs about 2 log10(1/eps) digits: over
+    600 for the smallest floats, and at T = 1, eps = 0 it is exactly 0.  No
+    fixed precision resolves that, so the invariants and discriminants are
+    computed exactly, as rationals of the inputs' exact values (a float or
+    an mpf), and never clamped; only the square roots and logarithms round,
+    at ``digits`` digits.  What cancels after that, (A - sqrt(A^2 - 4B)) / 2
+    and lambda - 1 inside g, leaves at 50 digits an error far below 1e-40
+    bits.
     """
+    from fractions import Fraction
+
     import mpmath  # here, not at the top: bench/checks.py imports this module
 
-    with mpmath.workdps(digits):
-        v_a, t, eps, eta, v_el = (mpmath.mpf(x) for x in (
-            v_a, transmissivity, excess, receiver_eff, electronic))
-        v = v_a + 1
-        chi_line = (1 - t) / t + eps
-        chi_hom = (1 - eta) / eta + v_el / eta
-        a = v * v * (1 - 2 * t) + 2 * t + t * t * (v + chi_line) ** 2
-        root_b = t * (v * chi_line + 1)
-        den = t * (v + chi_line) + chi_hom
-        c = (v * root_b + t * (v + chi_line) + a * chi_hom) / den
-        root_d = mpmath.sqrt(root_b * (v + root_b * chi_hom) / den)
+    def exact(x):
+        if isinstance(x, mpmath.mpf):  # as it is: mpmath.mpf(x) would round it
+            man, exp = x.man_exp
+            return Fraction(man) * Fraction(2) ** exp
+        return Fraction(x)
 
-        def pair(s, p):
-            root = mpmath.sqrt(s * s - 4 * p * p)
-            return mpmath.sqrt((s + root) / 2), mpmath.sqrt((s - root) / 2)
+    v_a, t, eps, eta, v_el = map(exact, (v_a, transmissivity, excess, receiver_eff, electronic))
+    v = v_a + 1
+    chi_line = (1 - t) / t + eps
+    chi_hom = (1 - eta) / eta + v_el / eta
+    a = v * v * (1 - 2 * t) + 2 * t + t * t * (v + chi_line) ** 2
+    root_b = t * (v * chi_line + 1)
+    den = t * (v + chi_line) + chi_hom
+    c = (v * root_b + t * (v + chi_line) + a * chi_hom) / den
+    d = root_b * (v + root_b * chi_hom) / den
+
+    with mpmath.workdps(digits):
+        def to_mp(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        def pair(s, p_squared):
+            root = mpmath.sqrt(to_mp(s * s - 4 * p_squared))  # complex if ever negative
+            return mpmath.sqrt((to_mp(s) + root) / 2), mpmath.sqrt((to_mp(s) - root) / 2)
 
         def g(x):
             if x <= 1:
@@ -267,8 +283,8 @@ def holevo_bound_mp(v_a, transmissivity, excess, receiver_eff, electronic, digit
             return ((x + 1) / 2 * mpmath.log((x + 1) / 2, 2)
                     - (x - 1) / 2 * mpmath.log((x - 1) / 2, 2))
 
-        lam1, lam2 = pair(a, root_b)
-        lam3, lam4 = pair(c, root_d)
+        lam1, lam2 = pair(a, root_b * root_b)
+        lam3, lam4 = pair(c, d)
         return g(lam1) + g(lam2) - g(lam3) - g(lam4)
 
 

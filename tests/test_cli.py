@@ -1,24 +1,57 @@
 """Command-line interface behavior and exit codes."""
 
+import contextlib
 import copy
+import io
 import json
+import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkd_access.cli import main
 from qkd_access.config import DEFAULTS, ConfigError, SimulationConfig
+from qkd_access.sweep import _SETUP_PROTOCOLS, SWEEP_VARIABLES
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TABLE_LINES = ["lambda_q_nm,gamma_per_km_nm"] + [f"{w:.1f},1.0e-11" for w in range(1300, 1801, 10)]
+HUGE = int("1" * 400)  # an int beyond float range
+PUMP_ERRORS = {
+    '"abc"': "raman_table.reference_pump_nm must be a finite number, got 'abc'",
+    "null": "raman_table.reference_pump_nm must be a finite number, got None",
+    "0": "raman_table.reference_pump_nm must be > 0",
+}
+SWEEP_L0 = ("sweep", "--setup", "2", "--protocol", "DS-BB84", "--var", "L0_km", "--start", "1",
+            "--stop", "30", "--points", "3")
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def _leaves(tree, prefix=""):
+    """(dotted key, value) of every leaf of a nested dict."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def _nested(dotted, value):
+    """The override dict that sets the leaf ``dotted`` to ``value``."""
+    *sections, leaf = dotted.split(".")
+    tree = {leaf: value}
+    for section in reversed(sections):
+        tree = {section: tree}
+    return tree
 
 
 class TestValidateConfig:
@@ -83,12 +116,8 @@ class TestValidateConfig:
         assert run_cli("validate-config") == 0
         assert sha() != with_set
 
-    @pytest.mark.parametrize("pump", ['"abc"', "null", "0"])
-    @pytest.mark.parametrize("command", [
-        ("validate-config",),
-        ("sweep", "--setup", "2", "--protocol", "DS-BB84", "--var", "L0_km", "--start", "1",
-         "--stop", "30", "--points", "2"),
-    ])
+    @pytest.mark.parametrize("pump", list(PUMP_ERRORS))
+    @pytest.mark.parametrize("command", [("validate-config",), SWEEP_L0])
     def test_bad_reference_pump_fails(self, tmp_path, capsys, command, pump):
         table = tmp_path / "table.csv"
         lines = ["lambda_q_nm,gamma_per_km_nm"] + [f"{w:.1f},1.0e-11" for w in range(1300, 1801, 10)]
@@ -98,7 +127,7 @@ class TestValidateConfig:
         code = run_cli(*args, "--table", str(table),
                        "--set", f"raman_table.reference_pump_nm={pump}")
         assert code == 2
-        assert "reference_pump_nm must be a number > 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {PUMP_ERRORS[pump]}\n"
         assert not out.exists()
 
     def test_bad_bulb_model_fails_with_fixed_count(self, capsys):
@@ -137,6 +166,25 @@ class TestValidateConfig:
     def test_bad_set_paths_name_the_key(self, capsys, assignment, message):
         assert run_cli("validate-config", "--set", assignment) == 2
         assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize("command,assignment,message", [
+        (("validate-config",), "dv.mu=true", "dv.mu must be a finite number, got True"),
+        (("validate-config",), "dv.fast_detectors=3", "dv.fast_detectors must be a boolean, got 3"),
+        (SWEEP_L0, "case=true", "case must be an integer, got True"),
+        (("validate-config",), 'network.n_users="32"',
+         "network.n_users must be an integer, got '32'"),
+        (("validate-config",), f"room.x_m={HUGE}", f"room.x_m must be a finite number, got {HUGE}"),
+        (("validate-config",), f"network.n_users={HUGE}",
+         f"network.n_users must be an integer, got {HUGE}"),
+        (SWEEP_L0, f"dv.clock_hz={HUGE}", f"dv.clock_hz must be a finite number, got {HUGE}"),
+    ], ids=["mu-bool", "fast_detectors-int", "case-bool", "n_users-str", "x_m-huge",
+            "n_users-huge", "clock_hz-huge"])
+    def test_wrong_kind_names_the_key(self, tmp_path, capsys, command, assignment, message):
+        out = tmp_path / "rates.csv"
+        args = (*command, "--out", str(out)) if command[0] == "sweep" else command
+        assert run_cli(*args, "--set", assignment) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_non_string_table_path_rejected(self):
         # a JSON 0 would otherwise open file descriptor 0, standard input
@@ -198,6 +246,30 @@ class TestMerge:
         with pytest.raises(ConfigError, match=message):
             SimulationConfig.from_dict(overrides)
 
+    def test_every_leaf_keeps_its_default_kind(self):
+        # each probe by name; a leaf accepts the probes of its kind (a None leaf
+        # also accepts null) and must reject every other one, naming its key
+        probes = {"bool": True, "str": "1", "list": [1.0], "float": 1.0, "fraction": 2.5,
+                  "nan": math.nan, "inf": -math.inf, "huge": HUGE, "bad_item": [math.nan]}
+        accepts = {bool: {"bool"}, int: set(), float: {"float", "fraction"}}
+        null_accepts = {"raman_table.path": {"str"}, "network.quantum_nm": {"list"},
+                        "network.data_nm": {"list"}}
+        plain = SimulationConfig.from_dict({}).sha256
+        for dotted, default in _leaves(DEFAULTS):
+            assert SimulationConfig.from_dict(_nested(dotted, default)).sha256 == plain, dotted
+            if default is None:
+                right = null_accepts.get(dotted, {"float", "fraction"})
+            else:
+                right = accepts[type(default)]
+            for name, probe in probes.items():
+                if name in right:
+                    continue
+                with pytest.raises(ConfigError) as info:
+                    SimulationConfig.from_dict(_nested(dotted, probe))
+                message = str(info.value)
+                assert message.startswith(f"{dotted} must be "), (dotted, name)
+                assert message.endswith(f", got {probe!r}"), (dotted, name)
+
 
 class TestSweepCommand:
     def test_writes_csv(self, tmp_path, capsys):
@@ -248,6 +320,18 @@ class TestSweepCommand:
         )
         assert code == 2
         assert var in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("assignment", [
+        "network.attenuation_db_per_km=1e300", "network.sensitivity_dbm=1e300",
+        "network.awg_insertion_loss_db=1e300",
+    ])
+    def test_overflow_fails_without_traceback(self, tmp_path, capsys, assignment):
+        # valid for the config, but the launch power's 10 ** (dB / 10) overflows
+        out = tmp_path / "rates.csv"
+        assert run_cli(*SWEEP_L0, "--out", str(out), "--set", assignment) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_infinite_config_value_fails(self, tmp_path, capsys):
@@ -331,3 +415,128 @@ def test_sweep_and_noise_run_without_numpy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
+
+
+# Kind-valid overrides in moderate ranges, by dotted key; each run draws a subset.
+FUZZ_LEAVES = {
+    "case": st.sampled_from([1, 2, 3]),
+    "room.x_m": st.floats(2.0, 10.0),
+    "room.z_m": st.floats(2.0, 5.0),
+    "room.fov_deg": st.floats(1.0, 80.0),
+    "room.tx_x_m": st.none() | st.floats(0.0, 10.0),
+    "room.tx_semi_angle_deg": st.none() | st.floats(5.0, 80.0),
+    "bulb.psd_w_per_nm": st.floats(0.0, 1e-3),
+    "bulb.n_b1_per_pulse": st.none() | st.floats(0.0, 1e-3),
+    "network.n_users": st.integers(1, 64),  # plan() allocates per user
+    "network.feeder_km": st.floats(0.0, 50.0),
+    "network.drop_km": st.floats(0.0, 5.0) | st.integers(0, 5),
+    "network.awg_insertion_loss_db": st.floats(0.0, 5.0),
+    "network.attenuation_db_per_km": st.floats(0.15, 0.4),
+    "network.sensitivity_dbm": st.floats(-50.0, -20.0),
+    "network.rx_bandwidth_nm": st.floats(0.1, 2.0),
+    "link.coupling_loss_db": st.floats(0.0, 30.0),
+    "link.polarization_factor": st.floats(0.0, 1.0),
+    "dv.mu": st.floats(0.05, 1.0),
+    "dv.nu": st.floats(0.05, 1.0),
+    "dv.misalignment": st.floats(0.0, 0.1),
+    "dv.dark_count_per_pulse": st.floats(1e-9, 1e-5),
+    "dv.eta_telecom": st.floats(0.1, 1.0),
+    "dv.fast_detectors": st.booleans(),
+    "dv.clock_hz": st.floats(1e6, 1e10),
+    "cv.beta": st.floats(0.8, 1.0),
+    "cv.electronic_noise": st.floats(0.0, 0.1),
+    "cv.modulation_variance_snu": st.none() | st.floats(0.5, 50.0),
+    "cv.clock_hz": st.floats(0.0, 1e9),
+}
+# Ranges inside each swept variable's domain; True for a log grid.
+FUZZ_GRIDS = {
+    "coupling_loss_db": (0.0, 30.0, False),
+    "L0_km": (0.0, 100.0, False),
+    "psd_w_per_nm": (1e-8, 1e-3, True),
+    "background_noise": (1e-10, 1e-4, True),
+    "clock_rate_hz": (1e6, 1e10, True),
+}
+FUZZ_PAIRS = [(setup, protocol) for setup, protocols in sorted(_SETUP_PROTOCOLS.items())
+              for protocol in sorted(protocols)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from(FUZZ_PAIRS), variable=st.sampled_from(SWEEP_VARIABLES),
+       points=st.integers(2, 10), overrides=st.fixed_dictionaries({}, optional=FUZZ_LEAVES))
+def test_no_run_ends_in_a_traceback(tmp_path_factory, pair, variable, points, overrides):
+    # a kind-valid config either sweeps to finite, non-negative rows or exits 2
+    # with one error line; it never raises
+    start, stop, log = FUZZ_GRIDS[variable]
+    out = tmp_path_factory.mktemp("fuzz") / "rates.csv"
+    args = ["sweep", "--setup", str(pair[0]), "--protocol", pair[1], "--var", variable,
+            "--start", repr(start), "--stop", repr(stop), "--points", str(points),
+            "--out", str(out), *(["--log"] if log else [])]
+    for dotted, value in overrides.items():
+        args += ["--set", f"{dotted}={json.dumps(value)}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(args)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert not out.exists()
+        return
+    assert code == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert len(rows) == points
+    assert all(math.isfinite(x) for row in rows for x in row)
+    assert all(row[1] >= 0.0 and row[2] >= 0.0 for row in rows)
+
+
+# The golden call and one coherent and one untrusted-measurement sweep.
+DETERMINISM_CALLS = [
+    ["sweep", "--setup", "2", "--protocol", "DS-BB84", "--var", "coupling_loss_db",
+     "--start", "0", "--stop", "30", "--points", "4"],
+    ["sweep", "--setup", "1", "--protocol", "GG02", "--var", "L0_km", "--start", "0",
+     "--stop", "50", "--points", "11"],
+    ["sweep", "--setup", "4", "--protocol", "MDI-DS", "--var", "L0_km", "--start", "0",
+     "--stop", "50", "--points", "11"],
+]
+
+
+def _other_interpreters():
+    """Each other CPython 3.10+ on PATH that starts, as ``python3.X``."""
+    found = []
+    for minor in range(10, 20):
+        exe = shutil.which(f"python3.{minor}")
+        if minor == sys.version_info.minor or exe is None:
+            continue
+        probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[1])"],
+                               capture_output=True, text=True, timeout=60)
+        if probe.returncode == 0 and probe.stdout.strip() == str(minor):
+            found.append(exe)
+    return found
+
+
+def test_same_bytes_under_every_interpreter(tmp_path):
+    # guards requires-python and the float sums whose order budget.py fixes
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.X (X >= 10) on PATH")
+    expected = []
+    for i, args in enumerate(DETERMINISM_CALLS):
+        out = tmp_path / f"{i}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*args, "--out", str(out)]) == 0
+        expected.append(out.read_bytes())
+    code = (
+        "import json, sys\n"
+        "from qkd_access.cli import main\n"
+        "for i, args in enumerate(json.loads(sys.argv[1])):\n"
+        "    assert main([*args, '--out', f'{i}.csv']) == 0\n"
+    )
+    for exe in interpreters:
+        cwd = tmp_path / pathlib.Path(exe).name
+        cwd.mkdir()
+        result = subprocess.run(
+            [exe, "-c", code, json.dumps(DETERMINISM_CALLS)], capture_output=True, text=True,
+            cwd=cwd, timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert result.returncode == 0, (exe, result.stderr)
+        for i, want in enumerate(expected):
+            assert (cwd / f"{i}.csv").read_bytes() == want, (exe, DETERMINISM_CALLS[i])

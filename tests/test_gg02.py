@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkd_access.budget import CvLinkBudget
@@ -72,6 +72,11 @@ class TestHolevoBound:
 
     @settings(max_examples=300, deadline=None)
     @given(t=TRANSMISSIVITIES, eps=EXCESS_NOISES, v_a=st.floats(0.1, 100.0))
+    # at T = 1 the reference's discriminants are about 4 eps^2, which 50-digit
+    # arithmetic rounded below zero for these
+    @example(t=1.0, eps=1.943769120764836e-53, v_a=68.0)
+    @example(t=1.0, eps=2.392921929322477e-31, v_a=1.25)
+    @example(t=1.0, eps=6.62607015e-34, v_a=16.0)
     def test_matches_50_digit_reference(self, t, eps, v_a):
         # the bound is below 1e-9 bits and below the worst error of the former
         # discriminant forms in every band of T: 7e-13 bits for T <= 0.9, 8e-10
