@@ -26,7 +26,7 @@ stays constant, which is why Raman noise grows with fiber length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .numerics import AttenuationCoefficient, db_to_linear
 from .raman import RamanCrossSectionTable, backward_length_km, photons_per_gate
@@ -57,16 +57,19 @@ DEFAULT_SENSITIVITY_DBM = -38.5
 DEFAULT_CHANNEL_SPACING_NM = 0.8  # 100 GHz in the C band
 
 
-@dataclass(frozen=True)
-class DetectorParams:
-    """Single-photon detector parameters for the DV receivers."""
+class DetectorParams(namedtuple(
+    "DetectorParams", "eta_wireless eta_telecom dark_count_per_pulse gate_s",
+    defaults=(0.6, 0.3, 1e-7, 100e-12),
+)):
+    """Single-photon detector parameters for the DV receivers.
 
-    eta_wireless: float = 0.6  # Si APD efficiency, 880 nm band
-    eta_telecom: float = 0.3  # InGaAs APD efficiency, 1550 nm band
-    dark_count_per_pulse: float = 1e-7
-    gate_s: float = 100e-12
+    ``eta_wireless`` is the Si APD efficiency in the 880 nm band and
+    ``eta_telecom`` the InGaAs APD efficiency in the 1550 nm band.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __init__(self, *_, **__):
         for name in ("eta_wireless", "eta_telecom"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -76,37 +79,38 @@ class DetectorParams:
             raise ValueError("gate duration must be > 0")
 
 
-@dataclass(frozen=True)
-class DwdmPlan:
+class DwdmPlan(namedtuple(
+    "DwdmPlan",
+    "quantum_nm data_nm feeder_km drop_km awg_insertion_loss_db attenuation sensitivity_dbm",
+)):
     """Wavelength plan and fiber layout of the access network.
 
     ``quantum_nm[0]`` / ``data_nm[0]`` belong to user 1, the user whose key
     rate is evaluated.  ``drop_km[k]`` is the distance of user k+1 from the
-    splitting point; ``feeder_km`` is the shared feeder to the central
-    office.  ``raman_totals`` computes each kind of Raman totals once per plan.
-    ``with_feeder`` gives the plan for another feeder length, which shares
-    this plan's checked grids and feeder-independent Raman inputs.
+    splitting point, 0.5 km for every user when empty; ``feeder_km`` is the
+    shared feeder to the central office.  ``raman_totals`` computes each kind
+    of Raman totals once per plan.  Its memo and that of ``_raman_inputs``
+    are attributes, not fields, so they take no part in equality, hashing or
+    the repr.  ``with_feeder`` gives the plan for another feeder length,
+    which shares this plan's checked grids and feeder-independent Raman
+    inputs.
     """
 
-    quantum_nm: tuple[float, ...]
-    data_nm: tuple[float, ...]
-    feeder_km: float = 10.0
-    drop_km: tuple[float, ...] = ()
-    awg_insertion_loss_db: float = 2.0
-    attenuation: AttenuationCoefficient = AttenuationCoefficient(0.2)
-    sensitivity_dbm: float = DEFAULT_SENSITIVITY_DBM
-    _raman: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
-    _inputs: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
+    def __new__(cls, quantum_nm, data_nm, feeder_km=10.0, drop_km=(), awg_insertion_loss_db=2.0,
+                attenuation=AttenuationCoefficient(0.2), sensitivity_dbm=DEFAULT_SENSITIVITY_DBM):
+        plan = super().__new__(cls, quantum_nm, data_nm, feeder_km,
+                               drop_km or (0.5,) * len(quantum_nm), awg_insertion_loss_db,
+                               attenuation, sensitivity_dbm)
+        plan._raman, plan._inputs = {}, {}
+        return plan
 
-    def __post_init__(self):
+    def __init__(self, *_, **__):
         if len(self.quantum_nm) != len(self.data_nm) or not self.quantum_nm:
             raise ValueError("quantum and data grids must be non-empty and equally sized")
         if set(self.quantum_nm) & set(self.data_nm):
             raise ValueError("quantum and data grids must be disjoint")
         if min(self.quantum_nm) <= 0.0 or min(self.data_nm) <= 0.0:
             raise ValueError("grid wavelengths must be > 0")
-        if not self.drop_km:
-            object.__setattr__(self, "drop_km", (0.5,) * len(self.quantum_nm))
         if len(self.drop_km) != len(self.quantum_nm):
             raise ValueError("need one drop length per user")
         if self.feeder_km < 0.0 or min(self.drop_km) < 0.0:
@@ -143,8 +147,8 @@ class DwdmPlan:
         """
         if feeder_km < 0.0:
             raise ValueError("fiber lengths must be >= 0")
-        plan = object.__new__(type(self))
-        plan.__dict__.update(self.__dict__, feeder_km=feeder_km, _raman={})
+        plan = self._replace(feeder_km=feeder_km)  # skips the checks in __init__
+        plan._raman, plan._inputs = {}, self._inputs
         return plan
 
     @property
@@ -189,6 +193,8 @@ class _DetectorNoise:
     Each count is >= 0 and their sum stays below one count per pulse.
     """
 
+    __slots__ = ()
+
     def _check_noise(self):
         if min(self.frs, self.brs, self.bulb, self.dark) < 0.0:
             raise ValueError("noise components must be >= 0")
@@ -201,43 +207,37 @@ class _DetectorNoise:
         return self.frs + self.brs + self.bulb + self.dark
 
 
-@dataclass(frozen=True)
-class LinkBudget(_DetectorNoise):
+class LinkBudget(namedtuple("LinkBudget", "transmissivity frs brs bulb dark",
+                            defaults=(0.0,) * 4), _DetectorNoise):
     """Transmissivity and per-detector noise consumed by the BB84 formulas."""
 
-    transmissivity: float
-    frs: float = 0.0
-    brs: float = 0.0
-    bulb: float = 0.0
-    dark: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *_, **__):
         if not 0.0 <= self.transmissivity <= 1.0:
             raise ValueError(f"transmissivity must be in [0, 1], got {self.transmissivity}")
         self._check_noise()
 
 
-@dataclass(frozen=True)
-class MdiLinkBudget(_DetectorNoise):
+class MdiLinkBudget(namedtuple(
+    "MdiLinkBudget", "eta_alice eta_bob frs brs bulb dark polarization_factor",
+    defaults=(0.0,) * 4 + (0.5,),
+), _DetectorNoise):
     """Two-sided budget for the untrusted-measurement setups."""
 
-    eta_alice: float
-    eta_bob: float
-    frs: float = 0.0
-    brs: float = 0.0
-    bulb: float = 0.0
-    dark: float = 0.0
-    polarization_factor: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *_, **__):
         for name in ("polarization_factor", "eta_alice", "eta_bob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         self._check_noise()
 
 
-@dataclass(frozen=True)
-class CvLinkBudget:
+class CvLinkBudget(namedtuple(
+    "CvLinkBudget", "transmissivity eps_bulb eps_raman eps_receiver frs brs bulb",
+    defaults=(0.0,) * 6,
+)):
     """Channel transmissivity and input-referred excess noise (shot-noise units).
 
     ``frs``, ``brs`` and ``bulb`` are the photon counts per gate behind the
@@ -245,15 +245,9 @@ class CvLinkBudget:
     oscillator's mode.
     """
 
-    transmissivity: float
-    eps_bulb: float = 0.0
-    eps_raman: float = 0.0
-    eps_receiver: float = 0.0
-    frs: float = 0.0
-    brs: float = 0.0
-    bulb: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *_, **__):
         if not 0.0 < self.transmissivity <= 1.0:
             raise ValueError("CV budget needs transmissivity in (0, 1]")
         if min(self.eps_bulb, self.eps_raman, self.eps_receiver) < 0.0:

@@ -12,11 +12,9 @@ selects one of the transmitter placements of ``owc.CASE_PRESETS``.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 
 from .budget import DetectorParams, DwdmPlan
 from .numerics import AttenuationCoefficient
@@ -159,6 +157,8 @@ def read_overrides(path: str | None) -> dict:
             overrides = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # e.g. an integer too long to convert
+            raise ConfigError(f"config file {path}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     return overrides
@@ -178,6 +178,8 @@ def apply_assignments(overrides: dict, assignments: list[str]) -> dict:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text  # a bare word is a string
+        except ValueError as exc:  # e.g. an integer too long to convert
+            raise ConfigError(f"{dotted.strip()}: {exc}") from exc
         set_leaf(overrides, dotted, value)
     return overrides
 
@@ -195,17 +197,24 @@ def set_leaf(overrides: dict, dotted: str, value) -> None:
     node[leaf] = value
 
 
-@dataclass
 class SimulationConfig:
     """Validated configuration plus builders for the model objects.
 
     The builders ``raman_table()``, ``plan()``, ``scenario()``,
     ``detectors()`` and ``bulb_model()`` build a new object from ``data`` on
     every call, except that the built-in Raman table is parsed once per
-    process; a sweep calls them once per run (see ``sweep``).
+    process; a sweep calls them once per run (see ``sweep``).  Two configs
+    are equal when their ``data`` is; a config is not hashable.
     """
 
-    data: dict
+    def __init__(self, data: dict):
+        self.data = data
+
+    def __eq__(self, other):
+        return self.data == other.data if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(data={self.data!r})"
 
     @classmethod
     def from_dict(cls, overrides: dict | None = None) -> "SimulationConfig":
@@ -220,6 +229,8 @@ class SimulationConfig:
 
     def override(self, assignments: list[str]) -> "SimulationConfig":
         """New config with ``section.key=value`` assignments applied."""
+        import copy  # no other path needs it
+
         return SimulationConfig.from_dict(apply_assignments(copy.deepcopy(self.data), assignments))
 
     def validate(self):

@@ -10,7 +10,7 @@ counts need and the linear and logarithmic grids the sweeps run over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "PLANCK_J_S",
@@ -36,8 +36,7 @@ HOLEVO_G_CLAMP_TOL = 1e-9
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class AttenuationCoefficient:
+class AttenuationCoefficient(namedtuple("AttenuationCoefficient", "db_per_km")):
     """Fiber attenuation in both engineering (dB/km) and natural units.
 
     The exponential decay laws e^(-alpha*L) need the natural-log
@@ -45,9 +44,9 @@ class AttenuationCoefficient:
     avoids silent unit mistakes.
     """
 
-    db_per_km: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *_, **__):
         if not math.isfinite(self.db_per_km) or self.db_per_km < 0:
             raise ValueError(f"attenuation must be finite and >= 0, got {self.db_per_km}")
 

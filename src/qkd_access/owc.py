@@ -20,7 +20,7 @@ relative to the receiver axis is zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .numerics import LIGHTSPEED_M_S, PLANCK_J_S
 
@@ -104,27 +104,21 @@ def los_gain_from_angles(
     return min(max(gain, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class RoomScenario:
+class RoomScenario(namedtuple(
+    "RoomScenario",
+    "room_x_m room_y_m room_z_m tx_x_m tx_y_m tx_semi_angle_deg rx_fov_deg concentrator_index"
+    " detector_area_m2 filter_transmission case",
+    defaults=(4.0, 4.0, 3.0, 2.0, 2.0, 20.0, 6.0, 1.5, 1e-4, 1.0, 1),
+)):
     """Room geometry and transceiver placement for one of the three cases.
 
     The transmitter sits on the floor at (tx_x_m, tx_y_m, 0); the receiver
     is fixed at the ceiling centre (room_x_m/2, room_y_m/2, room_z_m).
     """
 
-    room_x_m: float = 4.0
-    room_y_m: float = 4.0
-    room_z_m: float = 3.0
-    tx_x_m: float = 2.0
-    tx_y_m: float = 2.0
-    tx_semi_angle_deg: float = 20.0
-    rx_fov_deg: float = 6.0
-    concentrator_index: float = 1.5
-    detector_area_m2: float = 1e-4
-    filter_transmission: float = 1.0
-    case: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *_, **__):
         if self.case not in CASE_PRESETS:
             raise ValueError(f"case must be one of {sorted(CASE_PRESETS)}, got {self.case}")
         if not 0.0 < self.tx_semi_angle_deg < 90.0:
@@ -184,8 +178,10 @@ def los_dc_gain(scenario: RoomScenario) -> float:
     )
 
 
-@dataclass(frozen=True)
-class BulbNoiseModel:
+class BulbNoiseModel(namedtuple(
+    "BulbNoiseModel", "psd_w_per_nm filter_bandwidth_nm gate_s wavelength_m collection_factor",
+    defaults=(0.8, 100e-12, 1555.62e-9, 2.4e-7),
+)):
     """Parametric background-noise model for the room's light source.
 
     The photon count per detection gate is
@@ -197,13 +193,9 @@ class BulbNoiseModel:
     calibrated, since the radiometric detail is outside this model.
     """
 
-    psd_w_per_nm: float
-    filter_bandwidth_nm: float = 0.8
-    gate_s: float = 100e-12
-    wavelength_m: float = 1555.62e-9
-    collection_factor: float = 2.4e-7
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *_, **__):
         if self.psd_w_per_nm < 0.0:
             raise ValueError(f"PSD must be >= 0, got {self.psd_w_per_nm}")
         for name in ("filter_bandwidth_nm", "gate_s", "wavelength_m"):

@@ -20,7 +20,7 @@ clamped at zero, since a negative lower bound simply means no key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ..budget import LinkBudget
 from ..numerics import binary_entropy
@@ -44,16 +44,19 @@ ERRONEOUS_CLICK_ERROR = 0.5
 BISECTION_REL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Bb84Params:
-    """Source and post-processing parameters for (decoy-state) BB84."""
+class Bb84Params(namedtuple(
+    "Bb84Params", "mu sift_factor ec_inefficiency misalignment", defaults=(0.5, 1.0, 1.16, 0.033)
+)):
+    """Source and post-processing parameters for (decoy-state) BB84.
 
-    mu: float = 0.5  # mean photons per signal pulse
-    sift_factor: float = 1.0  # q; ~1 for the efficient protocol variant
-    ec_inefficiency: float = 1.16  # f >= 1
-    misalignment: float = 0.033  # e_d, relative-phase error probability
+    ``mu`` is the mean photon number per signal pulse, ``sift_factor`` is q
+    (~1 for the efficient protocol variant), ``ec_inefficiency`` is f >= 1
+    and ``misalignment`` is e_d, the relative-phase error probability.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __init__(self, *_, **__):
         if self.mu <= 0.0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
         check_post_processing(self)
@@ -69,15 +72,15 @@ def check_post_processing(params) -> None:
         raise ValueError(f"misalignment must be in [0, 0.5), got {params.misalignment}")
 
 
-@dataclass(frozen=True)
-class Bb84Gains:
-    """Observable gains and error rates entering the rate formula."""
+class Bb84Gains(namedtuple(
+    "Bb84Gains", "gain qber single_photon_gain single_photon_error single_photon_yield"
+)):
+    """Observable gains and error rates entering the rate formula.
 
-    gain: float  # Q_mu
-    qber: float  # E_mu
-    single_photon_gain: float  # Q_1
-    single_photon_error: float  # e_1
-    single_photon_yield: float  # Y_1
+    In the module's notation: Q_mu, E_mu, Q_1, e_1 and Y_1.
+    """
+
+    __slots__ = ()
 
 
 def _check_channel(eta: float, noise: float):

@@ -27,7 +27,7 @@ point (``_fraction_terms``), and the search, ``mutual_information`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ..budget import CvLinkBudget
 from ..numerics import holevo_g_excess
@@ -55,20 +55,22 @@ _MAX_EVALUATIONS = 100  # a guard: accepted steps halve at least every other eva
 DISCRIMINANT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Gg02Params:
+class Gg02Params(namedtuple(
+    "Gg02Params", "modulation_variance beta receiver_efficiency electronic_noise",
+    defaults=(None, 0.95, 0.6, 0.015),
+)):
     """Receiver and post-processing parameters for the CV protocol.
 
-    ``modulation_variance`` of ``None`` means "optimize per operating
-    point", which is how the curves in this package are produced.
+    ``modulation_variance`` is V_A in SNU; ``None`` means "optimize per
+    operating point", which is how the curves in this package are produced.
+    ``beta`` is the reconciliation efficiency, ``receiver_efficiency`` is
+    eta_B, Bob's overall efficiency, and ``electronic_noise`` is v_elec in
+    SNU.
     """
 
-    modulation_variance: float | None = None  # V_A in SNU, None -> optimize
-    beta: float = 0.95  # reconciliation efficiency
-    receiver_efficiency: float = 0.6  # eta_B, Bob's overall efficiency
-    electronic_noise: float = 0.015  # v_elec in SNU
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *_, **__):
         if self.modulation_variance is not None and self.modulation_variance <= 0.0:
             raise ValueError("modulation variance must be > 0 when fixed")
         if not 0.0 <= self.beta <= 1.0:

@@ -13,7 +13,7 @@ phase-randomized weak pulses with exact decoy-state estimation (DS).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ..budget import MdiLinkBudget
 from ..numerics import bessel_i0, binary_entropy
@@ -32,32 +32,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MdiParams:
-    """Source and post-processing parameters for the MDI protocol."""
+class MdiParams(namedtuple(
+    "MdiParams", "mu nu sift_factor ec_inefficiency misalignment fast_detectors",
+    defaults=(0.5, 0.5, 1.0, 1.16, 0.033, True),
+)):
+    """Source and post-processing parameters for the MDI protocol.
 
-    mu: float = 0.5  # Alice's mean photons per signal pulse
-    nu: float = 0.5  # Bob's mean photons per signal pulse
-    sift_factor: float = 1.0
-    ec_inefficiency: float = 1.16
-    misalignment: float = 0.033
-    fast_detectors: bool = True  # halve all gains when only slow detectors exist
+    ``mu`` and ``nu`` are Alice's and Bob's mean photon numbers per signal
+    pulse; without ``fast_detectors`` all gains are halved.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __init__(self, *_, **__):
         if self.mu <= 0.0 or self.nu <= 0.0:
             raise ValueError("signal intensities must be > 0")
         check_post_processing(self)
 
 
-@dataclass(frozen=True)
-class MdiGains:
-    """Gains and error rates of the decoy-state variant."""
+class MdiGains(namedtuple(
+    "MdiGains", "single_photon_gain correct_gain erroneous_gain gain_z qber_z"
+)):
+    """Gains and error rates of the decoy-state variant.
 
-    single_photon_gain: float  # Q_11
-    correct_gain: float  # Q_C, clicks driven by both signals
-    erroneous_gain: float  # Q_E, clicks involving background
-    gain_z: float  # Q_C + Q_E
-    qber_z: float  # E_{mu nu; Z}
+    ``single_photon_gain`` is Q_11; ``correct_gain`` is Q_C, the clicks
+    driven by both signals; ``erroneous_gain`` is Q_E, the clicks involving
+    background; ``gain_z`` is Q_C + Q_E and ``qber_z`` is E_{mu nu; Z}.
+    """
+
+    __slots__ = ()
 
 
 def _check(eta_a: float, eta_b: float, noise: float):

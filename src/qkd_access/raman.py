@@ -21,12 +21,11 @@ import functools
 import hashlib
 import io
 import math
-from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
-from .numerics import LIGHTSPEED_M_S, PLANCK_J_S, AttenuationCoefficient
+from .numerics import LIGHTSPEED_M_S, PLANCK_J_S
 
 __all__ = [
     "RamanCrossSectionTable",
@@ -105,6 +104,8 @@ class RamanCrossSectionTable:
         existing = getattr(self, "_source_sha256", None)
         if existing is not None:
             return existing
+        from array import array  # only tables built in memory get here
+
         digest = hashlib.sha256()
         digest.update(array("d", self.wavelengths_nm).tobytes())
         digest.update(array("d", self.gamma_per_km_nm).tobytes())
@@ -175,18 +176,17 @@ def builtin_cross_section_table() -> RamanCrossSectionTable:
     return RamanCrossSectionTable.from_csv_text(text, BUILTIN_REFERENCE_PUMP_NM)
 
 
-@dataclass(frozen=True)
-class RamanQuery:
-    """One classical-channel contribution to the scattered power."""
+class RamanQuery(namedtuple(
+    "RamanQuery", "intensity_mw length_km pump_nm rx_nm rx_bandwidth_nm attenuation"
+)):
+    """One classical-channel contribution to the scattered power.
 
-    intensity_mw: float
-    length_km: float
-    pump_nm: float
-    rx_nm: float
-    rx_bandwidth_nm: float
-    attenuation: AttenuationCoefficient
+    ``attenuation`` is the fiber's ``AttenuationCoefficient``.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __init__(self, *_, **__):
         if self.intensity_mw < 0.0:
             raise ValueError(f"launch intensity must be >= 0, got {self.intensity_mw}")
         if self.length_km < 0.0:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 from functools import cached_property
 
 from .budget import (
@@ -103,20 +103,14 @@ COHERENT_SETUPS = tuple(setup for setup, names in _SETUP_PROTOCOLS.items() if "G
 CROSSOVER_CLOCK_RANGE_HZ = (1e6, 1e10)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(namedtuple(
+    "SweepSpec", "setup protocol case variable start stop points log_spacing", defaults=(False,)
+)):
     """What to sweep: one protocol on one setup over one variable."""
 
-    setup: int
-    protocol: str
-    case: int
-    variable: str
-    start: float
-    stop: float
-    points: int
-    log_spacing: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *_, **__):
         if self.setup not in SETUPS:
             raise ValueError(f"setup must be one of {list(SETUPS)}, got {self.setup}")
         if self.protocol not in PROTOCOLS:
@@ -147,9 +141,6 @@ class SweepSpec:
     def values(self) -> list[float]:
         return (geomspace if self.log_spacing else linspace)(self.start, self.stop, self.points)
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 # One CSV row: every number in ``%.17e``, which round-trips a double.
 _ROW = ",".join(["%.17e"] * 7)
@@ -163,23 +154,14 @@ def _csv_text(result, title: str, header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    value: float
-    rate_per_pulse: float
-    rate_bps: float
-    frs: float
-    brs: float
-    bulb: float
-    dark: float
+class SweepPoint(namedtuple("SweepPoint", "value rate_per_pulse rate_bps frs brs bulb dark")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    spec: SweepSpec
-    rows: tuple[SweepPoint, ...]
-    config_sha256: str
-    table_sha256: str
+class SweepResult(namedtuple("SweepResult", "spec rows config_sha256 table_sha256")):
+    """A ``SweepSpec``'s rows, one ``SweepPoint`` each, and its provenance."""
+
+    __slots__ = ()
 
     def csv_text(self) -> str:
         return _csv_text(
@@ -187,17 +169,16 @@ class SweepResult:
             f"# setup={self.spec.setup} protocol={self.spec.protocol} case={self.spec.case}",
             f"{self.spec.variable},key_rate_per_pulse,key_rate_bps,"
             "n_frs_per_pulse,n_brs_per_pulse,n_bulb_per_pulse,n_dark_per_pulse",
-            (_ROW % (row.value, row.rate_per_pulse, row.rate_bps, row.frs, row.brs, row.bulb,
-                     row.dark) for row in self.rows),
+            (_ROW % row for row in self.rows),
         )
 
 
-@dataclass(frozen=True)
-class NoiseBreakdownResult:
-    setup: int
-    rows: tuple[tuple[float, float, float, float, float, float], ...]  # l0, frs, brs, bulb, dark, total
-    config_sha256: str
-    table_sha256: str
+class NoiseBreakdownResult(namedtuple(
+    "NoiseBreakdownResult", "setup rows config_sha256 table_sha256"
+)):
+    """A setup's noise rows, each (l0, frs, brs, bulb, dark, total), and their provenance."""
+
+    __slots__ = ()
 
     def csv_text(self) -> str:
         return _csv_text(
@@ -342,7 +323,7 @@ def _evaluate_point(
                        model.n_b1, coherent)
     elif variable == "psd_w_per_nm" and model.bulb is not None:
         # a count fixed by the config wins over the bulb's spectral density
-        n_b1 = bulb_noise_count(replace(model.bulb, psd_w_per_nm=value))
+        n_b1 = bulb_noise_count(BulbNoiseModel(**{**model.bulb._asdict(), "psd_w_per_nm": value}))
         links = _links(model, model.plan, model.coupling_loss_db, n_b1, coherent)
     else:  # a clock, a background or a PSD under a fixed count: no budget reads it
         links = _model_links(model, coherent)
@@ -352,7 +333,8 @@ def _evaluate_point(
         noise = dict(frs=0.0, brs=0.0, bulb=value)
         if coherent:
             noise.update(eps_bulb=2.0 * value / links[0].transmissivity, eps_raman=0.0)
-        links = (replace(links[0], **noise),) + links[1:]
+        # built through the class so the noise check runs; ``_replace`` would skip it
+        links = (type(links[0])(**{**links[0]._asdict(), **noise}),) + links[1:]
     for link in links:
         if link not in rates:
             rates[link] = rate_fn(link, params)
@@ -377,7 +359,7 @@ def run_sweep(spec: SweepSpec, config: SimulationConfig) -> SweepResult:
         (_evaluate_point(spec, model, v, rates) for v in spec.values()), key=lambda r: r.value
     )
     run_hash = hashlib.sha256(
-        (config.canonical_json + repr(sorted(spec.as_dict().items()))).encode()
+        (config.canonical_json + repr(sorted(spec._asdict().items()))).encode()
     ).hexdigest()
     return SweepResult(
         spec=spec,

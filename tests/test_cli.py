@@ -106,6 +106,17 @@ class TestValidateConfig:
         assert run_cli("validate-config", "--set", assignment) == 2
         assert f"error: {key} must be a finite number" in capsys.readouterr().err
 
+    def test_unconvertible_number_override_names_the_key(self, capsys):
+        # longer than the interpreter converts, so json raises a ValueError of its own
+        assert run_cli("validate-config", "--set", "dv.mu=" + "1" * 5000) == 2
+        assert capsys.readouterr().err.startswith("error: dv.mu: ")
+
+    def test_unconvertible_number_in_file_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"dv": {"mu": ' + "1" * 5000 + "}}")
+        assert run_cli("validate-config", "--config", str(path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: config file {path}: ")
+
     def test_set_does_not_leak_into_next_call(self, capsys):
         def sha():
             out = capsys.readouterr().out
@@ -334,6 +345,19 @@ class TestSweepCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_replaced_background_is_still_checked(self, tmp_path, capsys):
+        # a background of one count per pulse replaces the link's noise; the new link
+        # must pass the same check as every other
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "sweep", "--setup", "2", "--protocol", "DS-BB84", "--var", "background_noise",
+            "--start", "0", "--stop", "1", "--points", "2", "--out", str(out),
+        )
+        assert code == 2
+        assert ("total noise per detector must stay below one count per pulse"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_infinite_config_value_fails(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         code = run_cli(
@@ -399,14 +423,17 @@ class TestCrossoverCommand:
 
 
 def test_sweep_and_noise_run_without_numpy(tmp_path):
-    # numpy is a test-only dependency: a CLI run must never import it
+    # numpy is a test-only dependency, and dataclasses, inspect and copy cost cold
+    # start: a CLI run must never import them
     code = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from qkd_access.cli import main\n"
         "assert main(['sweep', '--setup', '2', '--protocol', 'DS-BB84', '--var', 'psd_w_per_nm',"
         " '--start', '1e-6', '--stop', '1e-3', '--points', '5', '--log', '--out', 'a.csv']) == 0\n"
         "assert main(['noise', '--setup', '3', '--points', '5', '--out', 'b.csv']) == 0\n"
-        "print('numpy' in sys.modules)\n"
+        "assert main(['crossover']) == 0\n"
+        "print(sorted({'numpy', 'dataclasses', 'inspect', 'copy'} & (set(sys.modules) - before)))\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -414,7 +441,7 @@ def test_sweep_and_noise_run_without_numpy(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 # Kind-valid overrides in moderate ranges, by dotted key; each run draws a subset.

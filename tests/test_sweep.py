@@ -240,9 +240,9 @@ class TestTableParsedOncePerRun:
         assert len(calls) <= 1
 
 def counted(calls, fn):
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     return counting
 
@@ -265,7 +265,7 @@ class TestPerPlanWork:
     def test_grids_checked_once_per_l0_sweep(self, monkeypatch, setup, protocol):
         cfg = default_config()
         checks = []
-        monkeypatch.setattr(DwdmPlan, "__post_init__", counted(checks, DwdmPlan.__post_init__))
+        monkeypatch.setattr(DwdmPlan, "__init__", counted(checks, DwdmPlan.__init__))
         run_sweep(SweepSpec(setup=setup, protocol=protocol, case=3, variable="L0_km",
                             start=1.0, stop=50.0, points=20), cfg)
         assert len(checks) == 1
@@ -273,7 +273,7 @@ class TestPerPlanWork:
     def test_grids_checked_once_per_noise_breakdown(self, monkeypatch):
         cfg = default_config()
         checks = []
-        monkeypatch.setattr(DwdmPlan, "__post_init__", counted(checks, DwdmPlan.__post_init__))
+        monkeypatch.setattr(DwdmPlan, "__init__", counted(checks, DwdmPlan.__init__))
         noise_breakdown(4, cfg, [float(v) for v in range(20)])
         assert len(checks) == 1
 
