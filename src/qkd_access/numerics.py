@@ -86,12 +86,20 @@ def holevo_g_excess(delta: float) -> tuple[float, float]:
     to 1.  At x = 1, where g' is infinite, both are 0, so a term g'(x) dx
     there reads 0.  A delta below 0 by at most ``HOLEVO_G_CLAMP_TOL`` is
     clamped to 0; anything lower is rejected.
+
+    With h = delta / 2, g = (1 + h) log2(1 + h) - h log2 h.  Above h = 1
+    that difference cancels (a wrong sign by delta = 1e18), so there g is
+    taken as log2 h + (1 + h) log2(1 + 1/h) and g' as log2(1 + 1/h) / 2,
+    each a sum of non-negative terms.
     """
     half = 0.5 * delta
     if half <= 0.0:  # also a delta so small that half of it rounds to 0
         if delta < -HOLEVO_G_CLAMP_TOL:
             raise ValueError(f"symplectic eigenvalue must be >= 1, got 1 - {-delta}")
         return 0.0, 0.0
+    if half > 1.0:
+        up = math.log1p(1.0 / half) / _LN2
+        return math.log2(half) + (1.0 + half) * up, 0.5 * up
     up = math.log1p(half) / _LN2
     dn = math.log2(half)
     return (1.0 + half) * up - half * dn, 0.5 * (up - dn)

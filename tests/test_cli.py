@@ -513,6 +513,10 @@ def test_no_run_ends_in_a_traceback(tmp_path_factory, pair, variable, points, ov
     assert len(rows) == points
     assert all(math.isfinite(x) for row in rows for x in row)
     assert all(row[1] >= 0.0 and row[2] >= 0.0 for row in rows)
+    # I_AB <= log2(1 + V_A) / 2 with V_A <= 100, the top of the search range;
+    # a direct-detection key is at most one bit per pulse
+    ceiling = 0.5 * math.log2(1.0 + 100.0) if pair[1] == "GG02" else 1.0
+    assert all(row[1] <= ceiling for row in rows)
 
 
 # The golden call and one coherent and one untrusted-measurement sweep.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qkd_access import SimulationConfig, SweepSpec, run_sweep
 from qkd_access.budget import CvLinkBudget
 from qkd_access.protocols import (
     Gg02Params,
@@ -130,6 +131,18 @@ class TestKeyRate:
         assert gg02_rate(link, NOMINAL) == pytest.approx(
             gg02_rate_at(0.25, 0.035, NOMINAL), rel=1e-12, abs=0.0
         )
+
+
+class TestLongFeeder:
+    @pytest.mark.parametrize("setup", [1, 2])
+    def test_no_key_from_1000_km(self, setup):
+        # the launch-power rule drives eps to ~1e54 at 1500 km, where the
+        # cancelling form of g once wrote 0.91 bits per pulse on setup 1 and up
+        # to 3.5e100 on setup 2; the 50-digit K is below 0 at every such point
+        spec = SweepSpec(setup=setup, protocol="GG02", case=3, variable="L0_km",
+                         start=1.0, stop=8000.0, points=17)
+        rows = run_sweep(spec, SimulationConfig.from_dict({})).rows
+        assert [row.rate_per_pulse for row in rows if row.value >= 1000.0] == [0.0] * 15
 
 
 class TestOptimizer:

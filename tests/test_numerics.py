@@ -83,6 +83,22 @@ class TestHolevoG:
         assert got[0] == pytest.approx(float(g), rel=1e-14, abs=0.0)
         assert got[1] == pytest.approx(float(slope), rel=1e-14, abs=1e-15)
 
+    @settings(max_examples=300, deadline=None)
+    @given(log_delta=st.floats(3.0, 18.0))
+    def test_excess_form_far_from_unity(self, log_delta):
+        # (1 + h) log2(1 + h) - h log2 h with h = delta / 2 lost 1.1e-3 bits at
+        # delta = 1e12 and gave g = -4096 at 1e18; each form kept above h = 1
+        # is a sum of non-negative terms, within a few ulp of 50 digits
+        delta = 10.0 ** log_delta
+        d = mpmath.mpf(delta)
+        with mpmath.workdps(50):
+            up = mpmath.log1p(d / 2) / mpmath.log(2)
+            g = (1 + d / 2) * up - d / 2 * mpmath.log(d / 2, 2)
+            slope = (up - mpmath.log(d / 2, 2)) / 2
+        got = holevo_g_excess(delta)
+        assert got[0] == pytest.approx(float(g), rel=1e-15, abs=0.0)
+        assert got[1] == pytest.approx(float(slope), rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("delta", [0.0, -1e-10, 5e-324])
     def test_excess_at_unit_eigenvalue(self, delta):
         # g'(1) is infinite; it reads 0 like g(1), so g'(x) dx/dV reads 0 there
