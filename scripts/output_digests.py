@@ -6,7 +6,9 @@ workloads and seeds 0-2, through ``qkd_access.cli.main`` in-process.  The
 output of a ``sweep`` or ``noise`` call is its CSV; that of a ``crossover``
 call is its printed line.  Each output gets the SHA-256 of its bytes, plus
 one SHA-256 per CSV column (and one for the ``#`` provenance lines), so a
-comparison can name the columns that moved.
+comparison can name the columns that moved.  A CSV's header and rows are
+kept too, so the comparison also gives each moved numeric column's largest
+absolute and relative change.
 
 Run from the repository root:
 
@@ -15,8 +17,9 @@ Run from the repository root:
     python scripts/output_digests.py --diff old.json new.json
 
 ``--root`` takes ``src/`` and ``bench/`` from another checkout, e.g. the
-parent commit.  ``--diff`` prints each moved output with its moved columns
-and exits 1 if anything moved.
+parent commit.  ``--diff`` prints each moved output with its moved columns,
+as ``name (max abs A, max rel R)`` where both files hold the rows, and
+exits 1 if anything moved.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -37,15 +41,33 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _column_digests(text: str) -> dict[str, str]:
-    """SHA-256 of the provenance lines and of each CSV column."""
+def _csv_digest(text: str) -> dict:
+    """The digest entry of a CSV: its SHA-256, one per column and the
+    provenance lines, and the header and rows themselves."""
     lines = text.splitlines()
     provenance = [line for line in lines if line.startswith("#")]
-    header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    table = [line.split(",") for line in lines if not line.startswith("#")]
+    header, *rows = table
     columns = {"#": _sha("\n".join(provenance))}
     for i, name in enumerate(header):
         columns[name] = _sha("\n".join(row[i] for row in rows))
-    return columns
+    return {"sha256": _sha(text), "columns": columns, "rows": table}
+
+
+def _largest_change(old: list[list[str]], new: list[list[str]], column: str) -> str:
+    """" (max abs A, max rel R)" of ``column`` between two tables, or "" when
+    the tables do not line up or the column is not numeric.  A change from 0
+    counts as relative change inf."""
+    if old[0] != new[0] or len(old) != len(new) or column not in old[0]:
+        return ""
+    i = old[0].index(column)
+    try:
+        pairs = [(float(a[i]), float(b[i])) for a, b in zip(old[1:], new[1:])]
+    except ValueError:
+        return ""
+    worst_abs = max(abs(b - a) for a, b in pairs)
+    worst_rel = max(abs(b - a) / abs(a) if a else (math.inf if b else 0.0) for a, b in pairs)
+    return f" (max abs {worst_abs:.3g}, max rel {worst_rel:.3g})"
 
 
 def collect(root: Path) -> dict[str, dict]:
@@ -69,8 +91,7 @@ def collect(root: Path) -> dict[str, dict]:
                     if inv.command == "crossover":
                         digests[name] = {"sha256": _sha(printed.getvalue()), "columns": {}}
                     else:
-                        text = out.read_text(encoding="utf-8")
-                        digests[name] = {"sha256": _sha(text), "columns": _column_digests(text)}
+                        digests[name] = _csv_digest(out.read_text(encoding="utf-8"))
     return digests
 
 
@@ -83,6 +104,9 @@ def diff(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
         elif old[name]["sha256"] != new[name]["sha256"]:
             a, b = old[name]["columns"], new[name]["columns"]
             moved = [c for c in sorted(a.keys() | b.keys()) if a.get(c) != b.get(c)]
+            if "rows" in old[name] and "rows" in new[name]:
+                moved = [c + _largest_change(old[name]["rows"], new[name]["rows"], c)
+                         for c in moved]
             lines.append(f"{name}: {', '.join(moved) if moved else 'output'}")
     return lines
 
