@@ -22,6 +22,14 @@ for the root of dK/dV_A, which the same arithmetic gives in closed form.
 The terms of K that do not depend on V_A are computed once per operating
 point (``_fraction_terms``), and the search, ``mutual_information`` and
 ``holevo_bound`` evaluate the same closure.
+
+A key rate needs only max(0, K), so its search also stops as soon as the
+points it has seen prove K < 0 for every V_A in the range: with the
+maximum bracketed in [a, b], no K there exceeds beta I_AB(b) - chi_BE(a),
+since I_AB rises with V_A and chi_BE, whose slope changes sign at most
+once and only from - to +, does not fall past an a where its slope is
+>= 0.  The rate is that of the full search, to the bit; the full search
+still gives ``optimal_modulation_variance``.
 """
 
 from __future__ import annotations
@@ -50,6 +58,10 @@ MODULATION_SEARCH_RANGE = (0.1, 100.0)
 MODULATION_SEARCH_TOL = 1e-6
 _SEARCH_START = (3.5, 5.0)  # near most optima of the package's links, 3.6-5.8 SNU
 _MAX_EVALUATIONS = 100  # a guard: accepted steps halve at least every other evaluation
+# On the rate path the search stops once K's bound over the remaining bracket
+# is below 0 by this much, in bits: far above K's float noise (~1e-13) and
+# far below where the package's no-key searches end (-3e-3 to -9e-3 bits).
+NO_KEY_MARGIN = 1e-9
 # (lambda3 - lambda4)^2 below 0 by at most this much times lambda3 + lambda4 - 2
 # is treated as rounding in a degenerate pair.
 DISCRIMINANT_TOL = 1e-9
@@ -204,21 +216,26 @@ def holevo_bound(
 
 
 def _secret_fraction(transmissivity, excess, params: Gg02Params):
-    """V_A -> (K, dK/dV_A), K = beta * I_AB - chi_BE, at one operating point."""
+    """V_A -> (K, dK/dV_A, beta * I_AB, chi_BE, dchi_BE/dV_A) at one operating point.
+
+    K = beta * I_AB - chi_BE; its two terms and chi_BE's slope come along
+    for the V_A search's no-key certificate.
+    """
     terms = _fraction_terms(
         transmissivity, excess, params.receiver_efficiency, params.electronic_noise
     )
     beta = params.beta
 
-    def secret_fraction(v_a: float) -> tuple[float, float]:
+    def secret_fraction(v_a: float) -> tuple[float, float, float, float, float]:
         info, chi, info_v, chi_v = terms(v_a)
-        return beta * info - chi, beta * info_v - chi_v
+        gain = beta * info
+        return gain - chi, beta * info_v - chi_v, gain, chi, chi_v
 
     return secret_fraction
 
 
 def _best_modulation(
-    transmissivity: float, excess: float, params: Gg02Params
+    transmissivity: float, excess: float, params: Gg02Params, floor: float = -math.inf
 ) -> tuple[float, float]:
     """(V_A, K(V_A)) at the secret fraction's maximum found by the V_A search.
 
@@ -229,27 +246,46 @@ def _best_modulation(
     slope is not yet known evaluates that end.  K is taken to be unimodal,
     so a range end where K still rises towards the end is the maximum.
     Returns the evaluated V_A with the largest K, and that K.
+
+    With a finite ``floor`` the search also stops, at a K below ``floor``,
+    once the points it has evaluated prove that no V_A in the range gives
+    K >= ``floor`` (the no-key certificate).  Once a and b are both
+    evaluated, the maximum lies in [a, b], and every K there is at most
+    beta I_AB(b) - chi_BE(a): I_AB rises with V_A, and chi_BE does not
+    fall on [a, b] if its slope at a is >= 0.  That rests on a second
+    premise, next to unimodality: chi_BE's slope changes sign at most once,
+    and only from - to +.  chi_BE does fall with V_A at small V_A behind a
+    near-ideal receiver (in random draws: V_A <= 0.17, eta_B >= 0.94,
+    v_el <= 0.06, eps >= 1e-3), so chi_BE(a) serves only where its slope
+    is >= 0.  The search stops once the bound is below ``floor`` by
+    ``NO_KEY_MARGIN``, far more than K's float noise.
     """
     fraction = _secret_fraction(transmissivity, excess, params)
     lo, hi = MODULATION_SEARCH_RANGE
     a, b = lo, hi
     a_seen = b_seen = False  # whether a and b are evaluated points
+    cut = floor - NO_KEY_MARGIN
+    gain_b, chi_a = math.inf, None  # beta I_AB(b); chi_BE(a) if its slope there is >= 0
     x, x_old, s_old = _SEARCH_START[0], None, None
     step = step_old = math.inf
     best_x, best_k = x, -math.inf
     for _ in range(_MAX_EVALUATIONS):
-        k, s = fraction(x)
+        k, s, gain, chi, chi_v = fraction(x)
         if k > best_k:
             best_x, best_k = x, k
         if s > 0.0:
             if x == hi:
                 break
-            a, a_seen = max(a, x), True
+            if x >= a:
+                a, a_seen, chi_a = x, True, chi if chi_v >= 0.0 else None
         elif s < 0.0:
             if x == lo:
                 break
-            b, b_seen = min(b, x), True
+            if x <= b:
+                b, b_seen, gain_b = x, True, gain
         else:
+            break
+        if chi_a is not None and gain_b - chi_a < cut:
             break
         if x_old is None:
             x_next = _SEARCH_START[1]
@@ -286,7 +322,7 @@ def gg02_rate_at(transmissivity: float, excess: float, params: Gg02Params) -> fl
     """
     v_a = params.modulation_variance
     if v_a is None:
-        return max(0.0, _best_modulation(transmissivity, excess, params)[1])
+        return max(0.0, _best_modulation(transmissivity, excess, params, floor=0.0)[1])
     return max(0.0, _secret_fraction(transmissivity, excess, params)(v_a)[0])
 
 

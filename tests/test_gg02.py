@@ -84,7 +84,7 @@ class TestHolevoBound:
         # up to 1 - 1e-6 and 1.9e-7 above, where they also raised
         got = holevo_bound(v_a, t, eps, **RECEIVER)
         assert abs(got - float(holevo_bound_mp(v_a, t, eps, 0.6, 0.015))) <= 5e-13
-        k, slope = _secret_fraction(t, eps, NOMINAL)(v_a)
+        k, slope = _secret_fraction(t, eps, NOMINAL)(v_a)[:2]
         assert math.isfinite(k) and math.isfinite(slope)
 
     def test_non_negative(self):
@@ -204,8 +204,9 @@ class TestOptimizer:
         (0.1241, 0.02859), (0.1664, 0.02175), (0.2447, 0.01363), (0.8775, 0.004768),
     ]
 
-    def test_evaluations_per_search(self, monkeypatch):
-        # Brent's search on K alone took 19.4 evaluations per search here
+    @staticmethod
+    def evaluations(monkeypatch, t, eps):
+        """(rate, evaluations of K and dK/dV_A) of one nominal rate call."""
         evaluated = []
 
         def counting(*args):
@@ -216,10 +217,70 @@ class TestOptimizer:
                 return fraction(v_a)
             return counted
 
-        monkeypatch.setattr(gg02, "_secret_fraction", counting)
-        for t, eps in self.CV_LINKS:
-            gg02_rate_at(t, eps, NOMINAL)
-        assert len(evaluated) / len(self.CV_LINKS) <= 10
+        with monkeypatch.context() as patch:
+            patch.setattr(gg02, "_secret_fraction", counting)
+            return gg02_rate_at(t, eps, NOMINAL), len(evaluated)
+
+    def test_evaluations_per_search(self, monkeypatch):
+        # Brent's search on K alone took 19.4 evaluations per search here
+        calls = [self.evaluations(monkeypatch, t, eps) for t, eps in self.CV_LINKS]
+        assert sum(n for _, n in calls) / len(self.CV_LINKS) <= 10
+
+    def test_no_key_searches_stop_early(self, monkeypatch):
+        # the 16 links without key took 6-7 evaluations each before the search
+        # stopped on a no-key certificate
+        calls = [self.evaluations(monkeypatch, t, eps) for t, eps in self.CV_LINKS]
+        no_key = [n for rate, n in calls if rate == 0.0]
+        assert len(no_key) == 16
+        assert sum(no_key) / len(no_key) <= 3
+
+    @settings(max_examples=500, deadline=None)
+    @given(t=st.one_of(st.floats(1e-6, 1.0), st.floats(-6.0, 0.0).map(lambda x: 10.0 ** x),
+                       st.floats(-16.0, -0.3).map(lambda x: 1.0 - 10.0 ** x)),
+           eps=st.one_of(st.floats(0.0, 1e2), st.floats(-12.0, 2.0).map(lambda x: 10.0 ** x)),
+           beta=st.floats(0.0, 1.0), eta=st.floats(1e-6, 1.0), v_el=st.floats(0.0, 0.2))
+    def test_rate_matches_the_full_search(self, t, eps, beta, eta, v_el):
+        # the rate's search may stop once no V_A can give key; the rate stays
+        # that of the search run to its end, to the bit
+        params = Gg02Params(beta=beta, receiver_efficiency=eta, electronic_noise=v_el)
+        full = max(0.0, gg02._best_modulation(t, eps, params)[1])
+        assert gg02_rate_at(t, eps, params).hex() == full.hex()
+
+    def test_full_search_for_the_variance(self):
+        # a link without key: the rate's search stops early, but the optimal
+        # V_A still comes from the search run to its end
+        t, eps = self.CV_LINKS[5]
+        assert gg02_rate_at(t, eps, NOMINAL) == 0.0
+        v_a = optimal_modulation_variance(t, eps, NOMINAL)
+        assert abs(_secret_fraction(t, eps, NOMINAL)(v_a)[1]) < 1e-9  # 5e-6 at the first point
+
+    # (T, eps, eta_B, v_el, V_A): a near-ideal receiver at small V_A, where
+    # chi_BE falls with V_A at about half the points, or any link and V_A
+    PREMISE_POINTS = st.one_of(
+        st.tuples(st.floats(-16.0, -0.3).map(lambda x: 1.0 - 10.0 ** x),
+                  st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x),
+                  st.floats(-5.0, -1.3).map(lambda x: 1.0 - 10.0 ** x),
+                  st.just(0.0) | st.floats(-6.0, -1.3).map(lambda x: 10.0 ** x),
+                  st.floats(0.1, 0.17)),
+        st.tuples(st.floats(-6.0, 0.0).map(lambda x: 10.0 ** x), st.floats(0.0, 1e2),
+                  st.floats(1e-3, 1.0), st.floats(0.0, 0.2), st.floats(0.1, 100.0)),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(point=PREMISE_POINTS, rises=st.lists(st.floats(-6.0, 3.0), min_size=1, max_size=4))
+    def test_holevo_bound_does_not_fall_past_a_rising_point(self, point, rises):
+        # the no-key certificate takes chi_BE(a) as a floor on [a, b] only where
+        # the slope it reads at a is >= 0; at 50 digits chi_BE(b) >= chi_BE(a)
+        # there for every b > a, near a and far from it
+        t, eps, eta, v_el, a = point
+        params = Gg02Params(receiver_efficiency=eta, electronic_noise=v_el)
+        if _secret_fraction(t, eps, params)(a)[4] < 0.0:
+            return
+        chi_a = holevo_bound_mp(a, t, eps, eta, v_el)
+        for rise in rises:
+            b = min(MODULATION_SEARCH_RANGE[1], a * (1.0 + 10.0 ** rise))
+            if b > a:
+                assert holevo_bound_mp(b, t, eps, eta, v_el) >= chi_a
 
 
 class TestSlope:
