@@ -16,8 +16,9 @@ evaluates once:
   ``coupling_loss_db`` point its loss, a ``psd_w_per_nm`` point its bulb
   count;
 * user 1's link budgets once, for the points whose value no budget reads:
-  a clock only scales ``rate_bps``, and a background value replaces the
-  noise of the first link;
+  a clock only scales ``rate_bps``, a background value replaces the noise
+  of the first link, and no setup-1 budget reads the coupling loss (its
+  room link ends at the ceiling relay's detectors, not in a fiber);
 * a plan's Raman totals once, so only ``L0_km`` points redo the
   32-channel Raman sums, with one launch power per distinct drop length;
 * each link's rate once per distinct link budget (a run has one set of
@@ -315,7 +316,7 @@ def _evaluate_point(
 
     coherent = spec.protocol == "GG02"
     variable = spec.variable
-    if variable == "coupling_loss_db":
+    if variable == "coupling_loss_db" and model.setup != 1:
         links = _links(model, model.plan, value, model.n_b1, coherent)
     elif variable == "L0_km":
         # a new plan, so its Raman totals are computed afresh
@@ -325,7 +326,8 @@ def _evaluate_point(
         # a count fixed by the config wins over the bulb's spectral density
         n_b1 = bulb_noise_count(BulbNoiseModel(**{**model.bulb._asdict(), "psd_w_per_nm": value}))
         links = _links(model, model.plan, model.coupling_loss_db, n_b1, coherent)
-    else:  # a clock, a background or a PSD under a fixed count: no budget reads it
+    else:  # a clock, a background, a PSD under a fixed count or a setup-1
+        # coupling loss: no budget reads it
         links = _model_links(model, coherent)
     if variable == "clock_rate_hz":
         clock = value

@@ -27,6 +27,8 @@ NOISE_SETUP4 = ["noise", "--setup", "4", "--l0-start", "1", "--l0-stop", "50", "
 NOISE_SETUP1 = ["noise", "--setup", "1", "--l0-start", "1", "--l0-stop", "50", "--points", "3"]
 DV_SETUP2_COUPLING = ["sweep", "--setup", "2", "--protocol", "DS-BB84", "--var",
                       "coupling_loss_db", "--start", "0", "--stop", "20", "--points", "3"]
+GG02_SETUP1_COUPLING = ["sweep", "--setup", "1", "--protocol", "GG02", "--var",
+                        "coupling_loss_db", "--start", "0", "--stop", "20", "--points", "3"]
 DV_SETUP1_CLOCK = ["sweep", "--setup", "1", "--protocol", "DS-BB84", "--var", "clock_rate_hz",
                    "--start", "1e6", "--stop", "1e9", "--points", "3", "--log"]
 
@@ -45,6 +47,9 @@ DV_SETUP1_CLOCK = ["sweep", "--setup", "1", "--protocol", "DS-BB84", "--var", "c
     # coupling loss leaves the plan and the room alone, so its Raman totals are
     # computed once, and the room's gain and bulb count once each
     (DV_SETUP2_COUPLING, {"budget.raman_totals.calls": 1, "budget.calls": 3, "owc.calls": 2}),
+    # no setup-1 budget reads the coupling loss: the run builds its two links
+    # once and rates each once
+    (GG02_SETUP1_COUPLING, {"budget.calls": 2, "protocols.rate.calls": 2}),
     # a clock only scales the rate: each of the two links is rated once
     (DV_SETUP1_CLOCK, {"budget.raman_totals.calls": 1, "protocols.rate.calls": 2}),
     # setup 1 reports its fiber link only, so it builds no wireless budget and
