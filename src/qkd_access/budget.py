@@ -276,7 +276,15 @@ def launch_power(
     """
     if length_km < 0.0:
         raise ValueError(f"path length must be >= 0, got {length_km}")
-    return 10.0 ** ((sensitivity_dbm + alpha_db_per_km * length_km + 2.0 * awg_db) / 10.0)
+    exponent = (sensitivity_dbm + alpha_db_per_km * length_km + 2.0 * awg_db) / 10.0
+    try:
+        return 10.0 ** exponent
+    except OverflowError:
+        raise OverflowError(
+            f"classical launch power 10^{exponent:.6g} mW overflows: lower "
+            "network.sensitivity_dbm, network.attenuation_db_per_km, "
+            f"network.awg_insertion_loss_db or the {length_km:g} km path length"
+        ) from None
 
 
 def fiber_transmittance(

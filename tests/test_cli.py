@@ -338,12 +338,14 @@ class TestSweepCommand:
         "network.awg_insertion_loss_db=1e300",
     ])
     def test_overflow_fails_without_traceback(self, tmp_path, capsys, assignment):
-        # valid for the config, but the launch power's 10 ** (dB / 10) overflows
+        # valid for the config, but the launch power's 10 ** (dB / 10) overflows;
+        # the error names the keys that feed it
         out = tmp_path / "rates.csv"
         assert run_cli(*SWEEP_L0, "--out", str(out), "--set", assignment) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+        assert assignment.split("=")[0] in err
 
     def test_replaced_background_is_still_checked(self, tmp_path, capsys):
         # a background of one count per pulse replaces the link's noise; the new link
