@@ -318,7 +318,8 @@ def gg02_rate_at(transmissivity: float, excess: float, params: Gg02Params) -> fl
     """Key rate per pulse for explicit channel numbers.
 
     With an optimized V_A this is the search's own best K, the value K takes
-    when evaluated again at that V_A.
+    when evaluated again at that V_A, or 0 as soon as the search has proved
+    that no V_A gives K >= 0.
     """
     v_a = params.modulation_variance
     if v_a is None:
