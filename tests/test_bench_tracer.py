@@ -47,14 +47,14 @@ DV_SETUP1_CLOCK = ["sweep", "--setup", "1", "--protocol", "DS-BB84", "--var", "c
     # coupling loss leaves the plan and the room alone, so its Raman totals are
     # computed once, and the room's gain and bulb count once each
     (DV_SETUP2_COUPLING, {"budget.raman_totals.calls": 1, "budget.calls": 3, "owc.calls": 2}),
-    # no setup-1 budget reads the coupling loss: the run builds its two links
-    # once and rates each once
-    (GG02_SETUP1_COUPLING, {"budget.calls": 2, "protocols.rate.calls": 2}),
     # a clock only scales the rate: each of the two links is rated once
     (DV_SETUP1_CLOCK, {"budget.raman_totals.calls": 1, "protocols.rate.calls": 2}),
     # setup 1 reports its fiber link only, so it builds no wireless budget and
     # resolves no room
     (NOISE_SETUP1, {"budget.calls": 3, "owc.calls": 0}),
+    # no setup-1 budget reads the coupling loss: the run builds its two links
+    # once and rates each once
+    (GG02_SETUP1_COUPLING, {"budget.calls": 2, "protocols.rate.calls": 2}),
 ])
 def test_group_call_counts(tmp_path, capsys, argv, expected):
     tracer = spans.Tracer()

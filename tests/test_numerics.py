@@ -71,17 +71,22 @@ class TestHolevoG:
         with pytest.raises(ValueError):
             holevo_g(1.0 - 1e-6)
 
-    @pytest.mark.parametrize("delta", [1e-300, 1e-17, 1e-9, 0.5, 2.0, 99.0])
-    def test_excess_form(self, delta):
-        # g(1 + delta) and g'(1 + delta) = log2((2 + delta) / delta) / 2, at 50 digits
+    @staticmethod
+    def excess_reference(delta):
+        """g(1 + delta) and g'(1 + delta) = log2((2 + delta) / delta) / 2, at 50 digits."""
         d = mpmath.mpf(delta)
         with mpmath.workdps(50):
             up = mpmath.log1p(d / 2) / mpmath.log(2)
             g = (1 + d / 2) * up - d / 2 * mpmath.log(d / 2, 2)
             slope = (up - mpmath.log(d / 2, 2)) / 2
+        return float(g), float(slope)
+
+    @pytest.mark.parametrize("delta", [1e-300, 1e-17, 1e-9, 0.5, 2.0, 99.0])
+    def test_excess_form(self, delta):
+        g, slope = self.excess_reference(delta)
         got = holevo_g_excess(delta)
-        assert got[0] == pytest.approx(float(g), rel=1e-14, abs=0.0)
-        assert got[1] == pytest.approx(float(slope), rel=1e-14, abs=1e-15)
+        assert got[0] == pytest.approx(g, rel=1e-14, abs=0.0)
+        assert got[1] == pytest.approx(slope, rel=1e-14, abs=1e-15)
 
     @settings(max_examples=300, deadline=None)
     @given(log_delta=st.floats(3.0, 18.0))
@@ -90,14 +95,10 @@ class TestHolevoG:
         # delta = 1e12 and gave g = -4096 at 1e18; each form kept above h = 1
         # is a sum of non-negative terms, within a few ulp of 50 digits
         delta = 10.0 ** log_delta
-        d = mpmath.mpf(delta)
-        with mpmath.workdps(50):
-            up = mpmath.log1p(d / 2) / mpmath.log(2)
-            g = (1 + d / 2) * up - d / 2 * mpmath.log(d / 2, 2)
-            slope = (up - mpmath.log(d / 2, 2)) / 2
+        g, slope = self.excess_reference(delta)
         got = holevo_g_excess(delta)
-        assert got[0] == pytest.approx(float(g), rel=1e-15, abs=0.0)
-        assert got[1] == pytest.approx(float(slope), rel=1e-15, abs=0.0)
+        assert got[0] == pytest.approx(g, rel=1e-15, abs=0.0)
+        assert got[1] == pytest.approx(slope, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("delta", [0.0, -1e-10, 5e-324])
     def test_excess_at_unit_eigenvalue(self, delta):
