@@ -13,9 +13,9 @@ from qkd_access import (
     builtin_cross_section_table,
     raman_backward,
     raman_forward,
-    raman_photon_count,
     raman_totals_setup1,
 )
+from qkd_access.raman import photons_per_gate
 
 table = builtin_cross_section_table()
 alpha = AttenuationCoefficient(0.2)
@@ -44,7 +44,7 @@ print(f"{'feeder (km)':>12} {'fwd (mW)':>12} {'bwd (mW)':>12} {'photons/gate':>1
 for feeder in (5.0, 10.0, 20.0, 50.0, 100.0):
     cfg = SimulationConfig.from_dict({"network": {"feeder_km": feeder}})
     fwd, bwd = raman_totals_setup1(cfg.plan(), table)
-    photons = raman_photon_count(fwd + bwd, 1555.62, 100e-12, 0.3)
+    photons = 0.3 * photons_per_gate(fwd + bwd, 1555.62, 100e-12)
     print(f"{feeder:12.0f} {fwd:12.3e} {bwd:12.3e} {photons:14.3e}")
 print("Because transmit power grows with span loss, the backward total keeps")
 print("climbing with distance and ends up the dominant background source.")

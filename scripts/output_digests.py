@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digest every output of the benchmark workloads, or compare two digest files.
+"""Digest the bench workloads' outputs and the demos' stdout, or compare two digest files.
 
 Runs each call of ``bench/workloads.build(workload, seed)``, for the three
 workloads and seeds 0-2, through ``qkd_access.cli.main`` in-process.  The
@@ -8,7 +8,9 @@ call is its printed line.  Each output gets the SHA-256 of its bytes, plus
 one SHA-256 per CSV column (and one for the ``#`` provenance lines), so a
 comparison can name the columns that moved.  A CSV's header and rows are
 kept too, so the comparison also gives each moved numeric column's largest
-absolute and relative change.
+absolute and relative change.  Each script in ``demos/`` also runs, in a
+subprocess against the same ``src/``, and its stdout gets a SHA-256 under
+the name ``demo/<script>``.
 
 Run from the repository root:
 
@@ -16,10 +18,12 @@ Run from the repository root:
     python scripts/output_digests.py --root ../other-checkout old.json
     python scripts/output_digests.py --diff old.json new.json
 
-``--root`` takes ``src/`` and ``bench/`` from another checkout, e.g. the
-parent commit.  ``--diff`` prints each moved output with its moved columns,
-as ``name (max abs A, max rel R)`` where both files hold the rows, and
-exits 1 if anything moved.
+``--root`` takes ``src/``, ``bench/`` and ``demos/`` from another checkout,
+e.g. the parent commit.  ``--diff`` prints each moved output with its moved
+columns, as ``name (max abs A, max rel R)`` where both files hold the rows,
+and each demo whose stdout moved; it exits 1 if anything moved.  A digest
+file without demo entries, as written before demos were digested, still
+compares: its demos are reported as not compared.
 """
 
 from __future__ import annotations
@@ -29,12 +33,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
 SEEDS = (0, 1, 2)
+DEMO = "demo/"
 
 
 def _sha(text: str) -> str:
@@ -92,13 +99,31 @@ def collect(root: Path) -> dict[str, dict]:
                         digests[name] = {"sha256": _sha(printed.getvalue()), "columns": {}}
                     else:
                         digests[name] = _csv_digest(out.read_text(encoding="utf-8"))
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    for demo in sorted((root / "demos").glob("*.py")):
+        result = subprocess.run([sys.executable, str(demo)], capture_output=True, cwd=root,
+                                env={**os.environ, "PYTHONPATH": path}, timeout=300)
+        if result.returncode != 0:
+            raise SystemExit(f"{demo.name} exited with status {result.returncode}")
+        sha = hashlib.sha256(result.stdout).hexdigest()
+        digests[DEMO + demo.stem] = {"sha256": sha, "columns": {"stdout": sha}}
     return digests
 
 
+def _has_demos(digests: dict[str, dict]) -> bool:
+    return any(name.startswith(DEMO) for name in digests)
+
+
 def diff(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
-    """One line per output that is missing on a side or whose bytes moved."""
+    """One line per output that is missing on a side or whose bytes moved.
+
+    Demos are compared only when both files digest them.
+    """
+    names = old.keys() | new.keys()
+    if not (_has_demos(old) and _has_demos(new)):
+        names = {name for name in names if not name.startswith(DEMO)}
     lines = []
-    for name in sorted(old.keys() | new.keys()):
+    for name in sorted(names):
         if name not in old or name not in new:
             lines.append(f"{name}: only in {'new' if name in new else 'old'}")
         elif old[name]["sha256"] != new[name]["sha256"]:
@@ -115,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", nargs="?", help="JSON file to write the digests to")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
-                        help="checkout whose src/ and bench/ to run (default: this one)")
+                        help="checkout whose src/, bench/ and demos/ to run (default: this one)")
     parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"), help="compare two digest files")
     args = parser.parse_args(argv)
     if args.diff:
@@ -123,7 +148,14 @@ def main(argv: list[str] | None = None) -> int:
         moved = diff(old, new)
         for line in moved:
             print(line)
-        print(f"{len(moved)} of {len(old.keys() | new.keys())} outputs moved")
+        names = old.keys() | new.keys()
+        demos = {name for name in names if name.startswith(DEMO)}
+        moved_demos = sum(line.startswith(DEMO) for line in moved)
+        print(f"{len(moved) - moved_demos} of {len(names - demos)} outputs moved")
+        if _has_demos(old) and _has_demos(new):
+            print(f"{moved_demos} of {len(demos)} demos printed other bytes")
+        else:
+            print("demos not compared: a file holds no demo digests")
         return 1 if moved else 0
     if args.out is None:
         parser.error("give an output file or --diff OLD NEW")

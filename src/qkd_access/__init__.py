@@ -32,7 +32,6 @@ from .numerics import (
     binary_entropy,
     db_to_linear,
     holevo_g,
-    linear_to_db,
 )
 from .owc import (
     BulbNoiseModel,
@@ -55,8 +54,6 @@ from .protocols import (
     gg02_rate,
     gg02_rate_at,
     holevo_bound,
-    max_tolerable_loss,
-    max_tolerable_noise,
     mdi_rate_ds,
     mdi_rate_ds_at,
     mdi_rate_spp,
@@ -73,7 +70,6 @@ from .raman import (
     builtin_cross_section_table,
     raman_backward,
     raman_forward,
-    raman_photon_count,
 )
 from .sweep import (
     NoiseBreakdownResult,

@@ -152,10 +152,6 @@ class DwdmPlan(namedtuple(
         return plan
 
     @property
-    def n_users(self) -> int:
-        return len(self.quantum_nm)
-
-    @property
     def transmittance(self) -> float:
         """User 1's fiber transmittance: feeder, drop and two multiplexer passes."""
         return fiber_transmittance(

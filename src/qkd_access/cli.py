@@ -25,6 +25,7 @@ from .numerics import linspace
 from .owc import CASE_PRESETS
 from .sweep import (
     COHERENT_SETUPS,
+    MAX_POINTS,
     PROTOCOLS,
     SETUPS,
     SWEEP_VARIABLES,
@@ -35,7 +36,7 @@ from .sweep import (
     run_sweep,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -51,7 +52,9 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--table", help="Raman cross-section CSV replacing the built-in table")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use.  It holds no parsed values."""
     parser = argparse.ArgumentParser(
         prog="qkd-access",
         description="Key-rate simulator for wireless-indoor QKD over a DWDM access network",
@@ -91,12 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on first use.  It holds no parsed values."""
-    return build_parser()
-
-
 def _load_config(args) -> SimulationConfig:
     overrides = apply_assignments(read_overrides(args.config), args.overrides)
     if args.table is not None:  # a file name, never parsed as JSON
@@ -134,6 +131,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "noise":
+            if not 1 <= args.points <= MAX_POINTS:
+                raise ValueError(
+                    f"noise needs 1 to {MAX_POINTS} samples (--points), got {args.points}")
             values = linspace(args.l0_start, args.l0_stop, args.points)
             result = noise_breakdown(args.setup, cfg, values)
             emit_csv(result, args.out)

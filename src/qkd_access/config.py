@@ -22,11 +22,18 @@ from .owc import CASE_PRESETS, BulbNoiseModel, RoomScenario
 from .protocols import Bb84Params, Gg02Params, MdiParams
 from .raman import RamanCrossSectionTable, builtin_cross_section_table
 
-__all__ = ["DEFAULTS", "CASE_PRESETS", "SimulationConfig", "ConfigError"]
+__all__ = ["DEFAULTS", "CASE_PRESETS", "MAX_USERS", "SimulationConfig", "ConfigError"]
 
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
+
+
+# The most users ``network.n_users`` may generate: four times the 1:256
+# logical split of XG-PON (ITU-T G.987).  ``plan()`` builds per-user tuples
+# and every point sums over all users' channels, so an unbounded count
+# would allocate gigabytes before any other check.
+MAX_USERS = 1024
 
 
 DEFAULTS: dict = {
@@ -327,6 +334,8 @@ class SimulationConfig:
             drops = (net["drop_km"],) * len(quantum)
             return DwdmPlan(quantum_nm=quantum, data_nm=data, drop_km=drops, **common)
         n = net["n_users"]
+        if not 1 <= n <= MAX_USERS:
+            raise ConfigError(f"network.n_users must be in [1, {MAX_USERS}], got {n}")
         return DwdmPlan.from_grid(
             n_users=n,
             quantum_start_nm=net["quantum_start_nm"],

@@ -1,10 +1,10 @@
-"""Shared special functions and unit conversions.
+"""Shared special functions and the dB unit conversion.
 
 Everything in here is a pure scalar function used by the channel-noise and
 key-rate formulas: Shannon binary entropy, the bosonic entropy function
 g(x) entering Holevo bounds and its slope, the modified Bessel function I0,
-and dB/linear power conversions; plus the two physical constants the photon
-counts need and the linear and logarithmic grids the sweeps run over.
+and the dB-to-linear power conversion; plus the two physical constants the
+photon counts need and the linear and logarithmic grids the sweeps run over.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "holevo_g_excess",
     "bessel_i0",
     "db_to_linear",
-    "linear_to_db",
     "linspace",
     "geomspace",
 ]
@@ -130,13 +129,6 @@ def bessel_i0(x: float) -> float:
 def db_to_linear(value_db: float) -> float:
     """Convert a power ratio in dB to its linear equivalent, 10^(dB/10)."""
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    """Convert a positive linear power ratio to dB."""
-    if value <= 0.0:
-        raise ValueError(f"linear_to_db requires a positive ratio, got {value}")
-    return 10.0 * math.log10(value)
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:

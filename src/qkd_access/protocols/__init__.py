@@ -6,8 +6,6 @@ from .bb84 import (
     ds_bb84_rate,
     ds_bb84_rate_at,
     gain_and_qber,
-    max_tolerable_loss,
-    max_tolerable_noise,
     spp_bb84_rate,
     spp_bb84_rate_at,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "ds_bb84_rate",
     "ds_bb84_rate_at",
     "gain_and_qber",
-    "max_tolerable_loss",
-    "max_tolerable_noise",
     "spp_bb84_rate",
     "spp_bb84_rate_at",
     "Gg02Params",

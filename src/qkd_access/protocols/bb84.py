@@ -33,15 +33,11 @@ __all__ = [
     "ds_bb84_rate_at",
     "spp_bb84_rate",
     "spp_bb84_rate_at",
-    "max_tolerable_noise",
-    "max_tolerable_loss",
 ]
 
 # Error probability of a background click: a noise photon carries no bit
 # correlation, so it lands on the wrong detector half the time.
 ERRONEOUS_CLICK_ERROR = 0.5
-
-BISECTION_REL_TOL = 1e-6
 
 
 class Bb84Params(namedtuple(
@@ -144,46 +140,3 @@ def spp_bb84_rate_at(eta: float, noise: float, params: Bb84Params) -> float:
 def spp_bb84_rate(link: LinkBudget, params: Bb84Params) -> float:
     return spp_bb84_rate_at(link.transmissivity, link.noise_per_detector, params)
 
-
-def _bisect_boundary(predicate, lo: float, hi: float) -> tuple[float, float]:
-    """Bracket (lo, hi) of the true->false transition of predicate in [lo, hi].
-
-    predicate stays true at lo and false at hi while the bracket shrinks.
-    """
-    while (hi - lo) > BISECTION_REL_TOL * max(hi, 1e-30):
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-def max_tolerable_noise(eta: float, params: Bb84Params, rate_fn=ds_bb84_rate_at) -> float:
-    """Largest per-detector noise at which the rate stays positive.
-
-    Returns 0.0 when the channel yields no key even without background, and
-    ``math.inf`` if the rate somehow never dies in the searchable range
-    (cannot happen for the standard formulas, but the caller gets an
-    explicit marker instead of a silent wrong number).
-    """
-    if rate_fn(eta, 0.0, params) <= 0.0:
-        return 0.0
-    hi = 0.5
-    if rate_fn(eta, hi, params) > 0.0:
-        return math.inf
-    return _bisect_boundary(lambda n: rate_fn(eta, n, params) > 0.0, 0.0, hi)[0]
-
-
-def max_tolerable_loss(noise: float, params: Bb84Params, rate_fn=ds_bb84_rate_at) -> float:
-    """Smallest transmissivity at which the rate stays positive.
-
-    Returns ``math.inf`` when no transmissivity gives a key at this noise
-    level (marker for "loss budget empty").
-    """
-    if rate_fn(1.0, noise, params) <= 0.0:
-        return math.inf
-    if noise == 0.0:
-        return 0.0  # any positive transmissivity already yields key
-    # no key at low eta, key at high eta
-    return _bisect_boundary(lambda eta: not rate_fn(eta, noise, params) > 0.0, 0.0, 1.0)[1]

@@ -35,7 +35,6 @@ __all__ = [
     "raman_forward",
     "raman_backward",
     "photons_per_gate",
-    "raman_photon_count",
 ]
 
 CSV_HEADER = ("lambda_q_nm", "gamma_per_km_nm")
@@ -221,9 +220,3 @@ def photons_per_gate(power_mw: float, rx_nm: float, gate_s: float) -> float:
     """Photons per gate reaching an ideal detector for a given optical power."""
     return power_mw * 1e-3 * gate_s * (rx_nm * 1e-9) / (PLANCK_J_S * LIGHTSPEED_M_S)
 
-
-def raman_photon_count(power_mw: float, rx_nm: float, gate_s: float, det_efficiency: float) -> float:
-    """Average detected photons per gate for a given scattered power."""
-    if min(power_mw, rx_nm, gate_s, det_efficiency) < 0.0:
-        raise ValueError("raman_photon_count arguments must be >= 0")
-    return det_efficiency * photons_per_gate(power_mw, rx_nm, gate_s)

@@ -79,6 +79,7 @@ __all__ = [
     "SETUPS",
     "COHERENT_SETUPS",
     "SWEEP_VARIABLES",
+    "MAX_POINTS",
     "SweepSpec",
     "SweepPoint",
     "SweepResult",
@@ -101,7 +102,13 @@ _SETUP_PROTOCOLS = {
 SETUPS = tuple(_SETUP_PROTOCOLS)
 COHERENT_SETUPS = tuple(setup for setup, names in _SETUP_PROTOCOLS.items() if "GG02" in names)
 
-CROSSOVER_CLOCK_RANGE_HZ = (1e6, 1e10)
+CROSSOVER_CLOCK_MAX_HZ = 1e10
+
+# The most points a ``--points`` grid may have.  Each point is one CSV row
+# and up to about a millisecond of work, so this is minutes of run time and
+# about 10 MB of CSV, past any figure; an unbounded count would make the grid
+# allocate gigabytes before its first point.
+MAX_POINTS = 100_000
 
 
 class SweepSpec(namedtuple(
@@ -126,8 +133,9 @@ class SweepSpec(namedtuple(
             raise ValueError(f"case must be one of {sorted(CASE_PRESETS)}, got {self.case}")
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
-        if self.points < 2:
-            raise ValueError("a sweep needs at least 2 points")
+        if not 2 <= self.points <= MAX_POINTS:
+            raise ValueError(
+                f"a sweep needs 2 to {MAX_POINTS} points (--points), got {self.points}")
         if not self.start < self.stop:
             raise ValueError("sweep range must satisfy start < stop")
         if self.log_spacing and self.start <= 0.0:
@@ -404,8 +412,7 @@ def dv_cv_crossover(config: SimulationConfig, setup: int = 2) -> float:
     while the direct-detection clock varies.  The rate gap is linear in
     that clock, so the crossover is ``cv_bps / dv_rate``.  Returns it in
     Hz, 0.0 when the coherent link yields no key at all, and ``math.inf``
-    when the crossover lies above ``CROSSOVER_CLOCK_RANGE_HZ``.  A
-    crossover below the range is returned as is.
+    when the crossover lies above ``CROSSOVER_CLOCK_MAX_HZ``.
     """
     if setup not in COHERENT_SETUPS:
         raise ValueError(f"the crossover compares setups {list(COHERENT_SETUPS)}, not {setup}")
@@ -419,7 +426,7 @@ def dv_cv_crossover(config: SimulationConfig, setup: int = 2) -> float:
     if dv_rate == 0.0:
         return math.inf
     clock = cv_bps / dv_rate
-    return math.inf if clock > CROSSOVER_CLOCK_RANGE_HZ[1] else clock
+    return math.inf if clock > CROSSOVER_CLOCK_MAX_HZ else clock
 
 
 def emit_csv(result: SweepResult | NoiseBreakdownResult, path: str) -> None:

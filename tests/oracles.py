@@ -245,9 +245,16 @@ def holevo_bound_mp(v_a, transmissivity, excess, receiver_eff, electronic, digit
     fixed precision resolves that, so the invariants and discriminants are
     computed exactly, as rationals of the inputs' exact values (a float or
     an mpf), and never clamped; only the square roots and logarithms round,
-    at ``digits`` digits.  What cancels after that, (A - sqrt(A^2 - 4B)) / 2
-    and lambda - 1 inside g, leaves at 50 digits an error far below 1e-40
-    bits.
+    at ``digits`` digits.
+
+    Nor is lambda - 1 taken as a difference, which would cost -log10(lambda
+    - 1) digits: at T = 1 and eps ~ 1e-48 every lambda - 1 is ~ eps, and the
+    bound ~ 4e-48 bits would carry an error of ~ 1e-48 at 50 digits.  With
+    the pair's sum s = lambda1^2 + lambda2^2 and product p = lambda1^2
+    lambda2^2, lambda^2 - 1 is (s - 2 + sqrt(s^2 - 4p)) / 2 for the larger
+    and 2 (p - s + 1) / (s - 2 + sqrt(s^2 - 4p)) for the smaller, where s - 2
+    and p - s + 1 = (lambda1^2 - 1)(lambda2^2 - 1) are exact.  So each g
+    term is good to about ``digits`` digits relative to itself.
     """
     from fractions import Fraction
 
@@ -273,19 +280,22 @@ def holevo_bound_mp(v_a, transmissivity, excess, receiver_eff, electronic, digit
         def to_mp(x):
             return mpmath.mpf(x.numerator) / x.denominator
 
-        def pair(s, p_squared):
-            root = mpmath.sqrt(to_mp(s * s - 4 * p_squared))  # complex if ever negative
-            return mpmath.sqrt((to_mp(s) + root) / 2), mpmath.sqrt((to_mp(s) - root) / 2)
+        def excesses(s, p_squared):
+            """lambda - 1 for the pair with invariants s and p_squared."""
+            big = to_mp(s - 2) + mpmath.sqrt(to_mp(s * s - 4 * p_squared))  # complex if < 0
+            small = to_mp(2 * (p_squared - s + 1)) / big if big != 0 else mpmath.mpf(0)
+            return [x / (mpmath.sqrt(1 + x) + 1) for x in (big / 2, small)]
 
-        def g(x):
-            if x <= 1:
+        def g(delta):
+            """g(1 + delta)."""
+            if delta <= 0:
                 return mpmath.mpf(0)
-            return ((x + 1) / 2 * mpmath.log((x + 1) / 2, 2)
-                    - (x - 1) / 2 * mpmath.log((x - 1) / 2, 2))
+            h = delta / 2
+            return ((1 + h) * mpmath.log1p(h) - h * mpmath.log(h)) / mpmath.log(2)
 
-        lam1, lam2 = pair(a, root_b * root_b)
-        lam3, lam4 = pair(c, d)
-        return g(lam1) + g(lam2) - g(lam3) - g(lam4)
+        d1, d2 = excesses(a, root_b * root_b)
+        d3, d4 = excesses(c, d)
+        return g(d1) + g(d2) - g(d3) - g(d4)
 
 
 def secret_fraction_mp(v_a, transmissivity, excess, beta, receiver_eff, electronic, digits=50):

@@ -11,8 +11,6 @@ from qkd_access.protocols import (
     ds_bb84_rate,
     ds_bb84_rate_at,
     gain_and_qber,
-    max_tolerable_loss,
-    max_tolerable_noise,
     spp_bb84_rate_at,
 )
 
@@ -103,36 +101,6 @@ class TestKeyRate:
         noises = np.linspace(0.0, 0.02, 100)
         rates = [ds_bb84_rate_at(0.01, float(n), NOMINAL) for n in noises]
         assert all(b <= a + 1e-15 for a, b in zip(rates, rates[1:]))
-
-
-class TestTolerableBoundaries:
-    def test_no_key_at_zero_noise_returns_zero(self):
-        # almost-saturated misalignment already kills the rate
-        hopeless = Bb84Params(misalignment=0.4999)
-        assert max_tolerable_noise(0.5, hopeless) == 0.0
-
-    def test_boundary_agrees_with_dense_scan(self):
-        eta = 1e-3
-        boundary = max_tolerable_noise(eta, NOMINAL)
-        grid = np.linspace(0.0, 2.0 * boundary, 4001)
-        scan = max(float(n) for n in grid if ds_bb84_rate_at(eta, float(n), NOMINAL) > 0.0)
-        assert boundary == pytest.approx(scan, abs=2.0 * boundary / 4000.0)
-        assert ds_bb84_rate_at(eta, boundary * 0.999, NOMINAL) > 0.0
-        assert ds_bb84_rate_at(eta, boundary * 1.001, NOMINAL) == 0.0
-
-    def test_loss_boundary_with_zero_noise(self):
-        assert max_tolerable_loss(0.0, Bb84Params(misalignment=0.0)) == 0.0
-
-    def test_loss_boundary_agrees_with_dense_scan(self):
-        noise = 1e-5
-        boundary = max_tolerable_loss(noise, NOMINAL)
-        assert 0.0 < boundary < 1.0
-        assert ds_bb84_rate_at(boundary * 1.01, noise, NOMINAL) > 0.0
-        assert ds_bb84_rate_at(boundary * 0.99, noise, NOMINAL) == 0.0
-
-    def test_unachievable_noise_marker(self):
-        hopeless = Bb84Params(misalignment=0.4999)
-        assert max_tolerable_loss(0.4, hopeless) == math.inf
 
 
 class TestParamsValidation:

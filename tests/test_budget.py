@@ -88,7 +88,7 @@ class TestFiberTransmittance:
 class TestDwdmPlan:
     def test_grid_generation(self):
         plan = nominal_plan()
-        assert plan.n_users == 32
+        assert len(plan.quantum_nm) == 32
         assert plan.quantum_nm[0] == pytest.approx(1555.62, abs=0.0)
         assert plan.data_nm[0] == pytest.approx(1585.2, abs=0.0)
         assert plan.quantum_nm[-1] == pytest.approx(1555.62 - 0.8 * 31, abs=0.0)

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkd_access import cli, sweep
 from qkd_access.cli import main
-from qkd_access.config import DEFAULTS, ConfigError, SimulationConfig
-from qkd_access.sweep import _SETUP_PROTOCOLS, SWEEP_VARIABLES
+from qkd_access.config import DEFAULTS, MAX_USERS, ConfigError, SimulationConfig
+from qkd_access.sweep import _SETUP_PROTOCOLS, MAX_POINTS, SWEEP_VARIABLES
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -30,6 +31,7 @@ PUMP_ERRORS = {
 }
 SWEEP_L0 = ("sweep", "--setup", "2", "--protocol", "DS-BB84", "--var", "L0_km", "--start", "1",
             "--stop", "30", "--points", "3")
+NOISE = ("noise", "--setup", "2")
 
 
 def run_cli(*args):
@@ -167,6 +169,13 @@ class TestValidateConfig:
     def test_clock_bounds_name_their_key(self, capsys, assignment, message):
         assert run_cli("validate-config", "--set", assignment) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("users,code", [(MAX_USERS, 0), (MAX_USERS + 1, 2), (0, 2)])
+    def test_user_count_is_bounded(self, capsys, users, code):
+        assert run_cli("validate-config", "--set", f"network.n_users={users}") == code
+        if code == 2:
+            assert capsys.readouterr().err == (
+                f"error: network.n_users must be in [1, {MAX_USERS}], got {users}\n")
 
     @pytest.mark.parametrize("assignment,message", [
         ('case={"x":1}', "error: case must be a value, got {'x': 1}"),
@@ -394,7 +403,7 @@ class TestNoiseCommand:
         assert len(lines) == 3 + 1 + 5
 
 
-    @pytest.mark.parametrize("points,rows", [(0, 0), (1, 1)])
+    @pytest.mark.parametrize("points,rows", [(1, 1)])
     def test_short_grids(self, tmp_path, points, rows):
         out = tmp_path / "noise.csv"
         code = run_cli("noise", "--setup", "2", "--l0-start", "7", "--points", str(points),
@@ -415,6 +424,27 @@ class TestNoiseCommand:
                        "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "fiber lengths must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,points,message", [
+    (SWEEP_L0, 1, f"a sweep needs 2 to {MAX_POINTS} points (--points), got 1"),
+    (SWEEP_L0, MAX_POINTS + 1,
+     f"a sweep needs 2 to {MAX_POINTS} points (--points), got {MAX_POINTS + 1}"),
+    (NOISE, 0, f"noise needs 1 to {MAX_POINTS} samples (--points), got 0"),
+    (NOISE, MAX_POINTS + 1,
+     f"noise needs 1 to {MAX_POINTS} samples (--points), got {MAX_POINTS + 1}"),
+], ids=["sweep-1", "sweep-past-bound", "noise-0", "noise-past-bound"])
+def test_points_out_of_range_fail(tmp_path, capsys, monkeypatch, command, points, message):
+    # rejected before any grid is built
+    def no_grid(*_):
+        raise AssertionError("the grid was built")
+
+    for module in (cli, sweep):
+        monkeypatch.setattr(module, "linspace", no_grid)
+    out = tmp_path / "x.csv"
+    assert run_cli(*command, "--points", str(points), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestCrossoverCommand:

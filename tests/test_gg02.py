@@ -268,6 +268,9 @@ class TestOptimizer:
 
     @settings(max_examples=200, deadline=None)
     @given(point=PREMISE_POINTS, rises=st.lists(st.floats(-6.0, 3.0), min_size=1, max_size=4))
+    # every lambda - 1 is ~ eps here, below the resolution of a 50-digit
+    # lambda: a reference that forms lambda - 1 as a difference misorders these
+    @example(point=(1.0, 4.337951671448226e-48, 0.0078125, 0.0, 0.5), rises=[-1.0])
     def test_holevo_bound_does_not_fall_past_a_rising_point(self, point, rises):
         # the no-key certificate takes chi_BE(a) as a floor on [a, b] only where
         # the slope it reads at a is >= 0; at 50 digits chi_BE(b) >= chi_BE(a)

@@ -16,7 +16,6 @@ from qkd_access.numerics import (
     geomspace,
     holevo_g,
     holevo_g_excess,
-    linear_to_db,
     linspace,
 )
 
@@ -143,19 +142,6 @@ class TestDecibels:
 
     def test_reference_value(self):
         assert db_to_linear(3.0) == pytest.approx(1.9952623149688796, rel=1e-14, abs=0.0)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        for db in rng.uniform(-80.0, 80.0, 1000):
-            assert db_to_linear(linear_to_db(db_to_linear(db))) == pytest.approx(
-                db_to_linear(db), rel=1e-12, abs=0.0
-            )
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            linear_to_db(0.0)
-        with pytest.raises(ValueError):
-            linear_to_db(-2.0)
 
 
 class TestAttenuationCoefficient:

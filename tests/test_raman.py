@@ -13,9 +13,9 @@ from qkd_access.raman import (
     RamanCrossSectionTable,
     RamanQuery,
     builtin_cross_section_table,
+    photons_per_gate,
     raman_backward,
     raman_forward,
-    raman_photon_count,
 )
 
 ALPHA_02 = AttenuationCoefficient(0.2)
@@ -229,17 +229,14 @@ class TestScatteredPower:
 
 class TestPhotonCount:
     def test_zero_power(self):
-        assert raman_photon_count(0.0, 1555.62, 100e-12, 0.3) == 0.0
+        assert photons_per_gate(0.0, 1555.62, 100e-12) == 0.0
 
     def test_reference_value(self):
-        got = raman_photon_count(1.571e-8, 1555.62, 100e-12, 0.3)
-        assert got == pytest.approx(3.6908315590956121e-3, rel=1e-12, abs=0.0)
+        # 1.571e-11 W over 100 ps at 1555.62 nm, with the SI h and c, at 50 digits
+        got = photons_per_gate(1.571e-8, 1555.62, 100e-12)
+        assert got == pytest.approx(1.2302771863652040e-2, rel=1e-12, abs=0.0)
 
     def test_linear_in_gate(self):
-        one = raman_photon_count(1e-8, 1555.62, 100e-12, 0.3)
-        two = raman_photon_count(1e-8, 1555.62, 200e-12, 0.3)
+        one = photons_per_gate(1e-8, 1555.62, 100e-12)
+        two = photons_per_gate(1e-8, 1555.62, 200e-12)
         assert two == pytest.approx(2.0 * one, rel=1e-12, abs=0.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            raman_photon_count(-1.0, 1555.62, 100e-12, 0.3)
