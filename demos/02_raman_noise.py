@@ -43,7 +43,7 @@ print("=== Full-network totals at user 1 under the launch-power rule ===")
 print(f"{'feeder (km)':>12} {'fwd (mW)':>12} {'bwd (mW)':>12} {'photons/gate':>14}")
 for feeder in (5.0, 10.0, 20.0, 50.0, 100.0):
     cfg = SimulationConfig.from_dict({"network": {"feeder_km": feeder}})
-    fwd, bwd = raman_totals_setup1(cfg.plan(), table)
+    fwd, bwd = raman_totals_setup1(cfg.plan())
     photons = 0.3 * photons_per_gate(fwd + bwd, 1555.62, 100e-12)
     print(f"{feeder:12.0f} {fwd:12.3e} {bwd:12.3e} {photons:14.3e}")
 print("Because transmit power grows with span loss, the backward total keeps")

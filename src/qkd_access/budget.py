@@ -29,7 +29,7 @@ import math
 from collections import namedtuple
 
 from .numerics import AttenuationCoefficient, db_to_linear
-from .raman import RamanCrossSectionTable, backward_length_km, photons_per_gate
+from .raman import backward_length_km, photons_per_gate
 
 __all__ = [
     "DEFAULT_SENSITIVITY_DBM",
@@ -81,28 +81,31 @@ class DetectorParams(namedtuple(
 
 class DwdmPlan(namedtuple(
     "DwdmPlan",
-    "quantum_nm data_nm feeder_km drop_km awg_insertion_loss_db attenuation sensitivity_dbm",
+    "quantum_nm data_nm raman_table rx_bandwidth_nm feeder_km drop_km awg_insertion_loss_db "
+    "attenuation sensitivity_dbm",
 )):
-    """Wavelength plan and fiber layout of the access network.
+    """Wavelength plan, fiber layout and quantum receiver of the access network.
 
     ``quantum_nm[0]`` / ``data_nm[0]`` belong to user 1, the user whose key
-    rate is evaluated.  ``drop_km[k]`` is the distance of user k+1 from the
-    splitting point, 0.5 km for every user when empty; ``feeder_km`` is the
-    shared feeder to the central office.  ``raman_totals`` computes each kind
-    of Raman totals once per plan.  Its memo and that of ``_raman_inputs``
-    are attributes, not fields, so they take no part in equality, hashing or
-    the repr.  ``with_feeder`` gives the plan for another feeder length,
-    which shares this plan's checked grids and feeder-independent Raman
-    inputs.
+    rate is evaluated.  ``raman_table`` is the fiber's Raman cross section
+    and ``rx_bandwidth_nm`` the quantum receiver's filter width, so the plan
+    fixes everything the Raman background depends on; a grid the table does
+    not cover is rejected where the plan is built.  ``drop_km[k]`` is the
+    distance of user k+1 from the splitting point, 0.5 km for every user
+    when empty; ``feeder_km`` is the shared feeder to the central office.
+    ``raman_totals`` computes each kind of Raman totals once per plan.  Its
+    memo and the feeder-independent Raman inputs are attributes, not fields,
+    so they take no part in equality, hashing or the repr.  ``with_feeder``
+    gives the plan for another feeder length, which shares this plan's
+    checked grids, table, bandwidth and Raman inputs.
     """
 
-    def __new__(cls, quantum_nm, data_nm, feeder_km=10.0, drop_km=(), awg_insertion_loss_db=2.0,
-                attenuation=AttenuationCoefficient(0.2), sensitivity_dbm=DEFAULT_SENSITIVITY_DBM):
-        plan = super().__new__(cls, quantum_nm, data_nm, feeder_km,
+    def __new__(cls, quantum_nm, data_nm, raman_table, rx_bandwidth_nm, feeder_km=10.0,
+                drop_km=(), awg_insertion_loss_db=2.0, attenuation=AttenuationCoefficient(0.2),
+                sensitivity_dbm=DEFAULT_SENSITIVITY_DBM):
+        return super().__new__(cls, quantum_nm, data_nm, raman_table, rx_bandwidth_nm, feeder_km,
                                drop_km or (0.5,) * len(quantum_nm), awg_insertion_loss_db,
                                attenuation, sensitivity_dbm)
-        plan._raman, plan._inputs = {}, {}
-        return plan
 
     def __init__(self, *_, **__):
         if len(self.quantum_nm) != len(self.data_nm) or not self.quantum_nm:
@@ -117,6 +120,18 @@ class DwdmPlan(namedtuple(
             raise ValueError("fiber lengths must be >= 0")
         if self.awg_insertion_loss_db < 0.0:
             raise ValueError("AWG insertion loss must be >= 0")
+        if self.rx_bandwidth_nm <= 0.0:
+            raise ValueError(f"receiver bandwidth must be > 0, got {self.rx_bandwidth_nm}")
+        # The feeder-independent inputs of the Raman sums: the first user of
+        # each distinct drop length, each user's index into those, and the
+        # cross sections of every data channel into user 1's quantum channel.
+        first: dict = {}
+        for user, km in enumerate(self.drop_km):
+            first.setdefault(km, user)
+        slot = {km: k for k, km in enumerate(first)}
+        self._inputs = (tuple(first.values()), tuple(map(slot.__getitem__, self.drop_km)),
+                        self.raman_table.grid_gammas(self.data_nm, self.quantum_nm[0]))
+        self._raman = {}
 
     @classmethod
     def from_grid(
@@ -131,6 +146,7 @@ class DwdmPlan(namedtuple(
 
         User 1 takes the top wavelength of each band (the quantum channel
         closest to the data band); the remaining users step down from it.
+        ``kwargs`` are the other fields, the table and bandwidth among them.
         """
         if n_users < 1:
             raise ValueError("need at least one user")
@@ -141,9 +157,9 @@ class DwdmPlan(namedtuple(
     def with_feeder(self, feeder_km: float) -> "DwdmPlan":
         """This plan with a ``feeder_km`` feeder, rejected as ``DwdmPlan(...)`` rejects it.
 
-        The grids and drops were checked when this plan was built, so only the
-        feeder is checked here.  The new plan starts its own totals memo and
-        shares this plan's feeder-independent Raman inputs.
+        The grids, drops and bandwidth were checked when this plan was built,
+        so only the feeder is checked here.  The new plan starts its own
+        totals memo and shares this plan's feeder-independent Raman inputs.
         """
         if feeder_km < 0.0:
             raise ValueError("fiber lengths must be >= 0")
@@ -158,29 +174,11 @@ class DwdmPlan(namedtuple(
             self.feeder_km, self.drop_km[0], self.attenuation.db_per_km, self.awg_insertion_loss_db
         )
 
-    def raman_totals(self, totals, table: RamanCrossSectionTable,
-                     rx_bandwidth_nm: float) -> tuple[float, float]:
-        """``totals(self, table, rx_bandwidth_nm)``, computed once per plan and arguments."""
-        key = (totals, table, rx_bandwidth_nm)
-        if key not in self._raman:
-            self._raman[key] = totals(self, table, rx_bandwidth_nm)
-        return self._raman[key]
-
-    def _raman_inputs(self, table: RamanCrossSectionTable):
-        """The feeder-independent inputs of the Raman sums, once per plan family and table.
-
-        Returns (first user of each distinct drop length, each user's index
-        into those, cross sections of every data channel into user 1's
-        quantum channel); ``with_feeder`` plans share them.
-        """
-        if table not in self._inputs:
-            first: dict = {}
-            for user, km in enumerate(self.drop_km):
-                first.setdefault(km, user)
-            slot = {km: k for k, km in enumerate(first)}
-            self._inputs[table] = (tuple(first.values()), tuple(map(slot.__getitem__, self.drop_km)),
-                                   table.grid_gammas(self.data_nm, self.quantum_nm[0]))
-        return self._inputs[table]
+    def raman_totals(self, totals) -> tuple[float, float]:
+        """``totals(self)``, computed once per plan and totals function."""
+        if totals not in self._raman:
+            self._raman[totals] = totals(self)
+        return self._raman[totals]
 
 
 class _DetectorNoise:
@@ -292,7 +290,7 @@ def fiber_transmittance(
     return 10.0 ** (-(alpha_db_per_km * (feeder_km + drop_km) + 2.0 * awg_db) / 10.0)
 
 
-def _drop_terms(plan: DwdmPlan, table: RamanCrossSectionTable, rx_bandwidth_nm: float):
+def _drop_terms(plan: DwdmPlan):
     """The inputs of the Raman sums at this plan's feeder.
 
     Returns (alpha per km; the feeder factors: two-multiplexer transmittance,
@@ -303,10 +301,8 @@ def _drop_terms(plan: DwdmPlan, table: RamanCrossSectionTable, rx_bandwidth_nm: 
     depend on a user only through its drop length, so each is computed once
     per distinct drop.
     """
-    if rx_bandwidth_nm <= 0.0:
-        raise ValueError(f"receiver bandwidth must be > 0, got {rx_bandwidth_nm}")
     alpha, feeder, awg_db = plan.attenuation.per_km, plan.feeder_km, plan.awg_insertion_loss_db
-    users, slot, gamma = plan._raman_inputs(table)
+    users, slot, gamma = plan._inputs
     power = [launch_power(feeder + plan.drop_km[user], plan.attenuation.db_per_km, awg_db,
                           plan.sensitivity_dbm) for user in users]
     drop_att = [math.exp(-alpha * plan.drop_km[user]) for user in users]
@@ -328,11 +324,7 @@ def _drop_terms(plan: DwdmPlan, table: RamanCrossSectionTable, rx_bandwidth_nm: 
 # 3.12 it compensates, which would move the last bit.
 
 
-def raman_totals_setup1(
-    plan: DwdmPlan,
-    table: RamanCrossSectionTable,
-    rx_bandwidth_nm: float = 0.8,
-) -> tuple[float, float]:
+def raman_totals_setup1(plan: DwdmPlan) -> tuple[float, float]:
     """Total forward/backward Raman power (mW) at user 1's receiver wavelength,
     for a receiver at the central office (setups 1-fiber and 2).
 
@@ -342,9 +334,8 @@ def raman_totals_setup1(
     noise comes from the downstream transmitters at the central office,
     whose light enters the feeder unattenuated.
     """
-    alpha, awg, e_feeder, eff_feeder, power, drop_att, slot, gamma = _drop_terms(
-        plan, table, rx_bandwidth_nm)
-    feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], rx_bandwidth_nm
+    alpha, awg, e_feeder, eff_feeder, power, drop_att, slot, gamma = _drop_terms(plan)
+    feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], plan.rx_bandwidth_nm
     fwd = power[0] * math.exp(-alpha * own_km) * own_km * gamma[0] * bw
     bwd = power[0] * backward_length_km(alpha, own_km) * gamma[0] * bw
     fwd_pre = [p * att * e_feeder * feeder for p, att in zip(power, drop_att)]
@@ -355,11 +346,7 @@ def raman_totals_setup1(
     return fwd * awg, bwd * awg
 
 
-def raman_totals_setup3(
-    plan: DwdmPlan,
-    table: RamanCrossSectionTable,
-    rx_bandwidth_nm: float = 0.8,
-) -> tuple[float, float]:
+def raman_totals_setup3(plan: DwdmPlan) -> tuple[float, float]:
     """Raman power totals for a measurement module at user 1's premises.
 
     The other users' noise is generated along the feeder and then crosses
@@ -367,9 +354,8 @@ def raman_totals_setup3(
     contributions start from launch powers already attenuated over the
     contributing user's drop.
     """
-    alpha, awg, e_feeder, eff_feeder, power, drop_att, slot, gamma = _drop_terms(
-        plan, table, rx_bandwidth_nm)
-    feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], rx_bandwidth_nm
+    alpha, awg, e_feeder, eff_feeder, power, drop_att, slot, gamma = _drop_terms(plan)
+    feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], plan.rx_bandwidth_nm
     fwd = power[0] * math.exp(-alpha * own_km) * own_km * gamma[0] * bw
     bwd = power[0] * backward_length_km(alpha, own_km) * gamma[0] * bw
     fwd_pre = [p * e_feeder * feeder for p in power]
@@ -382,11 +368,7 @@ def raman_totals_setup3(
     return (fwd + drop_att[0] * fwd_rest) * awg, (bwd + drop_att[0] * bwd_rest) * awg
 
 
-def raman_totals_setup4(
-    plan: DwdmPlan,
-    table: RamanCrossSectionTable,
-    rx_bandwidth_nm: float = 0.8,
-) -> tuple[float, float]:
+def raman_totals_setup4(plan: DwdmPlan) -> tuple[float, float]:
     """Raman power totals for a measurement module at the splitting point.
 
     Forward noise comes from all downstream channels over the feeder plus
@@ -395,9 +377,8 @@ def raman_totals_setup4(
     upstream channels' backscatter over the feeder and the downstream
     user-1 channel's backscatter over the drop.
     """
-    alpha, awg, e_feeder, eff_feeder, power, drop_att, slot, gamma = _drop_terms(
-        plan, table, rx_bandwidth_nm)
-    feeder, drop, bw = plan.feeder_km, plan.drop_km[0], rx_bandwidth_nm
+    alpha, awg, e_feeder, eff_feeder, power, drop_att, slot, gamma = _drop_terms(plan)
+    feeder, drop, bw = plan.feeder_km, plan.drop_km[0], plan.rx_bandwidth_nm
     fwd_pre = [p * e_feeder * feeder for p in power]
     bwd_pre = [p * att * eff_feeder for p, att in zip(power, drop_att)]
     fwd_mux = bwd = -0.0  # the exact additive identity
@@ -422,14 +403,9 @@ def budget_setup1_wireless(h_dc: float, n_b1: float, det: DetectorParams) -> Lin
     )
 
 
-def budget_setup1_fiber(
-    plan: DwdmPlan,
-    det: DetectorParams,
-    table: RamanCrossSectionTable,
-    rx_bandwidth_nm: float = 0.8,
-) -> LinkBudget:
+def budget_setup1_fiber(plan: DwdmPlan, det: DetectorParams) -> LinkBudget:
     """Budget of the relay-to-central-office fiber link."""
-    fwd, bwd = plan.raman_totals(raman_totals_setup1, table, rx_bandwidth_nm)
+    fwd, bwd = plan.raman_totals(raman_totals_setup1)
     count = det.eta_telecom / 2.0 * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
     return LinkBudget(
         transmissivity=plan.transmittance * det.eta_telecom / 2.0,
@@ -444,9 +420,7 @@ def budget_setup2(
     n_b1: float,
     plan: DwdmPlan,
     det: DetectorParams,
-    table: RamanCrossSectionTable,
     coupling_loss_db: float = 10.0,
-    rx_bandwidth_nm: float = 0.8,
 ) -> LinkBudget:
     """Budget of the relay-free link: room, coupling lens, fiber, office.
 
@@ -455,7 +429,7 @@ def budget_setup2(
     receiver.
     """
     # same totals as setup 1
-    fwd, bwd = plan.raman_totals(raman_totals_setup1, table, rx_bandwidth_nm)
+    fwd, bwd = plan.raman_totals(raman_totals_setup1)
     eta_coup = db_to_linear(-coupling_loss_db)
     eta_fib = plan.transmittance
     half_det = det.eta_telecom / 2.0
@@ -474,9 +448,7 @@ def budget_setup3(
     n_b1: float,
     plan: DwdmPlan,
     det: DetectorParams,
-    table: RamanCrossSectionTable,
     coupling_loss_db: float = 10.0,
-    rx_bandwidth_nm: float = 0.8,
     polarization_factor: float = 0.5,
 ) -> MdiLinkBudget:
     """Budget for the measurement module at the user's end.
@@ -485,7 +457,7 @@ def budget_setup3(
     enters the measurement; ``polarization_factor`` models the matching
     loss (0.5 for passive filtering, 1.0 for active stabilization).
     """
-    fwd, bwd = plan.raman_totals(raman_totals_setup3, table, rx_bandwidth_nm)
+    fwd, bwd = plan.raman_totals(raman_totals_setup3)
     eta_coup = db_to_linear(-coupling_loss_db)
     quarter = det.eta_telecom / 4.0
     count = quarter * photons_per_gate(1.0, plan.quantum_nm[0], det.gate_s)
@@ -505,9 +477,7 @@ def budget_setup4(
     n_b1: float,
     plan: DwdmPlan,
     det: DetectorParams,
-    table: RamanCrossSectionTable,
     coupling_loss_db: float = 10.0,
-    rx_bandwidth_nm: float = 0.8,
     polarization_factor: float = 0.5,
 ) -> MdiLinkBudget:
     """Budget for the measurement module at the splitting point.
@@ -515,7 +485,7 @@ def budget_setup4(
     Relative to setup 3, everything coming from the room additionally
     crosses user 1's drop fiber, and the office side is one drop shorter.
     """
-    fwd, bwd = plan.raman_totals(raman_totals_setup4, table, rx_bandwidth_nm)
+    fwd, bwd = plan.raman_totals(raman_totals_setup4)
     alpha_db = plan.attenuation.db_per_km
     drop_loss = fiber_transmittance(0.0, plan.drop_km[0], alpha_db, 0.0)
     eta_coup = db_to_linear(-coupling_loss_db)
@@ -538,9 +508,7 @@ def cv_budget(
     h_dc: float | None = None,
     n_b1: float | None = None,
     plan: DwdmPlan | None = None,
-    table: RamanCrossSectionTable | None = None,
     coupling_loss_db: float = 10.0,
-    rx_bandwidth_nm: float = 0.8,
     receiver_efficiency: float = 0.6,
     eps_receiver_measured: float = 0.002,
     gate_s: float = 100e-12,
@@ -569,7 +537,7 @@ def cv_budget(
     if setup == "1-wireless":
         transmissivity = h_dc
     else:
-        fwd, bwd = plan.raman_totals(raman_totals_setup1, table, rx_bandwidth_nm)
+        fwd, bwd = plan.raman_totals(raman_totals_setup1)
         count = photons_per_gate(1.0, plan.quantum_nm[0], gate_s)
         frs, brs = count * fwd, count * bwd
         transmissivity = plan.transmittance

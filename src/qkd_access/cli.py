@@ -107,7 +107,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args)
 
         if args.command == "validate-config":
-            cfg.raman_table()  # force table load so path errors surface here
             print("configuration OK")
             print(f"config sha256: {cfg.sha256}")
             print(json.dumps(cfg.data, indent=2, sort_keys=True))

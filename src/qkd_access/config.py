@@ -20,7 +20,7 @@ from .budget import DetectorParams, DwdmPlan
 from .numerics import AttenuationCoefficient
 from .owc import CASE_PRESETS, BulbNoiseModel, RoomScenario
 from .protocols import Bb84Params, Gg02Params, MdiParams
-from .raman import RamanCrossSectionTable, builtin_cross_section_table
+from .raman import RamanCrossSectionTable, TableRangeError, builtin_cross_section_table
 
 __all__ = ["DEFAULTS", "CASE_PRESETS", "MAX_USERS", "SimulationConfig", "ConfigError"]
 
@@ -32,7 +32,8 @@ class ConfigError(ValueError):
 # The most users ``network.n_users`` may generate: four times the 1:256
 # logical split of XG-PON (ITU-T G.987).  ``plan()`` builds per-user tuples
 # and every point sums over all users' channels, so an unbounded count
-# would allocate gigabytes before any other check.
+# would allocate gigabytes before any other check.  At the default 0.8 nm
+# spacing the built-in Raman table binds first: it covers 221 users.
 MAX_USERS = 1024
 
 
@@ -242,14 +243,7 @@ class SimulationConfig:
 
     def validate(self):
         try:
-            self.scenario()  # also rejects an unknown case
-            self.plan()
-            self.detectors()
-            self.bb84_params()
-            self.mdi_params()
-            self.gg02_params()
-            # checked also when n_b1_per_pulse fixes the count
-            self.bulb_model(self.data["link"]["wireless_wavelength_nm"])
+            # the keyed leaf checks first: ``plan()`` also reads these leaves
             n_b1 = self.data["bulb"]["n_b1_per_pulse"]
             if n_b1 is not None and n_b1 < 0:
                 raise ConfigError("bulb.n_b1_per_pulse must be >= 0")
@@ -265,6 +259,14 @@ class SimulationConfig:
                 raise ConfigError("link.polarization_factor must be in [0, 1]")
             if self.data["raman_table"]["reference_pump_nm"] <= 0:
                 raise ConfigError("raman_table.reference_pump_nm must be > 0")
+            self.scenario()  # also rejects an unknown case
+            self.plan()  # also loads the Raman table and checks that it covers the grid
+            self.detectors()
+            self.bb84_params()
+            self.mdi_params()
+            self.gg02_params()
+            # checked also when n_b1_per_pulse fixes the count
+            self.bulb_model(self.data["link"]["wireless_wavelength_nm"])
         except ConfigError:
             raise
         except ValueError as exc:
@@ -318,32 +320,39 @@ class SimulationConfig:
         return self.data["dv"]["gate_ps"] * 1e-12
 
     def plan(self) -> DwdmPlan:
+        """The fiber plan, bound to the Raman table and the receiver bandwidth."""
         net = self.data["network"]
-        attenuation = AttenuationCoefficient(net["attenuation_db_per_km"])
+        explicit = net["quantum_nm"] is not None or net["data_nm"] is not None
+        if explicit and (net["quantum_nm"] is None or net["data_nm"] is None):
+            raise ConfigError("explicit grids need both network.quantum_nm and network.data_nm")
+        n = len(net["quantum_nm"]) if explicit else net["n_users"]
+        if not explicit and not 1 <= n <= MAX_USERS:
+            raise ConfigError(f"network.n_users must be in [1, {MAX_USERS}], got {n}")
         common = dict(
+            raman_table=self.raman_table(),
+            rx_bandwidth_nm=net["rx_bandwidth_nm"],
             feeder_km=net["feeder_km"],
+            drop_km=(net["drop_km"],) * n,
             awg_insertion_loss_db=net["awg_insertion_loss_db"],
-            attenuation=attenuation,
+            attenuation=AttenuationCoefficient(net["attenuation_db_per_km"]),
             sensitivity_dbm=net["sensitivity_dbm"],
         )
-        if net["quantum_nm"] is not None or net["data_nm"] is not None:
-            if net["quantum_nm"] is None or net["data_nm"] is None:
-                raise ConfigError("explicit grids need both network.quantum_nm and network.data_nm")
-            quantum = tuple(net["quantum_nm"])
-            data = tuple(net["data_nm"])
-            drops = (net["drop_km"],) * len(quantum)
-            return DwdmPlan(quantum_nm=quantum, data_nm=data, drop_km=drops, **common)
-        n = net["n_users"]
-        if not 1 <= n <= MAX_USERS:
-            raise ConfigError(f"network.n_users must be in [1, {MAX_USERS}], got {n}")
-        return DwdmPlan.from_grid(
-            n_users=n,
-            quantum_start_nm=net["quantum_start_nm"],
-            data_start_nm=net["data_start_nm"],
-            spacing_nm=net["channel_spacing_nm"],
-            drop_km=(net["drop_km"],) * n,
-            **common,
-        )
+        try:
+            if explicit:
+                return DwdmPlan(quantum_nm=tuple(net["quantum_nm"]), data_nm=tuple(net["data_nm"]),
+                                **common)
+            return DwdmPlan.from_grid(
+                n_users=n,
+                quantum_start_nm=net["quantum_start_nm"],
+                data_start_nm=net["data_start_nm"],
+                spacing_nm=net["channel_spacing_nm"],
+                **common,
+            )
+        except TableRangeError as exc:
+            grid = ("network.quantum_nm and network.data_nm" if explicit else
+                    "network.n_users, network.channel_spacing_nm, network.quantum_start_nm, "
+                    "network.data_start_nm")
+            raise ConfigError(f"{exc}; change {grid} or raman_table.path") from None
 
     def detectors(self) -> DetectorParams:
         dv = self.data["dv"]

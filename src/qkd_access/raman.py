@@ -42,6 +42,10 @@ BUILTIN_TABLE_RESOURCE = "raman_gamma_1550nm.csv"
 BUILTIN_REFERENCE_PUMP_NM = 1550.0
 
 
+class TableRangeError(ValueError):
+    """A pump/receiver detuning outside the table's tabulated range."""
+
+
 class RamanCrossSectionTable:
     """Raman cross section Gamma(lambda_pump, lambda_rx) from tabulated data.
 
@@ -50,7 +54,7 @@ class RamanCrossSectionTable:
     wavelength whose frequency detuning from the reference pump equals the
     query's pump-receiver detuning.  Lookups are linear interpolations;
     queries whose shifted wavelength falls outside the tabulated range
-    raise ValueError.
+    raise ``TableRangeError``, a ValueError.
     """
 
     def __init__(self, wavelengths_nm, gamma_per_km_nm, reference_pump_nm: float):
@@ -132,7 +136,7 @@ class RamanCrossSectionTable:
         for pump in pumps:
             d = nu_rx - LIGHTSPEED_M_S / (pump * 1e-9)
             if not lo <= d <= hi:
-                raise ValueError(
+                raise TableRangeError(
                     f"pump {pump} nm / receiver {rx_nm} nm detuning "
                     f"{d / 1e12:.3f} THz outside table range "
                     f"[{lo / 1e12:.3f}, {hi / 1e12:.3f}] THz"

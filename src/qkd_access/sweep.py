@@ -6,19 +6,21 @@ evaluations made in grid order, and two runs of the same configuration
 produce byte-identical CSV output.  What a point does not change, a run
 evaluates once:
 
-* the model objects (Raman table, fiber plan, detectors, protocol
-  parameters) and the room's two numbers, its line-of-sight gain and the
-  bulb background count, at most once per run, each when the run first
-  reads it; a point hands the link builders only what its value
+* the model objects (fiber plan with its Raman table, detectors,
+  protocol parameters) and the room's two numbers, its line-of-sight gain
+  and the bulb background count, at most once per run, each when the run
+  first reads it; a point hands the link builders only what its value
   changes: an ``L0_km`` point a plan for its feeder
   (``DwdmPlan.with_feeder``, which checks only the feeder and shares the
-  run's grids and feeder-independent Raman inputs), a
+  run's grids, table and feeder-independent Raman inputs), a
   ``coupling_loss_db`` point its loss, a ``psd_w_per_nm`` point its bulb
   count;
 * user 1's link budgets once, for the points whose value no budget reads:
   a clock only scales ``rate_bps``, a background value replaces the noise
   of the first link, and no setup-1 budget reads the coupling loss (its
   room link ends at the ceiling relay's detectors, not in a fiber);
+  setup 1's room link once unless the point changes the bulb count, so an
+  ``L0_km`` point builds only its fiber link;
 * a plan's Raman totals once, so only ``L0_km`` points redo the
   32-channel Raman sums, with one launch power per distinct drop length;
 * each link's rate once per distinct link budget (a run has one set of
@@ -208,7 +210,8 @@ class _Model:
     read, so a run builds only what its command reads: no ``noise`` run
     builds protocol parameters, and a setup-1 one, which reports the fiber
     link, never resolves the room.  ``links`` holds user 1's links at these
-    values, by the coherent flag, built on first use (``_model_links``).
+    values and ``wireless`` setup 1's room link at them, each by the
+    coherent flag and built on first use (``_model_links``, ``_wireless``).
     """
 
     def __init__(self, config: SimulationConfig, setup: int, case: int):
@@ -217,14 +220,13 @@ class _Model:
         self.config, self.setup, self.case = config, setup, case
         self.plan = config.plan()
         self.detectors = config.detectors()
-        self.table = config.raman_table()
         self.coupling_loss_db = link["coupling_loss_db"]
         self.polarization_factor = link["polarization_factor"]
-        self.rx_bandwidth_nm = data["network"]["rx_bandwidth_nm"]
         self.eps_receiver_measured = data["cv"]["eps_receiver_measured"]
         self.dv_clock_hz = data["dv"]["clock_hz"]
         self.cv_clock_hz = data["cv"]["clock_hz"]
         self.links: dict = {}
+        self.wireless: dict = {}
 
     @cached_property
     def h_dc(self) -> float:
@@ -258,48 +260,51 @@ class _Model:
         return self.config.gg02_params()
 
 
-def _links(m: _Model, plan: DwdmPlan, coupling_loss_db: float, n_b1: float,
+def _cv_receiver(m: _Model) -> dict:
+    """The coherent receiver's arguments of ``cv_budget``."""
+    return dict(receiver_efficiency=m.gg02.receiver_efficiency,
+                eps_receiver_measured=m.eps_receiver_measured, gate_s=m.detectors.gate_s)
+
+
+def _wireless(m: _Model, n_b1: float | None, coherent: bool):
+    """Setup 1's room link at the bulb count ``n_b1``, or at the model's once per run for None."""
+    if n_b1 is None:
+        if coherent not in m.wireless:
+            m.wireless[coherent] = _wireless(m, m.n_b1, coherent)
+        return m.wireless[coherent]
+    if coherent:
+        return cv_budget("1-wireless", h_dc=m.h_dc, n_b1=n_b1, **_cv_receiver(m))
+    return budget_setup1_wireless(m.h_dc, n_b1, m.detectors)
+
+
+def _links(m: _Model, plan: DwdmPlan, coupling_loss_db: float, n_b1: float | None = None,
            coherent: bool = False) -> tuple:
     """User 1's links on ``plan``: (wireless, fiber) on setup 1, else (link,).
 
-    ``coupling_loss_db`` and ``n_b1`` (the bulb background) stand in for the
-    model's, so a point passes what its value changes.  ``coherent``
-    selects the coherent-detection budgets of setups 1-2 over the
-    direct-detection (setups 1-2) or MDI (setups 3-4) ones.
+    ``coupling_loss_db`` and ``n_b1`` (the bulb background, the model's
+    for None) stand in for the model's, so a point passes what its value
+    changes.  ``coherent`` selects the coherent-detection budgets of setups
+    1-2 over the direct-detection (setups 1-2) or MDI (setups 3-4) ones.
     """
-    if coherent:
-        common = dict(
-            receiver_efficiency=m.gg02.receiver_efficiency,
-            eps_receiver_measured=m.eps_receiver_measured,
-            gate_s=m.detectors.gate_s,
-            rx_bandwidth_nm=m.rx_bandwidth_nm,
-        )
-        if m.setup == 1:
-            return (
-                cv_budget("1-wireless", h_dc=m.h_dc, n_b1=n_b1, **common),
-                cv_budget("1-fiber", plan=plan, table=m.table, **common),
-            )
-        return (
-            cv_budget(str(m.setup), h_dc=m.h_dc, n_b1=n_b1, plan=plan, table=m.table,
-                      coupling_loss_db=coupling_loss_db, **common),
-        )
     if m.setup == 1:
-        return (
-            budget_setup1_wireless(m.h_dc, n_b1, m.detectors),
-            budget_setup1_fiber(plan, m.detectors, m.table, m.rx_bandwidth_nm),
-        )
-    args = (m.h_dc, n_b1, plan, m.detectors, m.table)
-    kwargs = dict(coupling_loss_db=coupling_loss_db, rx_bandwidth_nm=m.rx_bandwidth_nm)
+        wireless = _wireless(m, n_b1, coherent)
+        return wireless, (cv_budget("1-fiber", plan=plan, **_cv_receiver(m)) if coherent
+                          else budget_setup1_fiber(plan, m.detectors))
+    n_b1 = m.n_b1 if n_b1 is None else n_b1
+    if coherent:
+        return (cv_budget(str(m.setup), h_dc=m.h_dc, n_b1=n_b1, plan=plan,
+                          coupling_loss_db=coupling_loss_db, **_cv_receiver(m)),)
+    args = (m.h_dc, n_b1, plan, m.detectors, coupling_loss_db)
     if m.setup == 2:
-        return (budget_setup2(*args, **kwargs),)
+        return (budget_setup2(*args),)
     builder = budget_setup3 if m.setup == 3 else budget_setup4
-    return (builder(*args, polarization_factor=m.polarization_factor, **kwargs),)
+    return (builder(*args, polarization_factor=m.polarization_factor),)
 
 
 def _model_links(m: _Model, coherent: bool = False) -> tuple:
     """``_links`` at the model's own plan, coupling loss and bulb count, once per model."""
     if coherent not in m.links:
-        m.links[coherent] = _links(m, m.plan, m.coupling_loss_db, m.n_b1, coherent)
+        m.links[coherent] = _links(m, m.plan, m.coupling_loss_db, coherent=coherent)
     return m.links[coherent]
 
 
@@ -325,11 +330,11 @@ def _evaluate_point(
     coherent = spec.protocol == "GG02"
     variable = spec.variable
     if variable == "coupling_loss_db" and model.setup != 1:
-        links = _links(model, model.plan, value, model.n_b1, coherent)
+        links = _links(model, model.plan, value, coherent=coherent)
     elif variable == "L0_km":
         # a new plan, so its Raman totals are computed afresh
         links = _links(model, model.plan.with_feeder(value), model.coupling_loss_db,
-                       model.n_b1, coherent)
+                       coherent=coherent)
     elif variable == "psd_w_per_nm" and model.bulb is not None:
         # a count fixed by the config wins over the bulb's spectral density
         n_b1 = bulb_noise_count(BulbNoiseModel(**{**model.bulb._asdict(), "psd_w_per_nm": value}))
@@ -375,7 +380,7 @@ def run_sweep(spec: SweepSpec, config: SimulationConfig) -> SweepResult:
         spec=spec,
         rows=tuple(rows),
         config_sha256=run_hash,
-        table_sha256=model.table.checksum,
+        table_sha256=model.plan.raman_table.checksum,
     )
 
 
@@ -393,14 +398,14 @@ def noise_breakdown(
     rows = []
     for l0 in sorted(l0_values_km):
         plan = model.plan.with_feeder(float(l0))
-        link = (budget_setup1_fiber(plan, model.detectors, model.table, model.rx_bandwidth_nm)
-                if setup == 1 else _links(model, plan, model.coupling_loss_db, model.n_b1)[0])
+        link = (budget_setup1_fiber(plan, model.detectors) if setup == 1
+                else _links(model, plan, model.coupling_loss_db)[0])
         rows.append((float(l0), link.frs, link.brs, link.bulb, link.dark, link.noise_per_detector))
     return NoiseBreakdownResult(
         setup=setup,
         rows=tuple(rows),
         config_sha256=config.sha256,
-        table_sha256=model.table.checksum,
+        table_sha256=model.plan.raman_table.checksum,
     )
 
 

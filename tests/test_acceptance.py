@@ -64,7 +64,7 @@ def setup2_rate(coupling_db, feeder_km=10.0, psd=1e-5, case=3, protocol="ds"):
     plan = cfg.plan()
     link = qa.budget_setup2(
         qa.los_dc_gain(cfg.scenario()), qa.bulb_noise_count(cfg.bulb_model(plan.quantum_nm[0])),
-        plan, cfg.detectors(), cfg.raman_table(), coupling_loss_db=coupling_db,
+        plan, cfg.detectors(), coupling_loss_db=coupling_db,
     )
     fn = qa.ds_bb84_rate if protocol == "ds" else qa.spp_bb84_rate
     return fn(link, cfg.bb84_params())
@@ -76,7 +76,7 @@ def mdi_rate(setup, coupling_db, psd=1e-5, case=3, protocol="ds"):
     builder = qa.budget_setup3 if setup == 3 else qa.budget_setup4
     link = builder(
         qa.los_dc_gain(cfg.scenario()), qa.bulb_noise_count(cfg.bulb_model(plan.quantum_nm[0])),
-        plan, cfg.detectors(), cfg.raman_table(), coupling_loss_db=coupling_db,
+        plan, cfg.detectors(), coupling_loss_db=coupling_db,
     )
     fn = qa.mdi_rate_ds if protocol == "ds" else qa.mdi_rate_spp
     return fn(link, cfg.mdi_params())
@@ -286,7 +286,7 @@ def test_05_setup3_vs_setup4_and_xor_composition():
         fiber_cfg = qa.SimulationConfig.from_dict(
             {"case": 1, "network": {"feeder_km": row.value}}
         )
-        fiber = qa.budget_setup1_fiber(fiber_cfg.plan(), cfg.detectors(), cfg.raman_table())
+        fiber = qa.budget_setup1_fiber(fiber_cfg.plan(), cfg.detectors())
         expected = min(qa.ds_bb84_rate(wireless, params), qa.ds_bb84_rate(fiber, params))
         assert row.rate_per_pulse == pytest.approx(expected, rel=1e-12, abs=0.0)
     report(

@@ -38,7 +38,7 @@ DV_SETUP1_CLOCK = ["sweep", "--setup", "1", "--protocol", "DS-BB84", "--var", "c
     # and the wireless link, which no feeder length changes, is rated once; each
     # rate runs its own modulation-variance search, inside the rate's span and
     # not through the public optimal_modulation_variance
-    (GG02_SETUP1_L0, {"budget.raman_totals.calls": 3, "budget.calls": 6,
+    (GG02_SETUP1_L0, {"budget.raman_totals.calls": 3, "budget.calls": 4,
                       "protocols.rate.calls": 4, "protocols.gg02_search.calls": 0}),
     # no background value changes what a budget reads: the run builds its one
     # budget once and each point replaces that budget's noise

@@ -29,6 +29,7 @@ from qkd_access.raman import (
     BUILTIN_REFERENCE_PUMP_NM,
     BUILTIN_TABLE_RESOURCE,
     RamanCrossSectionTable,
+    TableRangeError,
     builtin_cross_section_table,
 )
 
@@ -45,8 +46,10 @@ def flat_table(gamma=3e-9):
     return RamanCrossSectionTable(wl, np.full_like(wl, gamma), reference_pump_nm=1550.0)
 
 
-def nominal_plan(**kwargs):
-    return DwdmPlan.from_grid(n_users=32, **kwargs)
+def nominal_plan(table=None, **kwargs):
+    """``DwdmPlan.from_grid(**kwargs)`` on ``table`` (flat at 3e-9 when None) at 0.8 nm."""
+    return DwdmPlan.from_grid(raman_table=flat_table() if table is None else table,
+                              rx_bandwidth_nm=0.8, **kwargs)
 
 
 def case_scenario(case):
@@ -97,14 +100,28 @@ class TestDwdmPlan:
 
     def test_grids_must_be_disjoint(self):
         with pytest.raises(ValueError):
-            DwdmPlan(quantum_nm=(1550.0, 1551.0), data_nm=(1551.0, 1560.0))
+            DwdmPlan(quantum_nm=(1550.0, 1551.0), data_nm=(1551.0, 1560.0),
+                     raman_table=flat_table(), rx_bandwidth_nm=0.8)
+
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -0.0, -0.8])
+    def test_rejects_nonpositive_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="receiver bandwidth must be > 0"):
+            DwdmPlan(quantum_nm=(1555.62,), data_nm=(1585.2,), raman_table=flat_table(),
+                     rx_bandwidth_nm=bandwidth)
+
+    def test_rejects_a_grid_its_table_does_not_cover(self):
+        # at 0.8 nm the built-in table covers the data grids of at most 221 users
+        table = builtin_cross_section_table()
+        assert len(nominal_plan(table, n_users=221).data_nm) == 221
+        with pytest.raises(TableRangeError, match="pump 1408.4 nm .* outside table range"):
+            nominal_plan(table, n_users=222)
 
 
 class TestRamanTotals:
     def test_single_user_reduces_to_one_channel(self):
-        plan = DwdmPlan.from_grid(n_users=1)
-        table = flat_table()
-        fwd, bwd = raman_totals_setup1(plan, table, 0.8)
+        plan = nominal_plan(n_users=1)
+        fwd, bwd = raman_totals_setup1(plan)
         oracle = raman_totals_oracle(
             1, FlatRamanData(3e-9), plan.quantum_nm, plan.data_nm, 10.0, (0.5,), 0.2, 2.0, 0.8
         )
@@ -113,21 +130,17 @@ class TestRamanTotals:
 
     def test_flat_table_symmetry(self):
         # equal drops and a flat cross section: the k>=2 terms are all equal
-        plan = nominal_plan()
         table = flat_table()
-        fwd_all, _ = raman_totals_setup1(plan, table, 0.8)
-        plan2 = DwdmPlan.from_grid(n_users=2)
-        fwd_two, _ = raman_totals_setup1(plan2, table, 0.8)
-        plan1 = DwdmPlan.from_grid(n_users=1)
-        fwd_one, _ = raman_totals_setup1(plan1, table, 0.8)
+        fwd_all, _ = raman_totals_setup1(nominal_plan(table))
+        fwd_two, _ = raman_totals_setup1(nominal_plan(table, n_users=2))
+        fwd_one, _ = raman_totals_setup1(nominal_plan(table, n_users=1))
         per_extra = fwd_two - fwd_one
         assert fwd_all == pytest.approx(fwd_one + 31.0 * per_extra, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("setup,fn", [(1, raman_totals_setup1), (3, raman_totals_setup3), (4, raman_totals_setup4)])
     def test_against_summation_oracle(self, setup, fn):
-        plan = nominal_plan()
-        table = flat_table(2.2e-9)
-        got = fn(plan, table, 0.8)
+        plan = nominal_plan(flat_table(2.2e-9))
+        got = fn(plan)
         want = raman_totals_oracle(
             setup, FlatRamanData(2.2e-9), plan.quantum_nm, plan.data_nm,
             plan.feeder_km, plan.drop_km, 0.2, 2.0, 0.8,
@@ -138,8 +151,8 @@ class TestRamanTotals:
     @pytest.mark.parametrize("setup,fn", [(1, raman_totals_setup1), (3, raman_totals_setup3), (4, raman_totals_setup4)])
     def test_builtin_table_distinct_drops_against_oracle(self, setup, fn):
         drops = tuple(float(km) for km in np.random.default_rng(11).uniform(0.0, 5.0, 32))
-        plan = nominal_plan(drop_km=drops, feeder_km=23.0)
-        got = fn(plan, builtin_cross_section_table(), 0.8)
+        plan = nominal_plan(builtin_cross_section_table(), drop_km=drops, feeder_km=23.0)
+        got = fn(plan)
         csv_path = resources.files("qkd_access").joinpath("data", BUILTIN_TABLE_RESOURCE)
         want = raman_totals_oracle(
             setup, CsvRamanData(str(csv_path), BUILTIN_REFERENCE_PUMP_NM), plan.quantum_nm,
@@ -150,15 +163,15 @@ class TestRamanTotals:
 
     @pytest.mark.parametrize("fn", [raman_totals_setup1, raman_totals_setup3, raman_totals_setup4])
     def test_pump_outside_table_rejected(self, fn):
-        # user 2's data channel sits far beyond the tabulated detuning range
-        plan = DwdmPlan(quantum_nm=(1555.62, 1554.82), data_nm=(1585.2, 2500.0))
+        # user 2's data channel sits far beyond the tabulated detuning range, so
+        # the plan is rejected before any totals are formed over it
         with pytest.raises(ValueError, match="pump 2500.0 nm .* outside table range"):
-            fn(plan, flat_table(), 0.8)
+            fn(DwdmPlan(quantum_nm=(1555.62, 1554.82), data_nm=(1585.2, 2500.0),
+                        raman_table=flat_table(), rx_bandwidth_nm=0.8))
 
     def test_setup4_drop_zero_collapses_toward_setup1_structure(self):
-        plan = DwdmPlan.from_grid(n_users=8, drop_km=(0.0,) * 8)
-        table = flat_table()
-        fwd4, _ = raman_totals_setup4(plan, table, 0.8)
+        plan = nominal_plan(n_users=8, drop_km=(0.0,) * 8)
+        fwd4, _ = raman_totals_setup4(plan)
         want = raman_totals_oracle(
             4, FlatRamanData(3e-9), plan.quantum_nm, plan.data_nm, 10.0, (0.0,) * 8, 0.2, 2.0, 0.8
         )
@@ -186,6 +199,17 @@ def plan_kwargs(draw):
     )
 
 
+class TestBandwidth:
+    @pytest.mark.parametrize("fn", TOTALS)
+    def test_totals_read_the_plans_bandwidth(self, fn):
+        # 0.4 is 0.8 halved exactly, so every term, sum and product halves exactly
+        table = builtin_cross_section_table()
+        kwargs = dict(raman_table=table, drop_km=(0.1, 0.5, 2.0, 5.0) * 8, feeder_km=23.0)
+        full = fn(DwdmPlan.from_grid(rx_bandwidth_nm=0.8, **kwargs))
+        half = fn(DwdmPlan.from_grid(rx_bandwidth_nm=0.4, **kwargs))
+        assert half == (full[0] / 2.0, full[1] / 2.0)
+
+
 class TestFeederVariant:
     @settings(max_examples=150, deadline=None)
     @given(kwargs=plan_kwargs(), feeders=st.lists(
@@ -193,17 +217,18 @@ class TestFeederVariant:
         flat=st.booleans(), bw=st.floats(0.01, 2.0))
     def test_totals_equal_a_fresh_plan(self, kwargs, feeders, flat, bw):
         table = flat_table(2.2e-9) if flat else builtin_cross_section_table()
+        kwargs.update(raman_table=table, rx_bandwidth_nm=bw)
         plan = DwdmPlan.from_grid(**kwargs)
         for fn in TOTALS:  # the variants share what the parent has computed
-            plan.raman_totals(fn, table, bw)
+            plan.raman_totals(fn)
         for feeder in feeders:  # variants of variants too
             plan = plan.with_feeder(feeder)
             fresh = DwdmPlan.from_grid(**{**kwargs, "feeder_km": feeder})
             assert plan == fresh
             for fn in TOTALS:
-                want = fn(fresh, table, bw)
-                assert fn(plan, table, bw) == pytest.approx(want, rel=0.0, abs=0.0)
-                assert plan.raman_totals(fn, table, bw) == pytest.approx(want, rel=0.0, abs=0.0)
+                want = fn(fresh)
+                assert fn(plan) == pytest.approx(want, rel=0.0, abs=0.0)
+                assert plan.raman_totals(fn) == pytest.approx(want, rel=0.0, abs=0.0)
 
     @pytest.mark.parametrize("feeder", [-5.0, -1e-300, -1])
     def test_rejects_what_the_constructor_rejects(self, feeder):
@@ -213,13 +238,13 @@ class TestFeederVariant:
             nominal_plan().with_feeder(feeder)
 
     def test_shares_inputs_not_totals(self):
-        plan, table = nominal_plan(), builtin_cross_section_table()
-        near = raman_totals_setup1(plan, table, 0.8)
-        assert plan.raman_totals(raman_totals_setup1, table, 0.8) == near
+        plan = nominal_plan(builtin_cross_section_table())
+        near = raman_totals_setup1(plan)
+        assert plan.raman_totals(raman_totals_setup1) == near
         variant = plan.with_feeder(40.0)
         assert variant._inputs is plan._inputs
-        assert variant.raman_totals(raman_totals_setup1, table, 0.8)[1] > near[1]
-        assert plan.raman_totals(raman_totals_setup1, table, 0.8) == near
+        assert variant.raman_totals(raman_totals_setup1)[1] > near[1]
+        assert plan.raman_totals(raman_totals_setup1) == near
 
 
 # Plans of the pinned Raman totals, built by ``DwdmPlan.from_grid``.
@@ -300,12 +325,12 @@ PINNED_TOTALS = {
 class TestPinnedBits:
     @pytest.mark.parametrize("name,feeder", list(PINNED_TOTALS))
     def test_raman_totals(self, name, feeder):
-        if name == "variant":
-            plan = DwdmPlan.from_grid(**PIN_PLANS["cycled_drops"]).with_feeder(feeder)
-        else:
-            plan = DwdmPlan.from_grid(feeder_km=feeder, **PIN_PLANS[name])
         table = builtin_cross_section_table()
-        got = tuple(x.hex() for fn in TOTALS for x in fn(plan, table, 0.8))
+        if name == "variant":
+            plan = nominal_plan(table, **PIN_PLANS["cycled_drops"]).with_feeder(feeder)
+        else:
+            plan = nominal_plan(table, feeder_km=feeder, **PIN_PLANS[name])
+        got = tuple(x.hex() for fn in TOTALS for x in fn(plan))
         assert got == PINNED_TOTALS[name, feeder]
 
 
@@ -330,24 +355,24 @@ class TestDvBudgets:
         assert link.bulb == pytest.approx(bulb_noise_count(bulb) * 0.3, rel=1e-12, abs=0.0)
 
     def test_fiber_zero_table_is_dark_only(self):
-        link = budget_setup1_fiber(nominal_plan(), DET, flat_table(0.0))
+        link = budget_setup1_fiber(nominal_plan(flat_table(0.0)), DET)
         assert link.noise_per_detector == pytest.approx(DET.dark_count_per_pulse, rel=1e-12, abs=0.0)
 
     def test_fiber_lossless_limit(self):
-        plan = DwdmPlan.from_grid(
+        plan = nominal_plan(
+            flat_table(0.0),
             n_users=2,
             feeder_km=0.0,
             drop_km=(0.0, 0.0),
             awg_insertion_loss_db=0.0,
             attenuation=AttenuationCoefficient(0.0),
         )
-        link = budget_setup1_fiber(plan, DET, flat_table(0.0))
+        link = budget_setup1_fiber(plan, DET)
         assert link.transmissivity == pytest.approx(0.3 / 2.0, rel=1e-12, abs=0.0)
 
     def test_fiber_nominal_against_oracle(self):
         plan = nominal_plan()
-        table = flat_table()
-        link = budget_setup1_fiber(plan, DET, table)
+        link = budget_setup1_fiber(plan, DET)
         fwd, bwd = raman_totals_oracle(
             1, FlatRamanData(3e-9), plan.quantum_nm, plan.data_nm, 10.0, plan.drop_km, 0.2, 2.0, 0.8
         )
@@ -359,7 +384,7 @@ class TestDvBudgets:
 
     def test_setup2_huge_coupling_loss_kills_bulb_and_signal(self):
         link = budget_setup2(
-            *room(3, nominal_bulb()), nominal_plan(), DET, flat_table(0.0),
+            *room(3, nominal_bulb()), nominal_plan(flat_table(0.0)), DET,
             coupling_loss_db=300.0,
         )
         assert link.bulb == pytest.approx(0.0, abs=1e-30)
@@ -367,9 +392,8 @@ class TestDvBudgets:
 
     def test_setup2_nominal_against_composed_oracle(self):
         plan = nominal_plan()
-        table = flat_table()
         bulb = nominal_bulb()
-        link = budget_setup2(*room(3, bulb), plan, DET, table, coupling_loss_db=10.0)
+        link = budget_setup2(*room(3, bulb), plan, DET, coupling_loss_db=10.0)
         fwd, bwd = raman_totals_oracle(
             1, FlatRamanData(3e-9), plan.quantum_nm, plan.data_nm, 10.0, plan.drop_km, 0.2, 2.0, 0.8
         )
@@ -396,12 +420,12 @@ class TestDvBudgets:
 class TestMdiBudgets:
     def test_setup3_zero_sources_dark_only(self):
         link = budget_setup3(
-            *room(3, nominal_bulb(psd=0.0)), nominal_plan(), DET, flat_table(0.0),
+            *room(3, nominal_bulb(psd=0.0)), nominal_plan(flat_table(0.0)), DET,
         )
         assert link.noise_per_detector == pytest.approx(1e-7, rel=1e-12, abs=0.0)
 
     def test_polarization_factor_scales_transmissivities(self):
-        args = (*room(3, nominal_bulb()), nominal_plan(), DET, flat_table())
+        args = (*room(3, nominal_bulb()), nominal_plan(), DET)
         half = budget_setup3(*args, polarization_factor=0.5)
         full = budget_setup3(*args, polarization_factor=1.0)
         assert full.eta_alice == pytest.approx(2.0 * half.eta_alice, rel=1e-12, abs=0.0)
@@ -410,15 +434,14 @@ class TestMdiBudgets:
 
     @pytest.mark.parametrize("factor", [-0.5, 2.0])
     def test_polarization_factor_outside_unit_interval_rejected(self, factor):
-        args = (*room(3, nominal_bulb()), nominal_plan(), DET, flat_table())
+        args = (*room(3, nominal_bulb()), nominal_plan(), DET)
         with pytest.raises(ValueError, match=r"^polarization_factor must be in \[0, 1\]$"):
             budget_setup3(*args, polarization_factor=factor)
 
     def test_setup3_nominal_against_composed_oracle(self):
         plan = nominal_plan()
-        table = flat_table()
         bulb = nominal_bulb()
-        link = budget_setup3(*room(3, bulb), plan, DET, table, coupling_loss_db=10.0)
+        link = budget_setup3(*room(3, bulb), plan, DET, coupling_loss_db=10.0)
         fwd, bwd = raman_totals_oracle(
             3, FlatRamanData(3e-9), plan.quantum_nm, plan.data_nm, 10.0, plan.drop_km, 0.2, 2.0, 0.8
         )
@@ -436,8 +459,7 @@ class TestMdiBudgets:
 
     def test_setup4_nominal_against_composed_oracle(self):
         plan = nominal_plan()
-        link = budget_setup4(*room(3, nominal_bulb()), plan, DET, flat_table(),
-                             coupling_loss_db=10.0)
+        link = budget_setup4(*room(3, nominal_bulb()), plan, DET, coupling_loss_db=10.0)
         fwd, bwd = raman_totals_oracle(
             4, FlatRamanData(3e-9), plan.quantum_nm, plan.data_nm, 10.0, plan.drop_km, 0.2, 2.0, 0.8
         )
@@ -452,8 +474,8 @@ class TestMdiBudgets:
         assert link.eta_bob == pytest.approx(0.3 * 10.0 ** (-(0.2 * 10.0 + 4.0) / 10.0) * 0.5, rel=1e-12, abs=0.0)
 
     def test_setups_agree_at_zero_drop(self):
-        plan = DwdmPlan.from_grid(n_users=8, drop_km=(0.0,) * 8)
-        args = (*room(3, nominal_bulb()), plan, DET, flat_table())
+        plan = nominal_plan(n_users=8, drop_km=(0.0,) * 8)
+        args = (*room(3, nominal_bulb()), plan, DET)
         three = budget_setup3(*args, coupling_loss_db=10.0)
         four = budget_setup4(*args, coupling_loss_db=10.0)
         assert three.noise_per_detector == pytest.approx(four.noise_per_detector, rel=1e-12, abs=0.0)
@@ -467,11 +489,10 @@ class TestMonotonicity:
         base = dict(feeder=10.0, drop=0.5, awg=2.0, coupling=10.0)
 
         def eta(feeder, drop, awg, coupling):
-            plan = DwdmPlan.from_grid(
+            plan = nominal_plan(
                 feeder_km=feeder, drop_km=(drop,) * 4, awg_insertion_loss_db=awg, **plan_args
             )
-            link = budget_setup2(*room(3, nominal_bulb()), plan, DET, flat_table(),
-                                 coupling_loss_db=coupling)
+            link = budget_setup2(*room(3, nominal_bulb()), plan, DET, coupling_loss_db=coupling)
             return link.transmissivity
 
         reference = eta(**{k: v for k, v in zip(("feeder", "drop", "awg", "coupling"), base.values())})
@@ -484,15 +505,15 @@ class TestMonotonicity:
         counts = []
         for feeder in (5.0, 10.0, 20.0, 40.0, 80.0):
             plan = nominal_plan(feeder_km=feeder)
-            link = budget_setup1_fiber(plan, DET, flat_table())
+            link = budget_setup1_fiber(plan, DET)
             counts.append(link.brs)
         assert all(b > a for a, b in zip(counts, counts[1:]))
 
     def test_setup2_bulb_weaker_than_setup3_bulb(self):
         plan = nominal_plan()
         bulb = nominal_bulb()
-        two = budget_setup2(*room(3, bulb), plan, DET, flat_table(), coupling_loss_db=10.0)
-        three = budget_setup3(*room(3, bulb), plan, DET, flat_table(), coupling_loss_db=10.0)
+        two = budget_setup2(*room(3, bulb), plan, DET, coupling_loss_db=10.0)
+        three = budget_setup3(*room(3, bulb), plan, DET, coupling_loss_db=10.0)
         assert two.bulb < three.bulb
 
 
@@ -500,14 +521,14 @@ class TestCvBudget:
     def test_zero_sources_leaves_receiver_noise_only(self):
         link = cv_budget(
             "2", *room(3, nominal_bulb(psd=0.0)),
-            plan=nominal_plan(), table=flat_table(0.0), coupling_loss_db=5.0,
+            plan=nominal_plan(flat_table(0.0)), coupling_loss_db=5.0,
         )
         assert link.eps_bulb == 0.0 and link.eps_raman == 0.0
         assert link.excess_noise == pytest.approx(link.eps_receiver, rel=1e-12, abs=0.0)
 
     def test_bulb_term_linear_in_count(self):
-        kwargs = dict(h_dc=los_dc_gain(case_scenario(3)), plan=nominal_plan(),
-                      table=flat_table(0.0), coupling_loss_db=5.0)
+        kwargs = dict(h_dc=los_dc_gain(case_scenario(3)), plan=nominal_plan(flat_table(0.0)),
+                      coupling_loss_db=5.0)
         one = cv_budget("2", n_b1=bulb_noise_count(nominal_bulb(psd=1e-6)), **kwargs)
         two = cv_budget("2", n_b1=bulb_noise_count(nominal_bulb(psd=2e-6)), **kwargs)
         assert two.eps_bulb == pytest.approx(2.0 * one.eps_bulb, rel=1e-12, abs=0.0)
@@ -515,8 +536,7 @@ class TestCvBudget:
     def test_setup2_nominal_against_composed_oracle(self):
         plan = nominal_plan()
         bulb = nominal_bulb()
-        table = flat_table()
-        link = cv_budget("2", *room(3, bulb), plan=plan, table=table, coupling_loss_db=5.0)
+        link = cv_budget("2", *room(3, bulb), plan=plan, coupling_loss_db=5.0)
         h_dc = los_dc_gain(case_scenario(3))
         eta_fib = fiber_transmittance(10.0, 0.5, 0.2, 2.0)
         eta_ch = h_dc * 10.0 ** (-0.5) * eta_fib

@@ -10,6 +10,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from qkd_access import cli, sweep
 from qkd_access.cli import main
 from qkd_access.config import DEFAULTS, MAX_USERS, ConfigError, SimulationConfig
+from qkd_access.raman import BUILTIN_TABLE_RESOURCE, RamanCrossSectionTable
 from qkd_access.sweep import _SETUP_PROTOCOLS, MAX_POINTS, SWEEP_VARIABLES
 
 
@@ -32,6 +34,8 @@ PUMP_ERRORS = {
 SWEEP_L0 = ("sweep", "--setup", "2", "--protocol", "DS-BB84", "--var", "L0_km", "--start", "1",
             "--stop", "30", "--points", "3")
 NOISE = ("noise", "--setup", "2")
+GENERATED_GRID_KEYS = ("network.n_users, network.channel_spacing_nm, network.quantum_start_nm, "
+                       "network.data_start_nm")
 
 
 def run_cli(*args):
@@ -172,10 +176,37 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("users,code", [(MAX_USERS, 0), (MAX_USERS + 1, 2), (0, 2)])
     def test_user_count_is_bounded(self, capsys, users, code):
-        assert run_cli("validate-config", "--set", f"network.n_users={users}") == code
+        # at the default 0.8 nm spacing the built-in table covers only 221 users
+        assert run_cli("validate-config", "--set", f"network.n_users={users}",
+                       "--set", "network.channel_spacing_nm=0.1") == code
         if code == 2:
             assert capsys.readouterr().err == (
                 f"error: network.n_users must be in [1, {MAX_USERS}], got {users}\n")
+
+    @pytest.mark.parametrize("command", [("validate-config",), SWEEP_L0, NOISE])
+    @pytest.mark.parametrize("assignments,keys", [
+        (["network.n_users=222"], GENERATED_GRID_KEYS),
+        (["network.n_users=300"], GENERATED_GRID_KEYS),
+        ([f"network.n_users={MAX_USERS}"], GENERATED_GRID_KEYS),
+        (["network.channel_spacing_nm=30"], GENERATED_GRID_KEYS),
+        (["network.quantum_nm=[1555.62]", "network.data_nm=[2500.0]"],
+         "network.quantum_nm and network.data_nm"),
+    ], ids=["222-users", "300-users", "max-users", "30nm-spacing", "explicit-grids"])
+    def test_grid_outside_the_table_names_its_keys(self, tmp_path, capsys, command,
+                                                   assignments, keys):
+        out = tmp_path / "x.csv"
+        args = (*command, "--out", str(out)) if command[0] != "validate-config" else command
+        for assignment in assignments:
+            args += ("--set", assignment)
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pump ") and err.count("\n") == 1
+        assert err.endswith(f" outside table range [-20.124, 20.723] THz; change {keys} "
+                            "or raman_table.path\n")
+        assert not out.exists()
+
+    def test_most_users_the_table_covers(self, capsys):
+        assert run_cli("validate-config", "--set", "network.n_users=221") == 0
 
     @pytest.mark.parametrize("assignment,message", [
         ('case={"x":1}', "error: case must be a value, got {'x': 1}"),
@@ -390,6 +421,40 @@ class TestSweepCommand:
             "--table", str(table),
         )
         assert code == 0
+
+
+# A setup-2 DS-BB84 feeder sweep, a setup-1 GG02 coupling-loss sweep and a setup-3 noise run.
+TABLE_COMMANDS = [
+    SWEEP_L0,
+    ("sweep", "--setup", "1", "--protocol", "GG02", "--var", "coupling_loss_db", "--start", "0",
+     "--stop", "20", "--points", "3"),
+    ("noise", "--setup", "3"),
+]
+
+
+class TestExternalTable:
+    @pytest.mark.parametrize("command", TABLE_COMMANDS, ids=["setup2-ds-l0", "setup1-gg02-coupling",
+                                                             "noise-setup3"])
+    def test_copy_of_the_builtin_table_gives_the_same_rows(self, tmp_path, monkeypatch, capsys,
+                                                           command):
+        table = tmp_path / "table.csv"
+        table.write_bytes(
+            resources.files("qkd_access").joinpath("data", BUILTIN_TABLE_RESOURCE).read_bytes())
+        builtin_out, copy_out = tmp_path / "builtin.csv", tmp_path / "copy.csv"
+        assert run_cli(*command, "--out", str(builtin_out)) == 0
+        parses = []
+        parse = RamanCrossSectionTable.from_csv_text.__func__
+        monkeypatch.setattr(RamanCrossSectionTable, "from_csv_text", classmethod(
+            lambda cls, text, pump: parses.append(pump) or parse(cls, text, pump)))
+        assert run_cli(*command, "--out", str(copy_out), "--table", str(table)) == 0
+        # once where the config is validated and once where the run builds its plan
+        assert len(parses) == 2
+        builtin_head, builtin_rest = builtin_out.read_bytes().split(b"\n", 1)
+        copy_head, copy_rest = copy_out.read_bytes().split(b"\n", 1)
+        # the config names the table's path, so only the config hash differs; the
+        # table hash does not, since the text is the same
+        assert builtin_head.startswith(b"# config_sha256=") and copy_head != builtin_head
+        assert copy_rest.startswith(b"# table_sha256=") and copy_rest == builtin_rest
 
 
 class TestNoiseCommand:

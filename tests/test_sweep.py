@@ -261,6 +261,17 @@ class TestPerPlanWork:
         # all users share one drop length, so one launch power per plan
         assert (len(launches), len(lookups)) == (3, 1)
 
+    @pytest.mark.parametrize("setup,protocol", [(1, "GG02"), (2, "DS-BB84"), (4, "MDI-DS")])
+    def test_feeder_variants_share_the_grid_cross_sections(self, monkeypatch, setup, protocol):
+        cfg = default_config()
+        lookups = []
+        monkeypatch.setattr(RamanCrossSectionTable, "grid_gammas",
+                            counted(lookups, RamanCrossSectionTable.grid_gammas))
+        run_sweep(SweepSpec(setup=setup, protocol=protocol, case=3, variable="L0_km",
+                            start=1.0, stop=50.0, points=20), cfg)
+        # the run's plan looks its grid up once; no feeder variant looks it up again
+        assert len(lookups) == 1
+
     @pytest.mark.parametrize("setup,protocol", [(1, "GG02"), (2, "DS-BB84"), (3, "MDI-SPP")])
     def test_grids_checked_once_per_l0_sweep(self, monkeypatch, setup, protocol):
         cfg = default_config()
@@ -326,7 +337,7 @@ class TestSetupOneComposition:
                 det,
             )
             cfg_l0 = SimulationConfig.from_dict({"network": {"feeder_km": row.value}})
-            fiber = budget_setup1_fiber(cfg_l0.plan(), det, cfg.raman_table())
+            fiber = budget_setup1_fiber(cfg_l0.plan(), det)
             expected = min(ds_bb84_rate(wireless, params), ds_bb84_rate(fiber, params))
             assert row.rate_per_pulse == pytest.approx(expected, rel=1e-12, abs=0.0)
             # breakdown reports the fiber link
@@ -343,8 +354,7 @@ class TestSetupOneComposition:
         for row in run_sweep(spec, cfg).rows:
             feeder = row.value if variable == "L0_km" else cfg.data["network"]["feeder_km"]
             plan = default_config(network={"feeder_km": feeder}).plan()
-            fiber = cv_budget("1-fiber", plan=plan, table=cfg.raman_table(), gate_s=cfg.gate_s,
-                              rx_bandwidth_nm=cfg.data["network"]["rx_bandwidth_nm"])
+            fiber = cv_budget("1-fiber", plan=plan, gate_s=cfg.gate_s)
             assert fiber.frs > 0.0 and fiber.brs > 0.0
             assert (row.frs, row.brs, row.bulb, row.dark) == (fiber.frs, fiber.brs, 0.0, 0.0)
 
