@@ -281,8 +281,8 @@ def _links(m: _Model, plan: DwdmPlan, coupling_loss_db: float, n_b1: float | Non
            coherent: bool = False) -> tuple:
     """User 1's links on ``plan``: (wireless, fiber) on setup 1, else (link,).
 
-    ``coupling_loss_db`` and ``n_b1`` (the bulb background, the model's
-    for None) stand in for the model's, so a point passes what its value
+    ``coupling_loss_db`` and ``n_b1`` (the bulb background; None for the
+    model's) stand in for the model's, so a point passes what its value
     changes.  ``coherent`` selects the coherent-detection budgets of setups
     1-2 over the direct-detection (setups 1-2) or MDI (setups 3-4) ones.
     """
