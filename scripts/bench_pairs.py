@@ -27,6 +27,12 @@ With ``--claim WORKLOAD:METRIC`` the claim is shown when the change wins
 at least nine pairs in ten and its median is better than the parent's by
 more than the parent's IQR.
 
+Beside the verdicts, ``setup_s_levels`` gives per workload and side the
+lower quartile of the pooled ``setup_s`` samples and the share of samples
+at or above 35 ms.  On a shared host, cold start has read at two levels,
+below and above about 35 ms, that follow the host's load rather than the
+code, so a ``setup_s`` verdict is worth reading against these.
+
 Run from anywhere, with two exported checkouts (``git archive``):
 
     python scripts/bench_pairs.py --parent ../parent --change . --pairs 10 \\
@@ -44,6 +50,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# The lower edge of the upper of the two levels that setup_s samples sit at.
+SETUP_UPPER_LEVEL_S = 0.035
 MACHINE_FACTS = ("nproc", "cpus_usable", "python", "platform", "git_commit")
 
 
@@ -118,6 +126,20 @@ def summarize(runs: list[dict], spec: dict, claim: str | None = None) -> dict:
     return out
 
 
+def setup_levels(runs: list[dict]) -> dict:
+    """Per workload and side: the lower quartile of the runs' pooled ``setup_s_samples``
+    and the share of those samples at or above ``SETUP_UPPER_LEVEL_S``."""
+    pooled: dict = {}
+    for run in runs:
+        pooled.setdefault(run["workload"], {}).setdefault(run["side"], []).extend(
+            run["setup_s_samples"])
+    return {workload: {side: {"q1": quartiles(samples)["q1"],
+                              "share_upper": sum(s >= SETUP_UPPER_LEVEL_S for s in samples)
+                              / len(samples)}
+                       for side, samples in sides.items()}
+            for workload, sides in pooled.items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="the parent's checkout")
@@ -152,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": machine,
         "claim": args.claim,
         "summary": summarize(runs, spec, args.claim),
+        "setup_s_levels": setup_levels(runs),
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")

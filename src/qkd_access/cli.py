@@ -133,6 +133,9 @@ def main(argv: list[str] | None = None) -> int:
             if not 1 <= args.points <= MAX_POINTS:
                 raise ValueError(
                     f"noise needs 1 to {MAX_POINTS} samples (--points), got {args.points}")
+            for option, km in (("--l0-start", args.l0_start), ("--l0-stop", args.l0_stop)):
+                if not 0.0 <= km < math.inf:
+                    raise ValueError(f"fiber lengths must be >= 0 and finite; {option} is {km}")
             values = linspace(args.l0_start, args.l0_stop, args.points)
             result = noise_breakdown(args.setup, cfg, values)
             emit_csv(result, args.out)

@@ -78,6 +78,20 @@ class RamanCrossSectionTable:
         self._gamma_by_detuning = ga[::-1]
         self._grid_gammas: dict = {}
 
+    # Tables with equal rows and reference pump are equal, whatever their source.
+    def __eq__(self, other):
+        return isinstance(other, RamanCrossSectionTable) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return (f"RamanCrossSectionTable(<{len(self.wavelengths_nm)} rows>, reference_pump_nm="
+                f"{self.reference_pump_nm!r}, sha256={self.checksum})")
+
+    def _values(self) -> tuple:
+        return self.wavelengths_nm, self.gamma_per_km_nm, self.reference_pump_nm
+
     @classmethod
     def from_csv_text(cls, text: str, reference_pump_nm: float) -> "RamanCrossSectionTable":
         reader = csv.reader(io.StringIO(text))

@@ -8,25 +8,22 @@ evaluates once:
 
 * the model objects (fiber plan with its Raman table, detectors,
   protocol parameters) and the room's two numbers, its line-of-sight gain
-  and the bulb background count, at most once per run, each when the run
-  first reads it; a point hands the link builders only what its value
-  changes: an ``L0_km`` point a plan for its feeder
-  (``DwdmPlan.with_feeder``, which checks only the feeder and shares the
-  run's grids, table and feeder-independent Raman inputs), a
-  ``coupling_loss_db`` point its loss, a ``psd_w_per_nm`` point its bulb
-  count;
-* user 1's link budgets once, for the points whose value no budget reads:
-  a clock only scales ``rate_bps``, a background value replaces the noise
-  of the first link, and no setup-1 budget reads the coupling loss (its
-  room link ends at the ceiling relay's detectors, not in a fiber);
-  setup 1's room link once unless the point changes the bulb count, so an
-  ``L0_km`` point builds only its fiber link;
-* a plan's Raman totals once, so only ``L0_km`` points redo the
-  32-channel Raman sums, with one launch power per distinct drop length;
-* each link's rate once per distinct link budget (a run has one set of
-  protocol parameters), so a ``clock_rate_hz`` sweep rates each link once,
-  and setup 1's wireless link is rated once unless the swept variable is
-  the bulb PSD or the background count.
+  and the bulb background count, each when the run first reads it;
+* one point function, which fixes the protocol's rate function,
+  parameters, clock and coherent flag and the swept variable's rule for
+  user 1's links: an ``L0_km`` point builds them on its feeder's plan
+  (``DwdmPlan.with_feeder``, which shares the run's grids, table and
+  feeder-independent Raman inputs), a ``coupling_loss_db`` point at its
+  loss, a ``psd_w_per_nm`` point at its bulb count, and a background point
+  replaces the noise of the run's first link; every other point, whose
+  value no budget reads, takes the run's own links (no setup-1 budget
+  reads the coupling loss, and setup 1's room link is built once unless
+  the point changes the bulb count);
+* a plan's Raman totals, with one launch power per distinct drop length;
+* each link's rate, once per distinct link budget, so a clock sweep rates
+  each link once;
+* each CSV cell's string: rows are formatted column by column, and a cell
+  equal to the one above it reuses its string.
 
 Conventions used in the result rows:
 
@@ -153,15 +150,21 @@ class SweepSpec(namedtuple(
         return (geomspace if self.log_spacing else linspace)(self.start, self.stop, self.points)
 
 
-# One CSV row: every number in ``%.17e``, which round-trips a double.
-_ROW = ",".join(["%.17e"] * 7)
-_NOISE_ROW = ",".join(["%.17e"] * 6)
-
-
-def _csv_text(result, title: str, header: str, rows) -> str:
-    """The CSV of ``result``: its two provenance lines, ``title``, ``header``, then ``rows``."""
+def _csv_text(result, title: str, header: str) -> str:
+    """The CSV of ``result``: its two provenance lines, ``title``, ``header``, then its rows,
+    every number in ``%.17e``, which round-trips a double.  A cell equal to the one above
+    it, and of its sign if zero, reuses that string; NaN equals nothing, so it never does.
+    """
+    columns = []
+    for column in zip(*result.rows):
+        cells, last = [], None
+        for x in column:
+            if x != last or x == 0.0 and math.copysign(1.0, x) != math.copysign(1.0, last):
+                text, last = "%.17e" % x, x
+            cells.append(text)
+        columns.append(cells)
     lines = [f"# config_sha256={result.config_sha256}", f"# table_sha256={result.table_sha256}",
-             title, header, *rows]
+             title, header, *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -175,13 +178,10 @@ class SweepResult(namedtuple("SweepResult", "spec rows config_sha256 table_sha25
     __slots__ = ()
 
     def csv_text(self) -> str:
-        return _csv_text(
-            self,
-            f"# setup={self.spec.setup} protocol={self.spec.protocol} case={self.spec.case}",
-            f"{self.spec.variable},key_rate_per_pulse,key_rate_bps,"
-            "n_frs_per_pulse,n_brs_per_pulse,n_bulb_per_pulse,n_dark_per_pulse",
-            (_ROW % row for row in self.rows),
-        )
+        spec = self.spec
+        return _csv_text(self, f"# setup={spec.setup} protocol={spec.protocol} case={spec.case}",
+                         f"{spec.variable},key_rate_per_pulse,key_rate_bps,n_frs_per_pulse,"
+                         "n_brs_per_pulse,n_bulb_per_pulse,n_dark_per_pulse")
 
 
 class NoiseBreakdownResult(namedtuple(
@@ -192,12 +192,8 @@ class NoiseBreakdownResult(namedtuple(
     __slots__ = ()
 
     def csv_text(self) -> str:
-        return _csv_text(
-            self,
-            f"# setup={self.setup}",
-            "l0_km,n_frs_per_pulse,n_brs_per_pulse,n_bulb_per_pulse,n_dark_per_pulse,n_total_per_pulse",
-            (_NOISE_ROW % row for row in self.rows),
-        )
+        return _csv_text(self, f"# setup={self.setup}", "l0_km,n_frs_per_pulse,n_brs_per_pulse,"
+                         "n_bulb_per_pulse,n_dark_per_pulse,n_total_per_pulse")
 
 
 class _Model:
@@ -308,71 +304,72 @@ def _model_links(m: _Model, coherent: bool = False) -> tuple:
     return m.links[coherent]
 
 
-def _evaluate_point(
-    spec: SweepSpec, model: _Model, value: float, rates: dict | None = None
-) -> SweepPoint:
-    """One row of ``spec`` at ``value``, on ``_Model(config, spec.setup, spec.case)``.
-
-    ``rates`` maps each link budget to the rate already evaluated for it in
-    this sweep, whose protocol and parameters are fixed; it is filled as
-    points are evaluated.
+def _point_function(spec: SweepSpec, model: _Model, rates: dict):
+    """The function from a value to its row of ``spec``, with what the points share
+    resolved once: the rate function, parameters, clock and coherent flag of the
+    protocol, and the swept variable's rule for user 1's links.  ``rates`` maps each
+    link budget to its rate in this run and is filled as points are evaluated.
     """
-    rates = {} if rates is None else rates
-    if spec.protocol == "GG02":
-        rate_fn, params, clock = gg02_rate, model.gg02, model.cv_clock_hz
-    elif spec.protocol in ("MDI-DS", "MDI-SPP"):
-        rate_fn = mdi_rate_ds if spec.protocol == "MDI-DS" else mdi_rate_spp
-        params, clock = model.mdi, model.dv_clock_hz
-    else:
-        rate_fn = ds_bb84_rate if spec.protocol == "DS-BB84" else spp_bb84_rate
-        params, clock = model.bb84, model.dv_clock_hz
-
     coherent = spec.protocol == "GG02"
-    variable = spec.variable
+    rate_fn, param_set = {"DS-BB84": (ds_bb84_rate, "bb84"), "SPP-BB84": (spp_bb84_rate, "bb84"),
+                          "GG02": (gg02_rate, "gg02"), "MDI-DS": (mdi_rate_ds, "mdi"),
+                          "MDI-SPP": (mdi_rate_spp, "mdi")}[spec.protocol]
+    params = getattr(model, param_set)
+    clock = model.cv_clock_hz if coherent else model.dv_clock_hz
+    variable, plan, loss = spec.variable, model.plan, model.coupling_loss_db
     if variable == "coupling_loss_db" and model.setup != 1:
-        links = _links(model, model.plan, value, coherent=coherent)
+        def links_at(value):
+            return _links(model, plan, value, coherent=coherent)
     elif variable == "L0_km":
-        # a new plan, so its Raman totals are computed afresh
-        links = _links(model, model.plan.with_feeder(value), model.coupling_loss_db,
-                       coherent=coherent)
+        def links_at(value):  # a new plan, so its Raman totals are computed afresh
+            return _links(model, plan.with_feeder(value), loss, coherent=coherent)
     elif variable == "psd_w_per_nm" and model.bulb is not None:
-        # a count fixed by the config wins over the bulb's spectral density
-        n_b1 = bulb_noise_count(BulbNoiseModel(**{**model.bulb._asdict(), "psd_w_per_nm": value}))
-        links = _links(model, model.plan, model.coupling_loss_db, n_b1, coherent)
-    else:  # a clock, a background, a PSD under a fixed count or a setup-1
-        # coupling loss: no budget reads it
-        links = _model_links(model, coherent)
-    if variable == "clock_rate_hz":
-        clock = value
+        bulb = model.bulb._asdict()  # a count fixed by the config wins over the bulb's density
+
+        def links_at(value):
+            n_b1 = bulb_noise_count(BulbNoiseModel(**{**bulb, "psd_w_per_nm": value}))
+            return _links(model, plan, loss, n_b1, coherent)
     elif variable == "background_noise":
-        noise = dict(frs=0.0, brs=0.0, bulb=value)
-        if coherent:
-            noise.update(eps_bulb=2.0 * value / links[0].transmissivity, eps_raman=0.0)
-        # built through the class so the noise check runs; ``_replace`` would skip it
-        links = (type(links[0])(**{**links[0]._asdict(), **noise}),) + links[1:]
-    for link in links:
-        if link not in rates:
-            rates[link] = rate_fn(link, params)
-    rate = min(rates[link] for link in links)
-    report = links[-1]
-    return SweepPoint(
-        value=value,
-        rate_per_pulse=rate,
-        rate_bps=rate * clock,
-        frs=report.frs,
-        brs=report.brs,
-        bulb=report.bulb,
-        dark=report.dark,
-    )
+        first, *rest = _model_links(model, coherent)
+        fields = first._asdict()
+
+        def links_at(value):
+            noise = dict(frs=0.0, brs=0.0, bulb=value)
+            if coherent:
+                noise.update(eps_bulb=2.0 * value / first.transmissivity, eps_raman=0.0)
+            # built through the class so the noise check runs; ``_replace`` would skip it
+            return (type(first)(**{**fields, **noise}), *rest)
+    else:  # a clock, a PSD under a fixed count or a setup-1 coupling loss: no budget reads it
+        links = _model_links(model, coherent)
+
+        def links_at(value):
+            return links
+    clock_swept = variable == "clock_rate_hz"
+
+    def point(value: float) -> SweepPoint:
+        rate = None
+        for link in links_at(value):
+            link_rate = rates.get(link)
+            if link_rate is None:
+                link_rate = rates[link] = rate_fn(link, params)
+            if rate is None or link_rate < rate:
+                rate = link_rate
+        # ``link`` is the last link, whose noise the row reports
+        return SweepPoint(value, rate, rate * (value if clock_swept else clock),
+                          link.frs, link.brs, link.bulb, link.dark)
+
+    return point
+
+
+def _evaluate_point(spec: SweepSpec, model: _Model, value: float, rates=None) -> SweepPoint:
+    """One row of ``spec`` at ``value``, from a fresh point function over ``rates``."""
+    return _point_function(spec, model, {} if rates is None else rates)(value)
 
 
 def run_sweep(spec: SweepSpec, config: SimulationConfig) -> SweepResult:
     """Evaluate the sweep point by point and return rows sorted by value."""
     model = _Model(config, spec.setup, spec.case)
-    rates: dict = {}
-    rows = sorted(
-        (_evaluate_point(spec, model, v, rates) for v in spec.values()), key=lambda r: r.value
-    )
+    rows = sorted(map(_point_function(spec, model, {}), spec.values()), key=lambda r: r.value)
     run_hash = hashlib.sha256(
         (config.canonical_json + repr(sorted(spec._asdict().items()))).encode()
     ).hexdigest()

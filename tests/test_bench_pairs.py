@@ -105,3 +105,24 @@ def test_runs_alternate_and_write_the_report(tmp_path, monkeypatch):
     assert [run["first"] for run in report["runs"]] == [True, False, True, False, True, False]
     assert report["runs"][0]["setup_s_samples"] == [0.03, 0.04]
     assert report["summary"]["cv"]["sweep_ms_p50"]["pairs_change_better"] == "0/3"
+    assert report["setup_s_levels"]["cv"]["parent"]["share_upper"] == 0.5
+
+
+def test_setup_levels_pool_each_side():
+    def run(workload, side, samples):
+        return {"workload": workload, "side": side, "setup_s_samples": samples}
+
+    levels = bench_pairs.setup_levels([
+        run("reach", "parent", [0.020, 0.030, 0.040]),
+        run("reach", "change", [0.021, 0.022, 0.023]),
+        run("reach", "parent", [0.010, 0.035, 0.050]),  # 35 ms counts as the upper level
+        run("reach", "change", [0.024, 0.025, 0.045]),
+        run("cv", "parent", [0.030, 0.030]),
+        run("cv", "change", [0.036, 0.040]),
+    ])
+    assert list(levels) == ["reach", "cv"]
+    # pooled parent samples 10, 20, 30, 35, 40, 50 ms: inclusive lower quartile 22.5 ms
+    assert levels["reach"]["parent"] == {"q1": pytest.approx(0.0225), "share_upper": 0.5}
+    assert levels["reach"]["change"] == {"q1": pytest.approx(0.02225), "share_upper": 1 / 6}
+    assert levels["cv"] == {"parent": {"q1": pytest.approx(0.030), "share_upper": 0.0},
+                            "change": {"q1": pytest.approx(0.037), "share_upper": 1.0}}

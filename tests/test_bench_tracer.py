@@ -32,6 +32,11 @@ GG02_SETUP1_COUPLING = ["sweep", "--setup", "1", "--protocol", "GG02", "--var",
 DV_SETUP1_CLOCK = ["sweep", "--setup", "1", "--protocol", "DS-BB84", "--var", "clock_rate_hz",
                    "--start", "1e6", "--stop", "1e9", "--points", "3", "--log"]
 
+DV_SETUP2_PSD = ["sweep", "--setup", "2", "--protocol", "DS-BB84", "--var", "psd_w_per_nm",
+                 "--start", "1e-8", "--stop", "1e-5", "--points", "3", "--log"]
+MDI_SETUP3_COUPLING = ["sweep", "--setup", "3", "--protocol", "MDI-DS", "--var",
+                       "coupling_loss_db", "--start", "0", "--stop", "20", "--points", "3"]
+
 
 @pytest.mark.parametrize("argv,expected", [
     # one Raman pass per plan: the fiber budget carries its own photon counts,
@@ -55,6 +60,12 @@ DV_SETUP1_CLOCK = ["sweep", "--setup", "1", "--protocol", "DS-BB84", "--var", "c
     # no setup-1 budget reads the coupling loss: the run builds its two links
     # once and rates each once
     (GG02_SETUP1_COUPLING, {"budget.calls": 2, "protocols.rate.calls": 2}),
+    # each PSD point counts its bulb's photons and builds and rates its own
+    # budget; the room's gain is resolved once
+    (DV_SETUP2_PSD, {"budget.calls": 3, "owc.calls": 4, "protocols.rate.calls": 3}),
+    # each coupling loss gives its own MDI budget, rated once; the room's gain
+    # and bulb count are resolved once each
+    (MDI_SETUP3_COUPLING, {"budget.calls": 3, "owc.calls": 2, "protocols.rate.calls": 3}),
 ])
 def test_group_call_counts(tmp_path, capsys, argv, expected):
     tracer = spans.Tracer()

@@ -490,6 +490,16 @@ class TestNoiseCommand:
         assert code == 2
         assert "fiber lengths must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,value", [("--l0-start", "nan"), ("--l0-stop", "inf"),
+                                              ("--l0-start", "-1")])
+    def test_bad_feeder_names_its_option(self, tmp_path, capsys, option, value):
+        out = tmp_path / "x.csv"
+        code = run_cli("noise", "--setup", "2", option, value, "--points", "3", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: fiber lengths must be >= 0 and finite; {option} is {float(value)}\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command,points,message", [
     (SWEEP_L0, 1, f"a sweep needs 2 to {MAX_POINTS} points (--points), got 1"),

@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkd_access.config import SimulationConfig
 from qkd_access.numerics import AttenuationCoefficient
 from qkd_access.raman import (
     RamanCrossSectionTable,
@@ -18,6 +20,7 @@ from qkd_access.raman import (
     raman_forward,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 ALPHA_02 = AttenuationCoefficient(0.2)
 
 
@@ -91,6 +94,29 @@ class TestCrossSectionTable:
         digest.update(np.asarray(ga, dtype=float).tobytes())
         digest.update(b"1550.0")
         assert RamanCrossSectionTable(wl, ga, 1550.0).checksum == digest.hexdigest()
+
+    def test_equal_rows_make_equal_tables(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("lambda_q_nm,gamma_per_km_nm\n1500.0,1.0e-09\n1600.0,2.0e-09\n")
+        a, b = (RamanCrossSectionTable.from_csv_file(path, 1550.0) for _ in range(2))
+        in_memory = RamanCrossSectionTable([1500, 1600], [1e-9, 2e-9], 1550)
+        assert a is not b and a == b == in_memory and hash(a) == hash(b) == hash(in_memory)
+        assert a != RamanCrossSectionTable([1500.0, 1600.0], [1e-9, 2e-9], 1551.0)
+        assert a != RamanCrossSectionTable([1500.0, 1600.0], [1e-9, 3e-9], 1550.0)
+        assert a != RamanCrossSectionTable([1500.0, 1601.0], [1e-9, 2e-9], 1550.0)
+        assert a != (a.wavelengths_nm, a.gamma_per_km_nm, a.reference_pump_nm)
+
+    def test_plans_from_one_table_file_are_equal(self):
+        path = ROOT / "src" / "qkd_access" / "data" / "raman_gamma_1550nm.csv"
+        cfg = SimulationConfig.from_dict({"raman_table": {"path": str(path)}})
+        assert cfg.plan() == cfg.plan() == SimulationConfig.from_dict({}).plan()
+        assert hash(cfg.plan()) == hash(cfg.plan())
+
+    def test_repr_names_rows_pump_and_checksum(self):
+        table = builtin_cross_section_table()
+        assert repr(table) == (f"RamanCrossSectionTable(<{len(table.wavelengths_nm)} rows>, "
+                               f"reference_pump_nm=1550.0, sha256={table.checksum})")
+        assert " at 0x" not in repr(SimulationConfig.from_dict({}).plan())
 
     def test_builtin_table_loads(self):
         table = builtin_cross_section_table()

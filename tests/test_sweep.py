@@ -1,5 +1,6 @@
 """Sweep engine: spec validation, determinism, row semantics."""
 
+import math
 import pathlib
 import random
 import sys
@@ -162,6 +163,42 @@ class TestRunSweep:
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+# Cells that repeat often, including both zeros, NaN and both infinities.
+CELLS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, 2.5e-9]),
+                  st.floats())
+
+
+def csv_result(rows):
+    """A sweep result for rows of 7 numbers, a noise result for rows of 6."""
+    if rows and len(rows[0]) == 6:
+        return sweep.NoiseBreakdownResult(2, tuple(rows), "c" * 64, "t" * 64)
+    return sweep.SweepResult(small_spec(), tuple(rows), "c" * 64, "t" * 64)
+
+
+def per_row_reference(text, rows):
+    """``text``'s four head lines, then every row in ``%.17e`` one row at a time."""
+    head = text.split("\n")[:4]
+    return "".join(f"{line}\n" for line in head + [",".join(["%.17e"] * len(row)) % row
+                                                   for row in rows])
+
+
+class TestCsvText:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.sampled_from([7, 6]).flatmap(
+        lambda width: st.lists(st.tuples(*[CELLS] * width), max_size=12)))
+    def test_equals_per_row_formatting(self, rows):
+        text = csv_result(rows).csv_text()
+        assert text == per_row_reference(text, rows)
+
+    @pytest.mark.parametrize("width", [7, 6])
+    def test_zero_signs_in_one_column(self, width):
+        rows = [(0.0,) * width, (-0.0,) * width, (0.0,) * width]
+        text = csv_result(rows).csv_text()
+        assert text == per_row_reference(text, rows)
+        assert [line.split(",")[0] for line in text.splitlines()[4:]] == [
+            "0.00000000000000000e+00", "-0.00000000000000000e+00", "0.00000000000000000e+00"]
 
 
 # Grids inside each swept variable's domain and the model's regime.
