@@ -93,11 +93,16 @@ class DwdmPlan(namedtuple(
     not cover is rejected where the plan is built.  ``drop_km[k]`` is the
     distance of user k+1 from the splitting point, 0.5 km for every user
     when empty; ``feeder_km`` is the shared feeder to the central office.
-    ``raman_totals`` computes each kind of Raman totals once per plan.  Its
-    memo and the feeder-independent Raman inputs are attributes, not fields,
-    so they take no part in equality, hashing or the repr.  ``with_feeder``
-    gives the plan for another feeder length, which shares this plan's
-    checked grids, table, bandwidth and Raman inputs.
+
+    ``with_feeder`` gives a sibling plan for another feeder length.  A plan
+    and its siblings form a family that shares one set of feeder-independent
+    Raman inputs, computed once when the first plan is built: the attenuation
+    per km, the two-multiplexer transmittance, the length and attenuation
+    exp(-alpha L) of each distinct drop, user 1's cross section, and each
+    other user's drop index and cross section.  A sibling computes only
+    what its feeder changes.  ``raman_totals`` computes each kind of Raman
+    totals once per plan.  The memo and the shared inputs are attributes, not
+    fields, so they take no part in equality, hashing or the repr.
     """
 
     def __new__(cls, quantum_nm, data_nm, raman_table, rx_bandwidth_nm, feeder_km=10.0,
@@ -122,15 +127,16 @@ class DwdmPlan(namedtuple(
             raise ValueError("AWG insertion loss must be >= 0")
         if self.rx_bandwidth_nm <= 0.0:
             raise ValueError(f"receiver bandwidth must be > 0, got {self.rx_bandwidth_nm}")
-        # The feeder-independent inputs of the Raman sums: the first user of
-        # each distinct drop length, each user's index into those, and the
-        # cross sections of every data channel into user 1's quantum channel.
-        first: dict = {}
-        for user, km in enumerate(self.drop_km):
-            first.setdefault(km, user)
-        slot = {km: k for k, km in enumerate(first)}
-        self._inputs = (tuple(first.values()), tuple(map(slot.__getitem__, self.drop_km)),
-                        self.raman_table.grid_gammas(self.data_nm, self.quantum_nm[0]))
+        # The feeder-independent inputs of the Raman sums (see ``_drop_terms``);
+        # ``slot`` keys each distinct drop length, as its first user gives it.
+        slot: dict = {}
+        for km in self.drop_km:
+            slot.setdefault(km, len(slot))
+        gamma = self.raman_table.grid_gammas(self.data_nm, self.quantum_nm[0])
+        alpha = self.attenuation.per_km
+        self._inputs = (alpha, 10.0 ** (-2.0 * self.awg_insertion_loss_db / 10.0), tuple(slot),
+                        tuple([math.exp(-alpha * km) for km in slot]), gamma[0],
+                        tuple(zip(map(slot.__getitem__, self.drop_km[1:]), gamma[1:])))
         self._raman = {}
 
     @classmethod
@@ -163,7 +169,10 @@ class DwdmPlan(namedtuple(
         """
         if feeder_km < 0.0:
             raise ValueError("fiber lengths must be >= 0")
-        plan = self._replace(feeder_km=feeder_km)  # skips the checks in __init__
+        quantum, data, table, bandwidth, _, drop, awg, attenuation, sensitivity = self
+        # tuple.__new__ runs neither this class's __new__ nor its checks in __init__
+        plan = tuple.__new__(type(self), (quantum, data, table, bandwidth, feeder_km, drop, awg,
+                                          attenuation, sensitivity))
         plan._raman, plan._inputs = {}, self._inputs
         return plan
 
@@ -189,48 +198,56 @@ class _DetectorNoise:
 
     __slots__ = ()
 
-    def _check_noise(self):
-        if min(self.frs, self.brs, self.bulb, self.dark) < 0.0:
-            raise ValueError("noise components must be >= 0")
-        if self.noise_per_detector >= 1.0:
-            raise ValueError("total noise per detector must stay below one count per pulse")
-
     @property
     def noise_per_detector(self) -> float:
         """Background plus dark counts per detector per pulse."""
         return self.frs + self.brs + self.bulb + self.dark
 
 
-class LinkBudget(namedtuple("LinkBudget", "transmissivity frs brs bulb dark",
-                            defaults=(0.0,) * 4), _DetectorNoise):
+def _check_noise(frs: float, brs: float, bulb: float, dark: float):
+    if min(frs, brs, bulb, dark) < 0.0:
+        raise ValueError("noise components must be >= 0")
+    if frs + brs + bulb + dark >= 1.0:
+        raise ValueError("total noise per detector must stay below one count per pulse")
+
+
+# The link budgets are built once or more per sweep point, so each checks its
+# fields in ``__new__``, ahead of building the tuple, rather than in a second
+# ``__init__`` call.  ``_make`` and ``_replace`` build the tuple directly and
+# skip the checks, as for every record.
+
+
+class LinkBudget(namedtuple("LinkBudget", "transmissivity frs brs bulb dark"), _DetectorNoise):
     """Transmissivity and per-detector noise consumed by the BB84 formulas."""
 
     __slots__ = ()
 
-    def __init__(self, *_, **__):
-        if not 0.0 <= self.transmissivity <= 1.0:
-            raise ValueError(f"transmissivity must be in [0, 1], got {self.transmissivity}")
-        self._check_noise()
+    def __new__(cls, transmissivity, frs=0.0, brs=0.0, bulb=0.0, dark=0.0):
+        if not 0.0 <= transmissivity <= 1.0:
+            raise ValueError(f"transmissivity must be in [0, 1], got {transmissivity}")
+        _check_noise(frs, brs, bulb, dark)
+        return tuple.__new__(cls, (transmissivity, frs, brs, bulb, dark))
 
 
 class MdiLinkBudget(namedtuple(
-    "MdiLinkBudget", "eta_alice eta_bob frs brs bulb dark polarization_factor",
-    defaults=(0.0,) * 4 + (0.5,),
+    "MdiLinkBudget", "eta_alice eta_bob frs brs bulb dark polarization_factor"
 ), _DetectorNoise):
     """Two-sided budget for the untrusted-measurement setups."""
 
     __slots__ = ()
 
-    def __init__(self, *_, **__):
-        for name in ("polarization_factor", "eta_alice", "eta_bob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
+    def __new__(cls, eta_alice, eta_bob, frs=0.0, brs=0.0, bulb=0.0, dark=0.0,
+                polarization_factor=0.5):
+        for name, value in (("polarization_factor", polarization_factor),
+                            ("eta_alice", eta_alice), ("eta_bob", eta_bob)):
+            if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        self._check_noise()
+        _check_noise(frs, brs, bulb, dark)
+        return tuple.__new__(cls, (eta_alice, eta_bob, frs, brs, bulb, dark, polarization_factor))
 
 
 class CvLinkBudget(namedtuple(
-    "CvLinkBudget", "transmissivity eps_bulb eps_raman eps_receiver frs brs bulb",
-    defaults=(0.0,) * 6,
+    "CvLinkBudget", "transmissivity eps_bulb eps_raman eps_receiver frs brs bulb"
 )):
     """Channel transmissivity and input-referred excess noise (shot-noise units).
 
@@ -241,11 +258,14 @@ class CvLinkBudget(namedtuple(
 
     __slots__ = ()
 
-    def __init__(self, *_, **__):
-        if not 0.0 < self.transmissivity <= 1.0:
+    def __new__(cls, transmissivity, eps_bulb=0.0, eps_raman=0.0, eps_receiver=0.0, frs=0.0,
+                brs=0.0, bulb=0.0):
+        if not 0.0 < transmissivity <= 1.0:
             raise ValueError("CV budget needs transmissivity in (0, 1]")
-        if min(self.eps_bulb, self.eps_raman, self.eps_receiver) < 0.0:
+        if min(eps_bulb, eps_raman, eps_receiver) < 0.0:
             raise ValueError("excess-noise components must be >= 0")
+        return tuple.__new__(cls, (transmissivity, eps_bulb, eps_raman, eps_receiver, frs, brs,
+                                   bulb))
 
     @property
     def excess_noise(self) -> float:
@@ -296,18 +316,19 @@ def _drop_terms(plan: DwdmPlan):
     Returns (alpha per km; the feeder factors: two-multiplexer transmittance,
     feeder attenuation exp(-alpha L0) and feeder backscatter length; launch
     power in mW and drop attenuation exp(-alpha L) of each distinct drop
-    length, user 1's first; each user's index into those; cross sections
-    into user 1's quantum channel).  Launch power and drop attenuation
-    depend on a user only through its drop length, so each is computed once
-    per distinct drop.
+    length, user 1's first; user 1's cross section; and (index into those,
+    cross section) of every other user, both into user 1's quantum channel).
+    Launch power and drop attenuation depend on a user only through its drop
+    length, so each is computed once per distinct drop.  Only the launch
+    powers and the two feeder terms depend on the feeder; the rest is the
+    plan family's, computed once when its first plan was built.
     """
-    alpha, feeder, awg_db = plan.attenuation.per_km, plan.feeder_km, plan.awg_insertion_loss_db
-    users, slot, gamma = plan._inputs
-    power = [launch_power(feeder + plan.drop_km[user], plan.attenuation.db_per_km, awg_db,
-                          plan.sensitivity_dbm) for user in users]
-    drop_att = [math.exp(-alpha * plan.drop_km[user]) for user in users]
-    return (alpha, 10.0 ** (-2.0 * awg_db / 10.0), math.exp(-alpha * feeder),
-            backward_length_km(alpha, feeder), power, drop_att, slot, gamma)
+    alpha, awg, drops, drop_att, gamma_own, others = plan._inputs
+    feeder, awg_db = plan.feeder_km, plan.awg_insertion_loss_db
+    power = [launch_power(feeder + km, plan.attenuation.db_per_km, awg_db, plan.sensitivity_dbm)
+             for km in drops]
+    return (alpha, awg, math.exp(-alpha * feeder), backward_length_km(alpha, feeder), power,
+            drop_att, gamma_own, others)
 
 
 # The sums below run left to right over the channels with scalar libm
@@ -334,13 +355,13 @@ def raman_totals_setup1(plan: DwdmPlan) -> tuple[float, float]:
     noise comes from the downstream transmitters at the central office,
     whose light enters the feeder unattenuated.
     """
-    alpha, awg, e_feeder, eff_feeder, power, drop_att, slot, gamma = _drop_terms(plan)
+    alpha, awg, e_feeder, eff_feeder, power, drop_att, gamma_own, others = _drop_terms(plan)
     feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], plan.rx_bandwidth_nm
-    fwd = power[0] * math.exp(-alpha * own_km) * own_km * gamma[0] * bw
-    bwd = power[0] * backward_length_km(alpha, own_km) * gamma[0] * bw
+    fwd = power[0] * math.exp(-alpha * own_km) * own_km * gamma_own * bw
+    bwd = power[0] * backward_length_km(alpha, own_km) * gamma_own * bw
     fwd_pre = [p * att * e_feeder * feeder for p, att in zip(power, drop_att)]
     bwd_pre = [p * eff_feeder for p in power]
-    for k, g in zip(slot[1:], gamma[1:]):
+    for k, g in others:
         fwd += fwd_pre[k] * g * bw
         bwd += bwd_pre[k] * g * bw
     return fwd * awg, bwd * awg
@@ -354,15 +375,15 @@ def raman_totals_setup3(plan: DwdmPlan) -> tuple[float, float]:
     contributions start from launch powers already attenuated over the
     contributing user's drop.
     """
-    alpha, awg, e_feeder, eff_feeder, power, drop_att, slot, gamma = _drop_terms(plan)
+    alpha, awg, e_feeder, eff_feeder, power, drop_att, gamma_own, others = _drop_terms(plan)
     feeder, own_km, bw = plan.feeder_km, plan.feeder_km + plan.drop_km[0], plan.rx_bandwidth_nm
-    fwd = power[0] * math.exp(-alpha * own_km) * own_km * gamma[0] * bw
-    bwd = power[0] * backward_length_km(alpha, own_km) * gamma[0] * bw
+    fwd = power[0] * math.exp(-alpha * own_km) * own_km * gamma_own * bw
+    bwd = power[0] * backward_length_km(alpha, own_km) * gamma_own * bw
     fwd_pre = [p * e_feeder * feeder for p in power]
     bwd_pre = [p * att * eff_feeder for p, att in zip(power, drop_att)]
     # -0.0 is the exact additive identity; with no other users the sums are 0.0
-    fwd_rest = bwd_rest = -0.0 if len(slot) > 1 else 0.0
-    for k, g in zip(slot[1:], gamma[1:]):
+    fwd_rest = bwd_rest = -0.0 if others else 0.0
+    for k, g in others:
         fwd_rest += fwd_pre[k] * g * bw
         bwd_rest += bwd_pre[k] * g * bw
     return (fwd + drop_att[0] * fwd_rest) * awg, (bwd + drop_att[0] * bwd_rest) * awg
@@ -377,16 +398,18 @@ def raman_totals_setup4(plan: DwdmPlan) -> tuple[float, float]:
     upstream channels' backscatter over the feeder and the downstream
     user-1 channel's backscatter over the drop.
     """
-    alpha, awg, e_feeder, eff_feeder, power, drop_att, slot, gamma = _drop_terms(plan)
+    alpha, awg, e_feeder, eff_feeder, power, drop_att, gamma_own, others = _drop_terms(plan)
     feeder, drop, bw = plan.feeder_km, plan.drop_km[0], plan.rx_bandwidth_nm
     fwd_pre = [p * e_feeder * feeder for p in power]
     bwd_pre = [p * att * eff_feeder for p, att in zip(power, drop_att)]
-    fwd_mux = bwd = -0.0  # the exact additive identity
-    for k, g in zip(slot, gamma):
+    # user 1's terms first: -0.0 + x is x, so starting from them is the sum from -0.0
+    fwd_mux = fwd_pre[0] * gamma_own * bw
+    bwd = bwd_pre[0] * gamma_own * bw
+    for k, g in others:
         fwd_mux += fwd_pre[k] * g * bw
         bwd += bwd_pre[k] * g * bw
-    bwd += power[0] * e_feeder * backward_length_km(alpha, drop) * gamma[0] * bw
-    fwd_direct = power[0] * drop_att[0] * drop * gamma[0] * bw
+    bwd += power[0] * e_feeder * backward_length_km(alpha, drop) * gamma_own * bw
+    fwd_direct = power[0] * drop_att[0] * drop * gamma_own * bw
     return fwd_mux * awg + fwd_direct, bwd * awg
 
 

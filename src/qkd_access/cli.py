@@ -54,7 +54,10 @@ def _add_common(parser: argparse.ArgumentParser):
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on first use.  It holds no parsed values."""
+    """The parser ``main`` uses, built on first use.  It holds no parsed values.
+
+    ``commands`` maps each subcommand's name to its own parser.
+    """
     parser = argparse.ArgumentParser(
         prog="qkd-access",
         description="Key-rate simulator for wireless-indoor QKD over a DWDM access network",
@@ -91,7 +94,28 @@ def _parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate-config", help="check a config file and print the result")
     _add_common(validate)
 
+    parser.commands = sub.choices
     return parser
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, parsed by the subcommand's parser alone when it can be.
+
+    The top-level parser hands every argument after the subcommand's name to
+    that subcommand's parser, so when ``argv[0]`` names one, that parser's
+    pass gives the same namespace, help, errors and exit codes.  The
+    top-level parser runs only without a subcommand or when arguments are
+    left over, and then prints its own usage and error.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _load_config(args) -> SimulationConfig:
@@ -102,7 +126,7 @@ def _load_config(args) -> SimulationConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         cfg = _load_config(args)
 

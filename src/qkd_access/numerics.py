@@ -137,6 +137,8 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     Value i is ``i*step + start`` and the last is ``stop`` itself, the
     arithmetic of ``numpy.linspace``, so the grids match it bit for bit:
     ``num`` 0 gives [], 1 gives [start], and a negative ``num`` raises.
+    One exception keeps the grid monotone from ``start`` to ``stop``: a
+    value that rounding carries past ``stop`` is ``stop``.
     """
     if num < 0:
         raise ValueError(f"number of samples must be >= 0, got {num}")
@@ -150,6 +152,12 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     else:
         values = [i * step + start for i in range(num)]
     values[-1] = stop
+    # The formula values are monotone in i, so only the last few can pass
+    # stop, as rounding can carry them in a subnormal range (numpy's too).
+    i = num - 2
+    while i > 0 and (stop < values[i] if delta > 0.0 else values[i] < stop):
+        values[i] = stop
+        i -= 1
     return values
 
 
@@ -157,11 +165,19 @@ def geomspace(start: float, stop: float, num: int) -> list[float]:
     """``num`` log-spaced values from ``start`` to ``stop`` (both > 0), both exact.
 
     Each inner value is 10**v over ``linspace`` of the endpoints' log10;
-    the endpoints are ``start`` and ``stop`` themselves.
+    the endpoints are ``start`` and ``stop`` themselves.  The grid is
+    monotone from ``start`` to ``stop``: the endpoints' log10 and each power
+    round, which can move a value past its predecessor or an end when the
+    points lie a few ulps apart, so each inner value is clamped between the
+    value before it and ``stop``.
     """
     values = [10.0 ** v for v in linspace(math.log10(start), math.log10(stop), num)]
     if num > 0:
         values[0] = float(start)
     if num > 1:
         values[-1] = float(stop)
+    if values != sorted(values, reverse=stop < start):  # a C-speed check of the rare case
+        cap, floor = (min, max) if start <= stop else (max, min)
+        for i in range(1, num - 1):
+            values[i] = floor(values[i - 1], cap(values[i], values[-1]))
     return values

@@ -94,23 +94,34 @@ def single_photon_errors(
     (up to the misalignment error); every background-assisted acceptance
     is a coin flip.  Returns (0, 0) when the yield itself vanishes.
     """
-    y = single_photon_yield(eta_a, eta_b, noise)
-    if y <= 0.0:
-        return 0.0, 0.0
-    quiet = (1.0 - noise) ** 2
-    interference = quiet * eta_a * eta_b / 2.0
-    e_x = 0.5 - (0.5 - misalignment) * interference / y
-    e_z = 0.5 - (0.5 - misalignment) * (1.0 - 2.0 * noise) * interference / y
-    clamp = lambda e: min(max(e, 0.0), 1.0)
-    return clamp(e_x), clamp(e_z)
+    return _errors(eta_a, eta_b, noise, misalignment, single_photon_yield(eta_a, eta_b, noise))
 
 
 def decoy_gains(
     eta_a: float, eta_b: float, noise: float, mu: float, nu: float, misalignment: float
 ) -> MdiGains:
     """Gains and Z-basis QBER for phase-randomized weak-pulse sources."""
-    _check(eta_a, eta_b, noise)
     y11 = single_photon_yield(eta_a, eta_b, noise)
+    return MdiGains._make(_gains(eta_a, eta_b, noise, mu, nu, misalignment, y11))
+
+
+# The errors and the gains take the yield Y_11 that ``single_photon_yield``
+# gave, and with it checked inputs, so a rate checks its inputs and
+# evaluates Y_11 once.  ``_gains`` returns the fields of ``MdiGains``.
+
+
+def _errors(eta_a: float, eta_b: float, noise: float, misalignment: float, y: float):
+    if y <= 0.0:
+        return 0.0, 0.0
+    quiet = (1.0 - noise) ** 2
+    interference = quiet * eta_a * eta_b / 2.0
+    e_x = 0.5 - (0.5 - misalignment) * interference / y
+    e_z = 0.5 - (0.5 - misalignment) * (1.0 - 2.0 * noise) * interference / y
+    return min(max(e_x, 0.0), 1.0), min(max(e_z, 0.0), 1.0)
+
+
+def _gains(eta_a: float, eta_b: float, noise: float, mu: float, nu: float, misalignment: float,
+           y11: float) -> tuple:
     q11 = mu * nu * math.exp(-mu - nu) * y11
 
     quiet = (1.0 - noise) ** 2
@@ -130,14 +141,14 @@ def decoy_gains(
         qber_z = (misalignment * q_correct + (1.0 - misalignment) * q_error) / gain_z
     else:
         qber_z = 0.0
-    return MdiGains(q11, q_correct, q_error, gain_z, qber_z)
+    return q11, q_correct, q_error, gain_z, qber_z
 
 
 def mdi_rate_spp_at(eta_a: float, eta_b: float, noise: float, params: MdiParams) -> float:
     """Key rate per pulse with ideal single-photon sources."""
     gain_factor = 1.0 if params.fast_detectors else 0.5
     y11 = single_photon_yield(eta_a, eta_b, noise)
-    e_x, e_z = single_photon_errors(eta_a, eta_b, noise, params.misalignment)
+    e_x, e_z = _errors(eta_a, eta_b, noise, params.misalignment, y11)
     rate = params.sift_factor * gain_factor * y11 * (
         1.0 - binary_entropy(e_x) - params.ec_inefficiency * binary_entropy(e_z)
     )
@@ -151,11 +162,13 @@ def mdi_rate_spp(link: MdiLinkBudget, params: MdiParams) -> float:
 def mdi_rate_ds_at(eta_a: float, eta_b: float, noise: float, params: MdiParams) -> float:
     """Key rate per pulse with weak pulses and exact decoy estimation."""
     gain_factor = 1.0 if params.fast_detectors else 0.5
-    g = decoy_gains(eta_a, eta_b, noise, params.mu, params.nu, params.misalignment)
-    e_x, _ = single_photon_errors(eta_a, eta_b, noise, params.misalignment)
+    y11 = single_photon_yield(eta_a, eta_b, noise)
+    q11, _, _, gain_z, qber_z = _gains(eta_a, eta_b, noise, params.mu, params.nu,
+                                       params.misalignment, y11)
+    e_x, _ = _errors(eta_a, eta_b, noise, params.misalignment, y11)
     rate = params.sift_factor * gain_factor * (
-        g.single_photon_gain * (1.0 - binary_entropy(e_x))
-        - params.ec_inefficiency * g.gain_z * binary_entropy(g.qber_z)
+        q11 * (1.0 - binary_entropy(e_x))
+        - params.ec_inefficiency * gain_z * binary_entropy(qber_z)
     )
     return max(0.0, rate)
 

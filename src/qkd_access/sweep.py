@@ -12,13 +12,14 @@ evaluates once:
 * one point function, which fixes the protocol's rate function,
   parameters, clock and coherent flag and the swept variable's rule for
   user 1's links: an ``L0_km`` point builds them on its feeder's plan
-  (``DwdmPlan.with_feeder``, which shares the run's grids, table and
-  feeder-independent Raman inputs), a ``coupling_loss_db`` point at its
-  loss, a ``psd_w_per_nm`` point at its bulb count, and a background point
-  replaces the noise of the run's first link; every other point, whose
-  value no budget reads, takes the run's own links (no setup-1 budget
-  reads the coupling loss, and setup 1's room link is built once unless
-  the point changes the bulb count);
+  (``DwdmPlan.with_feeder``, which shares the run's grids, table and every
+  feeder-independent Raman factor, so the point computes only its launch
+  powers and feeder terms before the sums), a ``coupling_loss_db`` point
+  at its loss, a ``psd_w_per_nm`` point at its bulb count, and a
+  background point replaces the noise of the run's first link; every
+  other point, whose value no budget reads, takes the run's own links (no
+  setup-1 budget reads the coupling loss, and setup 1's room link is
+  built once unless the point changes the bulb count);
 * a plan's Raman totals, with one launch power per distinct drop length;
 * each link's rate, once per distinct link budget, so a clock sweep rates
   each link once;
@@ -135,16 +136,18 @@ class SweepSpec(namedtuple(
         if not 2 <= self.points <= MAX_POINTS:
             raise ValueError(
                 f"a sweep needs 2 to {MAX_POINTS} points (--points), got {self.points}")
+        for option, value in (("--start", self.start), ("--stop", self.stop)):
+            if not math.isfinite(value):
+                raise ValueError(f"sweep range must be finite; {option} is {value}")
         if not self.start < self.stop:
-            raise ValueError("sweep range must satisfy start < stop")
+            raise ValueError(f"sweep range must satisfy start < stop; --start is {self.start}, "
+                             f"--stop is {self.stop}")
         if self.log_spacing and self.start <= 0.0:
-            raise ValueError("log spacing needs a positive start value")
-        if not math.isfinite(self.stop):
-            raise ValueError("sweep range must be finite")
+            raise ValueError(f"log spacing needs a positive start value; --start is {self.start}")
         if self.variable == "clock_rate_hz" and self.start <= 0.0:
-            raise ValueError(f"clock_rate_hz sweeps need start > 0, got {self.start}")
+            raise ValueError(f"clock_rate_hz sweeps need start > 0; --start is {self.start}")
         if self.start < 0.0:
-            raise ValueError(f"{self.variable} sweeps need start >= 0, got {self.start}")
+            raise ValueError(f"{self.variable} sweeps need start >= 0; --start is {self.start}")
 
     def values(self) -> list[float]:
         return (geomspace if self.log_spacing else linspace)(self.start, self.stop, self.points)

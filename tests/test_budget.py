@@ -1,5 +1,7 @@
 """Per-setup link budgets against term-by-term oracles."""
 
+import math
+from collections import namedtuple
 from importlib import resources
 
 import numpy as np
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 
 from qkd_access.budget import (
     DetectorParams,
+    CvLinkBudget,
     DwdmPlan,
     LinkBudget,
+    MdiLinkBudget,
     budget_setup1_fiber,
     budget_setup1_wireless,
     budget_setup2,
@@ -236,6 +240,14 @@ class TestFeederVariant:
             nominal_plan(feeder_km=feeder)
         with pytest.raises(ValueError, match="fiber lengths must be >= 0"):
             nominal_plan().with_feeder(feeder)
+
+    @pytest.mark.parametrize("feeder", [0.0, 37.5, 3])
+    def test_same_record_as_replace(self, feeder):
+        plan = nominal_plan(drop_km=(0.1, 0.5) * 16)
+        variant = plan.with_feeder(feeder)
+        assert variant == plan._replace(feeder_km=feeder)
+        assert type(variant) is DwdmPlan and variant.feeder_km is feeder
+        assert repr(variant) == repr(plan._replace(feeder_km=feeder))
 
     def test_shares_inputs_not_totals(self):
         plan = nominal_plan(builtin_cross_section_table())
@@ -560,3 +572,106 @@ class TestCvBudget:
     def test_unknown_setup_rejected(self):
         with pytest.raises(ValueError):
             cv_budget("3", *room(3, nominal_bulb()))
+
+
+# The link records as they were when they checked their fields in a second
+# ``__init__`` call, kept here as the reference of the records that check in
+# ``__new__``.  A class body keeps their names, and so their reprs.
+class Ref:
+    class _Noise:
+        __slots__ = ()
+
+        def _check_noise(self):
+            if min(self.frs, self.brs, self.bulb, self.dark) < 0.0:
+                raise ValueError("noise components must be >= 0")
+            if self.frs + self.brs + self.bulb + self.dark >= 1.0:
+                raise ValueError("total noise per detector must stay below one count per pulse")
+
+    class LinkBudget(namedtuple("LinkBudget", "transmissivity frs brs bulb dark",
+                                defaults=(0.0,) * 4), _Noise):
+        __slots__ = ()
+
+        def __init__(self, *_, **__):
+            if not 0.0 <= self.transmissivity <= 1.0:
+                raise ValueError(f"transmissivity must be in [0, 1], got {self.transmissivity}")
+            self._check_noise()
+
+    class MdiLinkBudget(namedtuple(
+        "MdiLinkBudget", "eta_alice eta_bob frs brs bulb dark polarization_factor",
+        defaults=(0.0,) * 4 + (0.5,),
+    ), _Noise):
+        __slots__ = ()
+
+        def __init__(self, *_, **__):
+            for name in ("polarization_factor", "eta_alice", "eta_bob"):
+                if not 0.0 <= getattr(self, name) <= 1.0:
+                    raise ValueError(f"{name} must be in [0, 1]")
+            self._check_noise()
+
+    class CvLinkBudget(namedtuple(
+        "CvLinkBudget", "transmissivity eps_bulb eps_raman eps_receiver frs brs bulb",
+        defaults=(0.0,) * 6,
+    )):
+        __slots__ = ()
+
+        def __init__(self, *_, **__):
+            if not 0.0 < self.transmissivity <= 1.0:
+                raise ValueError("CV budget needs transmissivity in (0, 1]")
+            if min(self.eps_bulb, self.eps_raman, self.eps_receiver) < 0.0:
+                raise ValueError("excess-noise components must be >= 0")
+
+
+RECORDS = [(LinkBudget, Ref.LinkBudget), (MdiLinkBudget, Ref.MdiLinkBudget),
+           (CvLinkBudget, Ref.CvLinkBudget)]
+# Each check's boundaries: 0 and 1 and their neighbours, a noise sum at one
+# count, negatives and NaN; then any float.
+EDGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, math.nextafter(1.0, 0.0),
+                     math.nextafter(1.0, 2.0), 0.25, 0.5, -1.0, 2.0, math.nan, math.inf,
+                     -math.inf]),
+    st.floats(),
+)
+
+
+def _built(cls, args, kwargs):
+    """(tuple, repr) of ``cls(*args, **kwargs)``, or the message of its ValueError."""
+    try:
+        record = cls(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return tuple(record), repr(record)
+
+
+class TestRecordChecks:
+    @settings(max_examples=600, deadline=None)
+    @given(record=st.sampled_from(RECORDS), data=st.data())
+    def test_same_record_or_message_as_checks_in_init(self, record, data):
+        new, ref = record
+        required = len(ref._fields) - len(ref._field_defaults)
+        values = data.draw(st.lists(EDGE, min_size=required, max_size=len(ref._fields)))
+        positional = data.draw(st.integers(0, len(values)))
+        args = values[:positional]
+        kwargs = dict(zip(new._fields[positional:len(values)], values[positional:]))
+        assert _built(new, args, kwargs) == _built(ref, args, kwargs)
+
+    def test_noise_sum_at_one_count(self):
+        for new, ref in RECORDS[:2]:
+            kwargs = dict(zip(new._fields, (0.5, 0.5))) | dict(frs=0.5, brs=0.25, bulb=0.25)
+            assert _built(new, (), kwargs) == _built(ref, (), kwargs)
+            assert "below one count" in _built(new, (), kwargs)
+
+    @pytest.mark.parametrize("new,ref", RECORDS)
+    def test_make_and_replace_skip_the_checks(self, new, ref):
+        bad = (2.0,) * len(new._fields)
+        assert new._make(bad) == ref._make(bad) == bad
+        good = new(*(0.5,) * 2)
+        assert good._replace(frs=-1.0) == ref(*(0.5,) * 2)._replace(frs=-1.0)
+        assert type(good._replace(frs=-1.0)) is new
+
+    @pytest.mark.parametrize("new,ref", RECORDS)
+    def test_missing_and_unknown_fields(self, new, ref):
+        for args, kwargs in (((), {}), ((0.5,) * 8, {}), ((0.5,) * 2, {"nonsense": 1.0})):
+            with pytest.raises(TypeError):
+                new(*args, **kwargs)
+            with pytest.raises(TypeError):
+                ref(*args, **kwargs)

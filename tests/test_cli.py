@@ -529,6 +529,129 @@ class TestCrossoverCommand:
         assert "crossover clock" in out
 
 
+class TestSweepRangeErrors:
+    @pytest.mark.parametrize("start,stop,message", [
+        ("nan", "10", "sweep range must be finite; --start is nan"),
+        ("0", "inf", "sweep range must be finite; --stop is inf"),
+        ("-inf", "10", "sweep range must be finite; --start is -inf"),
+        ("0", "nan", "sweep range must be finite; --stop is nan"),
+        ("5", "1", "sweep range must satisfy start < stop; --start is 5.0, --stop is 1.0"),
+        ("-5", "10", "coupling_loss_db sweeps need start >= 0; --start is -5.0"),
+    ])
+    def test_names_its_option(self, tmp_path, capsys, start, stop, message):
+        out = tmp_path / "x.csv"
+        code = run_cli("sweep", "--setup", "2", "--protocol", "DS-BB84", "--var",
+                       "coupling_loss_db", f"--start={start}", f"--stop={stop}", "--points", "3",
+                       "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("var,log,message", [
+        ("clock_rate_hz", False, "clock_rate_hz sweeps need start > 0; --start is 0.0"),
+        ("psd_w_per_nm", True, "log spacing needs a positive start value; --start is 0.0"),
+    ])
+    def test_positive_start_names_its_option(self, tmp_path, capsys, var, log, message):
+        args = ("sweep", "--setup", "2", "--protocol", "DS-BB84", "--var", var, "--start", "0",
+                "--stop", "1", "--points", "3", "--out", str(tmp_path / "x.csv"))
+        assert run_cli(*args, *(("--log",) if log else ())) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _dispatch_corpus(out):
+    sweep_args = ("sweep", "--setup", "2", "--protocol", "DS-BB84", "--var", "L0_km",
+                  "--start", "1", "--stop", "30", "--points", "3", "--out", out)
+    return {
+        "sweep": sweep_args,
+        "sweep-set-and-log": sweep_args + ("--log", "--set", "dv.mu=0.4", "--case", "2"),
+        "noise": ("noise", "--setup", "3", "--points", "3", "--out", out),
+        "crossover": ("crossover", "--setup", "1"),
+        "validate-config": ("validate-config", "--set", "network.feeder_km=20"),
+        "equals-sign": ("sweep", "--setup=2", "--protocol=SPP-BB84", "--var=coupling_loss_db",
+                        "--start=0", "--stop=20", "--points=3", f"--out={out}"),
+        "run-error": sweep_args[:-6] + ("--start", "nan", "--stop", "30", "--out", out),
+        "unknown-option": sweep_args + ("--bogus",),
+        "unknown-option-value": ("validate-config", "--bogus", "1"),
+        "stray-positional": ("validate-config", "extra"),
+        "after-double-dash": ("validate-config", "--", "extra"),
+        "other-command-option": ("noise", "--setup", "2", "--protocol", "DS-BB84", "--out", out),
+        "other-command-option-crossover": ("crossover", "--out", out),
+        "bad-choice": ("sweep", "--setup", "5") + sweep_args[3:],
+        "bad-choice-crossover": ("crossover", "--setup", "3"),
+        "bad-type": ("noise", "--setup", "two", "--out", out),
+        "missing-required": ("sweep", "--setup", "2"),
+        "missing-required-noise": ("noise",),
+        "missing-value": ("validate-config", "--config"),
+        "help-top": ("-h",),
+        "help-top-long": ("--help",),
+        "help-top-abbreviated": ("--he",),
+        "help-sweep": ("sweep", "-h"),
+        "help-after-args": ("noise", "--setup", "2", "--help"),
+        "help-validate": ("validate-config", "--help"),
+        "abbreviation": sweep_args[:-4] + ("--poi", "3", "--out", out),
+        "ambiguous-abbreviation": ("noise", "--setup", "2", "--l0-st", "5", "--out", out),
+        "no-argv": (),
+        "unknown-command": ("bogus",),
+        "abbreviated-command": ("swe", "--setup", "2"),
+        "option-before-command": ("--config", "x.json", "validate-config"),
+        "help-before-command": ("-h", "sweep"),
+    }
+
+
+def _run_main(argv, out):
+    """(exit code, stdout, stderr, the --out file's bytes) of ``main(argv)``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
+class TestDispatch:
+    """``main`` parses with the subcommand's parser alone when ``argv[0]`` names one;
+    every argv gives what the full top-level parse gives."""
+
+    @pytest.mark.parametrize("name", list(_dispatch_corpus("x.csv")))
+    def test_same_as_the_full_parse(self, tmp_path, monkeypatch, name):
+        out = tmp_path / "x.csv"
+        argv = list(_dispatch_corpus(str(out))[name])
+        fast = _run_main(argv, out)
+        monkeypatch.setattr(cli, "_parse_args", lambda args: cli._parser().parse_args(args))
+        full = _run_main(argv, out)
+        assert fast == full
+        assert fast[0] in (0, 2)
+
+    def test_argv_none_reads_sys_argv(self, tmp_path, monkeypatch):
+        out = tmp_path / "x.csv"
+        monkeypatch.setattr(sys, "argv", ["qkd-access", "noise", "--setup", "2", "--points", "2",
+                                          "--out", str(out)])
+        fast = _run_main(None, out)
+        monkeypatch.setattr(cli, "_parse_args", lambda args: cli._parser().parse_args(args))
+        assert fast == _run_main(None, out)
+        assert fast[0] == 0 and fast[3]
+
+    def test_a_subcommand_parse_runs_no_top_level_parse(self, tmp_path, monkeypatch):
+        top = []
+        parse_known = type(cli._parser()).parse_known_args
+
+        def spy(parser, args=None, namespace=None):
+            top.append(parser.prog)
+            return parse_known(parser, args, namespace)
+
+        monkeypatch.setattr(type(cli._parser()), "parse_known_args", spy)
+        assert run_cli("validate-config") == 0
+        assert top == ["qkd-access validate-config"]
+        with pytest.raises(SystemExit):
+            run_cli("validate-config", "--bogus")
+        # the leftover argument sends the call to the full parse, for its error
+        assert top[1:] == ["qkd-access validate-config", "qkd-access",
+                           "qkd-access validate-config"]
+
+
 def test_sweep_and_noise_run_without_numpy(tmp_path):
     # numpy is a test-only dependency, and dataclasses, inspect and copy cost cold
     # start: a CLI run must never import them

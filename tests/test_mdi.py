@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkd_access.budget import MdiLinkBudget
+from qkd_access.numerics import binary_entropy
 from qkd_access.protocols import (
     MdiParams,
     decoy_gains,
@@ -173,6 +176,64 @@ class TestRates:
         assert mdi_rate_ds(link, NOMINAL) == pytest.approx(
             mdi_rate_ds_at(0.01, 0.03, 1.01e-5, NOMINAL), rel=1e-12, abs=0.0
         )
+
+
+def _composed_ds(eta_a, eta_b, noise, params):
+    """The MDI-DS rate as the two public calls compose it, each evaluating Y_11."""
+    gain_factor = 1.0 if params.fast_detectors else 0.5
+    g = decoy_gains(eta_a, eta_b, noise, params.mu, params.nu, params.misalignment)
+    e_x, _ = single_photon_errors(eta_a, eta_b, noise, params.misalignment)
+    return max(0.0, params.sift_factor * gain_factor * (
+        g.single_photon_gain * (1.0 - binary_entropy(e_x))
+        - params.ec_inefficiency * g.gain_z * binary_entropy(g.qber_z)))
+
+
+def _composed_spp(eta_a, eta_b, noise, params):
+    """The MDI-SPP rate as the public yield and errors compose it."""
+    gain_factor = 1.0 if params.fast_detectors else 0.5
+    y11 = single_photon_yield(eta_a, eta_b, noise)
+    e_x, e_z = single_photon_errors(eta_a, eta_b, noise, params.misalignment)
+    return max(0.0, params.sift_factor * gain_factor * y11 * (
+        1.0 - binary_entropy(e_x) - params.ec_inefficiency * binary_entropy(e_z)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+ETA = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, -1e-300, 1.5, math.nan]))
+NOISE = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                  st.floats(1e-16, 1e-2),
+                  st.sampled_from([0.0, 1.0, -1e-300, math.nan]))
+PARAMS = st.builds(MdiParams, mu=st.floats(1e-3, 2.0), nu=st.floats(1e-3, 2.0),
+                   sift_factor=st.floats(0.01, 1.0), ec_inefficiency=st.floats(1.0, 2.0),
+                   misalignment=st.floats(0.0, 0.5, exclude_max=True),
+                   fast_detectors=st.booleans())
+
+
+class TestOneYieldPerRate:
+    """Each rate evaluates Y_11 once and checks its inputs once, with the bits and
+    errors of the public pieces composed as before."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(eta_a=ETA, eta_b=ETA, noise=NOISE, params=PARAMS)
+    def test_ds_equals_the_two_call_composition(self, eta_a, eta_b, noise, params):
+        assert (_outcome(mdi_rate_ds_at, eta_a, eta_b, noise, params)
+                == _outcome(_composed_ds, eta_a, eta_b, noise, params))
+
+    @settings(max_examples=400, deadline=None)
+    @given(eta_a=ETA, eta_b=ETA, noise=NOISE, params=PARAMS)
+    def test_spp_equals_the_two_call_composition(self, eta_a, eta_b, noise, params):
+        assert (_outcome(mdi_rate_spp_at, eta_a, eta_b, noise, params)
+                == _outcome(_composed_spp, eta_a, eta_b, noise, params))
+
+    def test_positive_rates_at_the_nominal_point(self):
+        for rate, composed in ((mdi_rate_ds_at, _composed_ds), (mdi_rate_spp_at, _composed_spp)):
+            got = rate(0.01, 0.03, 1e-6, NOMINAL)
+            assert got > 0.0 and got.hex() == composed(0.01, 0.03, 1e-6, NOMINAL).hex()
 
 
 class TestParamsValidation:

@@ -163,12 +163,19 @@ class TestLinspace:
     @settings(max_examples=500, deadline=None)
     @given(start=finite, stop=finite, num=st.integers(0, 300))
     def test_equals_numpy(self, start, stop, num):
-        assert linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+        # numpy's grid, but where rounding carries a value past stop (a subnormal
+        # range, or ends a few ulps apart), that value is stop
+        clamp = min if start <= stop else max
+        ref = [clamp(v, stop) for v in np.linspace(start, stop, num).tolist()]
+        assert linspace(start, stop, num) == ref
 
     def test_subnormal_range_equals_numpy(self):
         # the step underflows to 0, so each value scales the range instead
         for stop, num in ((5e-324, 3), (5e-324, 4), (1.5e-323, 7)):
             assert linspace(0.0, stop, num) == np.linspace(0.0, stop, num).tolist()
+        # there numpy's last formula value can pass stop, and ours is stop
+        assert np.linspace(0.0, 1.5e-323, 6).tolist()[-2] == 2e-323
+        assert linspace(0.0, 1.5e-323, 6) == [0.0, 5e-324, 1e-323, 1.5e-323, 1.5e-323, 1.5e-323]
 
     def test_short_grids(self):
         assert linspace(1.0, 5.0, 0) == []
@@ -198,3 +205,46 @@ class TestGeomspace:
         assert geomspace(2.0, 2e6, 7)[::6] == [2.0, 2e6]
         assert geomspace(3.0, 30.0, 1) == [3.0]
         assert geomspace(3.0, 30.0, 0) == []
+
+
+def _ulps_away(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _monotone_from_start_to_stop(values, start, stop):
+    return values == sorted(values, reverse=stop < start) and values[::len(values) - 1 or 1] == (
+        [float(start), float(stop)][:len(values)])
+
+
+class TestMonotoneGrids:
+    """Every grid runs from start to stop without a step back, also where rounding
+    would put a value past its neighbour: ends a few ulps apart."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(start=finite, stop=finite, num=st.integers(0, 300))
+    def test_linspace(self, start, stop, num):
+        assert _monotone_from_start_to_stop(linspace(start, stop, num), start, stop)
+
+    @settings(max_examples=500, deadline=None)
+    @given(start=finite, ulps=st.integers(-40, 40), num=st.integers(0, 60))
+    def test_linspace_close_ends(self, start, ulps, num):
+        stop = _ulps_away(start, ulps)
+        assert _monotone_from_start_to_stop(linspace(start, stop, num), start, stop)
+
+    @settings(max_examples=500, deadline=None)
+    @given(start=st.floats(1e-300, 1e300), stop=st.floats(1e-300, 1e300),
+           num=st.integers(0, 200))
+    def test_geomspace(self, start, stop, num):
+        assert _monotone_from_start_to_stop(geomspace(start, stop, num), start, stop)
+
+    @settings(max_examples=500, deadline=None)
+    @given(start=st.floats(1e-300, 1e300), ulps=st.integers(-40, 40), num=st.integers(0, 60))
+    def test_geomspace_close_ends(self, start, ulps, num):
+        stop = _ulps_away(start, ulps)
+        assert _monotone_from_start_to_stop(geomspace(start, stop, num), start, stop)
+
+    def test_the_sweep_grid_that_stepped_back(self):
+        start, stop = 3.1622776601683796e-06, 3.162277660168384e-06
+        assert geomspace(start, stop, 3) == [start, start, stop]

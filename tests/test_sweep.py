@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkd_access import budget, sweep
@@ -218,6 +218,9 @@ class TestMemo:
     @given(variable=st.sampled_from(SWEEP_VARIABLES), pair=st.sampled_from(PAIRS),
            case=st.sampled_from((1, 2, 3)), lo=st.floats(0.0, 0.5), hi=st.floats(0.5, 1.0),
            points=st.integers(2, 5))
+    # a log grid whose ends lie 10 ulps apart once put its middle point below start
+    @example(variable="psd_w_per_nm", pair=(1, "DS-BB84"), case=1, lo=0.5,
+             hi=0.5000000000000001, points=3)
     def test_rows_equal_fresh_config_per_point(self, variable, pair, case, lo, hi, points):
         start, stop, log = MEMO_GRIDS[variable]
         if log:
