@@ -211,8 +211,11 @@ class SimulationConfig:
     The builders ``raman_table()``, ``plan()``, ``scenario()``,
     ``detectors()`` and ``bulb_model()`` build a new object from ``data`` on
     every call, except that the built-in Raman table is parsed once per
-    process; a sweep calls them once per run (see ``sweep``).  Two configs
-    are equal when their ``data`` is; a config is not hashable.
+    process; a sweep calls them once per run (see ``sweep``).  ``from_dict``
+    builds every model object to validate the config and keeps none: a run
+    builds what it reads again, so that an edit of ``data`` reaches the
+    next run.  Two configs are equal when their ``data`` is; a config is
+    not hashable.
     """
 
     def __init__(self, data: dict):

@@ -208,9 +208,8 @@ class _Model:
     fixes the count.  These and the protocol parameters are built on first
     read, so a run builds only what its command reads: no ``noise`` run
     builds protocol parameters, and a setup-1 one, which reports the fiber
-    link, never resolves the room.  ``links`` holds user 1's links at these
-    values and ``wireless`` setup 1's room link at them, each by the
-    coherent flag and built on first use (``_model_links``, ``_wireless``).
+    link, never resolves the room.  ``wireless`` holds setup 1's room link
+    at these values by the coherent flag, built on first use (``_wireless``).
     """
 
     def __init__(self, config: SimulationConfig, setup: int, case: int):
@@ -224,7 +223,6 @@ class _Model:
         self.eps_receiver_measured = data["cv"]["eps_receiver_measured"]
         self.dv_clock_hz = data["dv"]["clock_hz"]
         self.cv_clock_hz = data["cv"]["clock_hz"]
-        self.links: dict = {}
         self.wireless: dict = {}
 
     @cached_property
@@ -300,13 +298,6 @@ def _links(m: _Model, plan: DwdmPlan, coupling_loss_db: float, n_b1: float | Non
     return (builder(*args, polarization_factor=m.polarization_factor),)
 
 
-def _model_links(m: _Model, coherent: bool = False) -> tuple:
-    """``_links`` at the model's own plan, coupling loss and bulb count, once per model."""
-    if coherent not in m.links:
-        m.links[coherent] = _links(m, m.plan, m.coupling_loss_db, coherent=coherent)
-    return m.links[coherent]
-
-
 def _point_function(spec: SweepSpec, model: _Model, rates: dict):
     """The function from a value to its row of ``spec``, with what the points share
     resolved once: the rate function, parameters, clock and coherent flag of the
@@ -333,7 +324,7 @@ def _point_function(spec: SweepSpec, model: _Model, rates: dict):
             n_b1 = bulb_noise_count(BulbNoiseModel(**{**bulb, "psd_w_per_nm": value}))
             return _links(model, plan, loss, n_b1, coherent)
     elif variable == "background_noise":
-        first, *rest = _model_links(model, coherent)
+        first, *rest = _links(model, plan, loss, coherent=coherent)
         fields = first._asdict()
 
         def links_at(value):
@@ -343,7 +334,7 @@ def _point_function(spec: SweepSpec, model: _Model, rates: dict):
             # built through the class so the noise check runs; ``_replace`` would skip it
             return (type(first)(**{**fields, **noise}), *rest)
     else:  # a clock, a PSD under a fixed count or a setup-1 coupling loss: no budget reads it
-        links = _model_links(model, coherent)
+        links = _links(model, plan, loss, coherent=coherent)
 
         def links_at(value):
             return links
@@ -364,15 +355,16 @@ def _point_function(spec: SweepSpec, model: _Model, rates: dict):
     return point
 
 
-def _evaluate_point(spec: SweepSpec, model: _Model, value: float, rates=None) -> SweepPoint:
-    """One row of ``spec`` at ``value``, from a fresh point function over ``rates``."""
-    return _point_function(spec, model, {} if rates is None else rates)(value)
+def _evaluate_point(spec: SweepSpec, model: _Model, value: float) -> SweepPoint:
+    """One row of ``spec`` at ``value``, from a fresh point function."""
+    return _point_function(spec, model, {})(value)
 
 
 def run_sweep(spec: SweepSpec, config: SimulationConfig) -> SweepResult:
-    """Evaluate the sweep point by point and return rows sorted by value."""
+    """Evaluate the sweep point by point and return rows sorted by value: both grids are
+    non-decreasing, so grid order is that order."""
     model = _Model(config, spec.setup, spec.case)
-    rows = sorted(map(_point_function(spec, model, {}), spec.values()), key=lambda r: r.value)
+    rows = map(_point_function(spec, model, {}), spec.values())
     run_hash = hashlib.sha256(
         (config.canonical_json + repr(sorted(spec._asdict().items()))).encode()
     ).hexdigest()
@@ -422,8 +414,9 @@ def dv_cv_crossover(config: SimulationConfig, setup: int = 2) -> float:
     if setup not in COHERENT_SETUPS:
         raise ValueError(f"the crossover compares setups {list(COHERENT_SETUPS)}, not {setup}")
     model = _Model(config, setup, config.data["case"])
-    dv_rate = min(ds_bb84_rate(link, model.bb84) for link in _model_links(model))
-    cv_rate = min(gg02_rate(link, model.gg02) for link in _model_links(model, coherent=True))
+    plan, loss = model.plan, model.coupling_loss_db
+    dv_rate = min(ds_bb84_rate(link, model.bb84) for link in _links(model, plan, loss))
+    cv_rate = min(gg02_rate(link, model.gg02) for link in _links(model, plan, loss, coherent=True))
     cv_bps = cv_rate * model.cv_clock_hz
 
     if cv_bps == 0.0:
