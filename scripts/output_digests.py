@@ -2,7 +2,10 @@
 """Digest the bench workloads' outputs and the demos' stdout, or compare two digest files.
 
 Runs each call of ``bench/workloads.build(workload, seed)``, for the three
-workloads and seeds 0-2, through ``qkd_access.cli.main`` in-process.  The
+workloads and seeds 0-2, through ``qkd_access.cli.main`` in-process, and
+the coverage calls of ``coverage_calls``: every workload call runs
+placement case 3, so each (setup, protocol) pair's ``L0_km`` sweep and one
+``noise`` and one ``crossover`` call also run on cases 1 and 2.  The
 output of a ``sweep`` or ``noise`` call is its CSV; that of a ``crossover``
 call is its printed line.  Each output gets the SHA-256 of its bytes, plus
 one SHA-256 per CSV column (and one for the ``#`` provenance lines), so a
@@ -17,6 +20,13 @@ Run from the repository root:
     python scripts/output_digests.py new.json
     python scripts/output_digests.py --root ../other-checkout old.json
     python scripts/output_digests.py --diff old.json new.json
+    python scripts/output_digests.py tests/data/output_digests.txt
+
+An output file whose name ends in ``.txt`` gets the manifest instead: one
+``name sha256`` line per output and no rows, under a ``#`` header.  The
+checked-in manifest ``tests/data/output_digests.txt`` is what
+``tests/test_output_digests.py`` compares against; a change that moves
+bytes regenerates it in the same commit, so its diff shows every move.
 
 ``--root`` takes ``src/``, ``bench/`` and ``demos/`` from another checkout,
 e.g. the parent commit.  ``--diff`` prints each moved output with its moved
@@ -42,6 +52,15 @@ from pathlib import Path
 
 SEEDS = (0, 1, 2)
 DEMO = "demo/"
+COVERAGE_CASES = (1, 2)
+MANIFEST_HEADER = """\
+# SHA-256 of each output of scripts/output_digests.py: the bench workloads'
+# calls (seeds 0-2), the coverage calls on placement cases 1 and 2, and the
+# demos' stdout.  Written by `python scripts/output_digests.py <this file>`.
+# Like tests/data/golden_sweep.csv, the bytes follow the platform's libm
+# (exp, log, pow, ...) and were produced on Linux x86-64 with glibc 2.36 and
+# CPython 3.11; another libm may round a last bit differently.
+"""
 
 
 def _sha(text: str) -> str:
@@ -77,28 +96,45 @@ def _largest_change(old: list[list[str]], new: list[list[str]], column: str) -> 
     return f" (max abs {worst_abs:.3g}, max rel {worst_rel:.3g})"
 
 
+def coverage_calls(workloads) -> list[tuple[str, object, list[str]]]:
+    """(name, invocation, extra arguments) of each call beyond the workloads:
+    every (setup, protocol) pair's ``L0_km`` sweep, a setup-2 ``noise`` and a
+    setup-2 ``crossover``, each on every case of ``COVERAGE_CASES``.  They run
+    at zero coupling loss under a dim bulb (1e-10 W/nm), where every DV and
+    MDI pair gives key on case 1 and the placement shows in the rates."""
+    pairs = workloads.DV_PAIRS + workloads.MDI_PAIRS + ((1, "GG02"), (2, "GG02"))
+    calls = [workloads.Invocation("sweep", setup, protocol, "L0_km", 0.5, 80.0, 9)
+             for setup, protocol in pairs]
+    calls += [workloads.Invocation("noise", 2, variable="L0_km", start=0.5, stop=80.0, points=9),
+              workloads.Invocation("crossover", 2, coupling_loss_db=5.0)]
+    dim = ["--set", "link.coupling_loss_db=0", "--set", "bulb.psd_w_per_nm=1e-10"]
+    return [(f"coverage/case{case}/{inv.label()}", inv, ["--set", f"case={case}", *dim])
+            for case in COVERAGE_CASES for inv in calls]
+
+
 def collect(root: Path) -> dict[str, dict]:
-    """{output name: {"sha256": ..., "columns": {...}}} for every workload call."""
+    """{output name: {"sha256": ..., "columns": {...}}} for every workload and coverage
+    call and every demo."""
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import workloads
     from qkd_access import cli
 
+    calls = [(f"{workload}/seed{seed}/{index:02d}/{inv.label()}", inv, [])
+             for workload in workloads.WORKLOADS for seed in SEEDS
+             for index, inv in enumerate(workloads.build(workload, seed))]
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
-        for workload in workloads.WORKLOADS:
-            for seed in SEEDS:
-                for index, inv in enumerate(workloads.build(workload, seed)):
-                    printed = io.StringIO()
-                    with redirect_stdout(printed):
-                        status = cli.main(inv.argv(str(out)))
-                    if status != 0:
-                        raise SystemExit(f"{inv.label()} exited with status {status}")
-                    name = f"{workload}/seed{seed}/{index:02d}/{inv.label()}"
-                    if inv.command == "crossover":
-                        digests[name] = {"sha256": _sha(printed.getvalue()), "columns": {}}
-                    else:
-                        digests[name] = _csv_digest(out.read_text(encoding="utf-8"))
+        for name, inv, extra in calls + coverage_calls(workloads):
+            printed = io.StringIO()
+            with redirect_stdout(printed):
+                status = cli.main(inv.argv(str(out)) + extra)
+            if status != 0:
+                raise SystemExit(f"{name} exited with status {status}")
+            if inv.command == "crossover":
+                digests[name] = {"sha256": _sha(printed.getvalue()), "columns": {}}
+            else:
+                digests[name] = _csv_digest(out.read_text(encoding="utf-8"))
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     for demo in sorted((root / "demos").glob("*.py")):
         result = subprocess.run([sys.executable, str(demo)], capture_output=True, cwd=root,
@@ -108,6 +144,18 @@ def collect(root: Path) -> dict[str, dict]:
         sha = hashlib.sha256(result.stdout).hexdigest()
         digests[DEMO + demo.stem] = {"sha256": sha, "columns": {"stdout": sha}}
     return digests
+
+
+def write_manifest(digests: dict[str, dict], path: Path) -> None:
+    """Write the ``name sha256`` lines of ``digests``, sorted by name, under the header."""
+    lines = [f"{name} {digests[name]['sha256']}" for name in sorted(digests)]
+    path.write_text(MANIFEST_HEADER + "\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_manifest(path: Path) -> dict[str, str]:
+    """{name: sha256} from a manifest ``write_manifest`` wrote."""
+    text = path.read_text(encoding="utf-8")
+    return dict(line.split(" ") for line in text.splitlines() if not line.startswith("#"))
 
 
 def _has_demos(digests: dict[str, dict]) -> bool:
@@ -160,7 +208,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is None:
         parser.error("give an output file or --diff OLD NEW")
     digests = collect(args.root.resolve())
-    Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    if args.out.endswith(".txt"):
+        write_manifest(digests, Path(args.out))
+    else:
+        Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
+                                  encoding="utf-8")
     print(f"wrote {args.out}: {len(digests)} outputs")
     return 0
 
