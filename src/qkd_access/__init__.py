@@ -13,6 +13,7 @@ the library does not load argparse.
 
 from .budget import *
 from .config import *
+from .defaults import *
 from .numerics import *
 from .owc import *
 from .protocols import *

@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from .defaults import DEFAULTS, GATE_S, KeyTable, keyed_record
 from .numerics import AttenuationCoefficient, db_to_linear
 from .raman import backward_length_km, photons_per_gate
 
 __all__ = [
-    "DEFAULT_SENSITIVITY_DBM",
     "DetectorParams",
     "DwdmPlan",
     "LinkBudget",
@@ -51,16 +51,13 @@ __all__ = [
     "cv_budget",
 ]
 
-# Receiver sensitivity (dBm) guaranteeing the classical channels' target BER.
-DEFAULT_SENSITIVITY_DBM = -38.5
-
-DEFAULT_CHANNEL_SPACING_NM = 0.8  # 100 GHz in the C band
+_LINK = DEFAULTS["link"]
 
 
-class DetectorParams(namedtuple(
-    "DetectorParams", "eta_wireless eta_telecom dark_count_per_pulse gate_s",
-    defaults=(0.6, 0.3, 1e-7, 100e-12),
-)):
+class DetectorParams(keyed_record("DetectorParams", KeyTable(
+    eta_wireless="dv.eta_wireless", eta_telecom="dv.eta_telecom",
+    dark_count_per_pulse="dv.dark_count_per_pulse", gate_s=GATE_S,
+))):
     """Single-photon detector parameters for the DV receivers.
 
     ``eta_wireless`` is the Si APD efficiency in the 880 nm band and
@@ -91,8 +88,10 @@ class DwdmPlan(namedtuple(
     and ``rx_bandwidth_nm`` the quantum receiver's filter width, so the plan
     fixes everything the Raman background depends on; a grid the table does
     not cover is rejected where the plan is built.  ``drop_km[k]`` is the
-    distance of user k+1 from the splitting point, 0.5 km for every user
-    when empty; ``feeder_km`` is the shared feeder to the central office.
+    distance of user k+1 from the splitting point, the nominal drop for
+    every user when empty; ``feeder_km`` is the shared feeder to the central
+    office.  ``KEYS`` and ``GRID_KEYS`` map the fields and ``from_grid``'s
+    grid arguments to their config keys and give their defaults.
 
     ``with_feeder`` gives a sibling plan for another feeder length.  A plan
     and its siblings form a family that shares one set of feeder-independent
@@ -105,12 +104,24 @@ class DwdmPlan(namedtuple(
     fields, so they take no part in equality, hashing or the repr.
     """
 
-    def __new__(cls, quantum_nm, data_nm, raman_table, rx_bandwidth_nm, feeder_km=10.0,
-                drop_km=(), awg_insertion_loss_db=2.0, attenuation=AttenuationCoefficient(0.2),
-                sensitivity_dbm=DEFAULT_SENSITIVITY_DBM):
+    KEYS = KeyTable(
+        rx_bandwidth_nm="network.rx_bandwidth_nm", feeder_km="network.feeder_km",
+        drop_km="network.drop_km", awg_insertion_loss_db="network.awg_insertion_loss_db",
+        attenuation=("network.attenuation_db_per_km", AttenuationCoefficient),
+        sensitivity_dbm="network.sensitivity_dbm",
+    )
+    GRID_KEYS = KeyTable(n_users="network.n_users", quantum_start_nm="network.quantum_start_nm",
+                         data_start_nm="network.data_start_nm",
+                         spacing_nm="network.channel_spacing_nm")
+
+    def __new__(cls, quantum_nm, data_nm, raman_table, rx_bandwidth_nm,
+                feeder_km=KEYS.nominal["feeder_km"], drop_km=(),
+                awg_insertion_loss_db=KEYS.nominal["awg_insertion_loss_db"],
+                attenuation=KEYS.nominal["attenuation"],
+                sensitivity_dbm=KEYS.nominal["sensitivity_dbm"]):
+        drop_km = drop_km or (cls.KEYS.nominal["drop_km"],) * len(quantum_nm)
         return super().__new__(cls, quantum_nm, data_nm, raman_table, rx_bandwidth_nm, feeder_km,
-                               drop_km or (0.5,) * len(quantum_nm), awg_insertion_loss_db,
-                               attenuation, sensitivity_dbm)
+                               drop_km, awg_insertion_loss_db, attenuation, sensitivity_dbm)
 
     def __init__(self, *_, **__):
         if len(self.quantum_nm) != len(self.data_nm) or not self.quantum_nm:
@@ -140,14 +151,10 @@ class DwdmPlan(namedtuple(
         self._raman = {}
 
     @classmethod
-    def from_grid(
-        cls,
-        n_users: int = 32,
-        quantum_start_nm: float = 1555.62,
-        data_start_nm: float = 1585.2,
-        spacing_nm: float = DEFAULT_CHANNEL_SPACING_NM,
-        **kwargs,
-    ) -> "DwdmPlan":
+    def from_grid(cls, n_users: int = GRID_KEYS.nominal["n_users"],
+                  quantum_start_nm: float = GRID_KEYS.nominal["quantum_start_nm"],
+                  data_start_nm: float = GRID_KEYS.nominal["data_start_nm"],
+                  spacing_nm: float = GRID_KEYS.nominal["spacing_nm"], **kwargs) -> "DwdmPlan":
         """Build the grids from user 1's wavelengths on a fixed spacing.
 
         User 1 takes the top wavelength of each band (the quantum channel
@@ -237,7 +244,7 @@ class MdiLinkBudget(namedtuple(
     __slots__ = ()
 
     def __new__(cls, eta_alice, eta_bob, frs=0.0, brs=0.0, bulb=0.0, dark=0.0,
-                polarization_factor=0.5):
+                polarization_factor=_LINK["polarization_factor"]):
         for name, value in (("polarization_factor", polarization_factor),
                             ("eta_alice", eta_alice), ("eta_bob", eta_bob)):
             if not 0.0 <= value <= 1.0:
@@ -277,12 +284,8 @@ class CvLinkBudget(namedtuple(
         return 0.0
 
 
-def launch_power(
-    length_km: float,
-    alpha_db_per_km: float,
-    awg_db: float,
-    sensitivity_dbm: float = DEFAULT_SENSITIVITY_DBM,
-) -> float:
+def launch_power(length_km: float, alpha_db_per_km: float, awg_db: float,
+                 sensitivity_dbm: float = DEFAULTS["network"]["sensitivity_dbm"]) -> float:
     """Classical launch power (mW) that meets the receiver sensitivity.
 
     The transmitter compensates the fiber loss over the full path plus two
@@ -438,13 +441,8 @@ def budget_setup1_fiber(plan: DwdmPlan, det: DetectorParams) -> LinkBudget:
     )
 
 
-def budget_setup2(
-    h_dc: float,
-    n_b1: float,
-    plan: DwdmPlan,
-    det: DetectorParams,
-    coupling_loss_db: float = 10.0,
-) -> LinkBudget:
+def budget_setup2(h_dc: float, n_b1: float, plan: DwdmPlan, det: DetectorParams,
+                  coupling_loss_db: float = _LINK["coupling_loss_db"]) -> LinkBudget:
     """Budget of the relay-free link: room, coupling lens, fiber, office.
 
     Bulb photons ride down the same fiber as the signal, so they see the
@@ -466,14 +464,9 @@ def budget_setup2(
     )
 
 
-def budget_setup3(
-    h_dc: float,
-    n_b1: float,
-    plan: DwdmPlan,
-    det: DetectorParams,
-    coupling_loss_db: float = 10.0,
-    polarization_factor: float = 0.5,
-) -> MdiLinkBudget:
+def budget_setup3(h_dc: float, n_b1: float, plan: DwdmPlan, det: DetectorParams,
+                  coupling_loss_db: float = _LINK["coupling_loss_db"],
+                  polarization_factor: float = _LINK["polarization_factor"]) -> MdiLinkBudget:
     """Budget for the measurement module at the user's end.
 
     The quarter factor on the noise reflects that only one polarization
@@ -495,14 +488,9 @@ def budget_setup3(
     )
 
 
-def budget_setup4(
-    h_dc: float,
-    n_b1: float,
-    plan: DwdmPlan,
-    det: DetectorParams,
-    coupling_loss_db: float = 10.0,
-    polarization_factor: float = 0.5,
-) -> MdiLinkBudget:
+def budget_setup4(h_dc: float, n_b1: float, plan: DwdmPlan, det: DetectorParams,
+                  coupling_loss_db: float = _LINK["coupling_loss_db"],
+                  polarization_factor: float = _LINK["polarization_factor"]) -> MdiLinkBudget:
     """Budget for the measurement module at the splitting point.
 
     Relative to setup 3, everything coming from the room additionally
@@ -526,16 +514,11 @@ def budget_setup4(
     )
 
 
-def cv_budget(
-    setup: str,
-    h_dc: float | None = None,
-    n_b1: float | None = None,
-    plan: DwdmPlan | None = None,
-    coupling_loss_db: float = 10.0,
-    receiver_efficiency: float = 0.6,
-    eps_receiver_measured: float = 0.002,
-    gate_s: float = 100e-12,
-) -> CvLinkBudget:
+def cv_budget(setup: str, h_dc: float | None = None, n_b1: float | None = None,
+              plan: DwdmPlan | None = None, coupling_loss_db: float = _LINK["coupling_loss_db"],
+              receiver_efficiency: float = DEFAULTS["cv"]["receiver_efficiency"],
+              eps_receiver_measured: float = DEFAULTS["cv"]["eps_receiver_measured"],
+              gate_s: float = DetectorParams.KEYS.nominal["gate_s"]) -> CvLinkBudget:
     """Channel budget for the coherent-detection protocol.
 
     ``setup`` is one of ``"1-wireless"``, ``"1-fiber"`` or ``"2"``; all but

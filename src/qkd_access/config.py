@@ -1,13 +1,12 @@
-"""Simulation configuration: defaults, file loading, and object builders.
+"""Simulation configuration: file loading, overrides and object builders.
 
-The configuration is a nested dictionary whose defaults encode the nominal
-network (32 users, 100 GHz DWDM grid in the C band, 10 km feeder, 500 m
-drops) and the nominal device parameters, so an empty config file
-reproduces the reference operating point.  A JSON file with the same
-nesting overrides any subset; CLI flags override single keys by dotted
-path (``dv.mu=0.4``, a JSON value).  An override must have its default's
-kind (``_KINDS``); a bad one's error starts with its dotted key.  ``case``
-selects one of the transmitter placements of ``owc.CASE_PRESETS``.
+The configuration is a nested dictionary over ``defaults.DEFAULTS``, the
+nominal operating point, so an empty config file reproduces it.  A JSON
+file with the same nesting overrides any subset; CLI flags override single
+keys by dotted path (``dv.mu=0.4``, a JSON value).  An override must have
+its default's kind (``_KINDS``); a bad one's error starts with its dotted
+key, and a value a model record rejects names the keys the record read.
+``case`` selects one of the transmitter placements of ``owc.CASE_PRESETS``.
 """
 
 from __future__ import annotations
@@ -17,12 +16,12 @@ import json
 import sys
 
 from .budget import DetectorParams, DwdmPlan
-from .numerics import AttenuationCoefficient
+from .defaults import DEFAULTS
 from .owc import CASE_PRESETS, BulbNoiseModel, RoomScenario
 from .protocols import Bb84Params, Gg02Params, MdiParams
 from .raman import RamanCrossSectionTable, TableRangeError, builtin_cross_section_table
 
-__all__ = ["DEFAULTS", "CASE_PRESETS", "MAX_USERS", "SimulationConfig", "ConfigError"]
+__all__ = ["CASE_PRESETS", "MAX_USERS", "SimulationConfig", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -35,77 +34,6 @@ class ConfigError(ValueError):
 # would allocate gigabytes before any other check.  At the default 0.8 nm
 # spacing the built-in Raman table binds first: it covers 221 users.
 MAX_USERS = 1024
-
-
-DEFAULTS: dict = {
-    "case": 3,
-    "room": {
-        "x_m": 4.0,
-        "y_m": 4.0,
-        "z_m": 3.0,
-        "fov_deg": 6.0,
-        "concentrator_index": 1.5,
-        "detector_area_m2": 1e-4,
-        "filter_transmission": 1.0,
-        # None -> case preset decides
-        "tx_x_m": None,
-        "tx_y_m": None,
-        "tx_semi_angle_deg": None,
-    },
-    "bulb": {
-        "psd_w_per_nm": 1e-5,
-        "collection_factor": 2.4e-7,
-        "filter_bandwidth_nm": 0.8,
-        # direct override of the background count per pulse; None -> parametric model
-        "n_b1_per_pulse": None,
-    },
-    "network": {
-        "n_users": 32,
-        "feeder_km": 10.0,
-        "drop_km": 0.5,
-        "awg_insertion_loss_db": 2.0,
-        "attenuation_db_per_km": 0.2,
-        "quantum_start_nm": 1555.62,
-        "data_start_nm": 1585.2,
-        "channel_spacing_nm": 0.8,
-        "sensitivity_dbm": -38.5,
-        "rx_bandwidth_nm": 0.8,
-        # explicit grids override the generated ones
-        "quantum_nm": None,
-        "data_nm": None,
-    },
-    "link": {
-        "coupling_loss_db": 10.0,
-        "polarization_factor": 0.5,
-        "wireless_wavelength_nm": 880.0,
-    },
-    "dv": {
-        "mu": 0.5,
-        "nu": 0.5,
-        "sift_factor": 1.0,
-        "ec_inefficiency": 1.16,
-        "misalignment": 0.033,
-        "dark_count_per_pulse": 1e-7,
-        "gate_ps": 100.0,
-        "eta_wireless": 0.6,
-        "eta_telecom": 0.3,
-        "fast_detectors": True,
-        "clock_hz": 1e9,
-    },
-    "cv": {
-        "beta": 0.95,
-        "receiver_efficiency": 0.6,
-        "electronic_noise": 0.015,
-        "eps_receiver_measured": 0.002,
-        # None -> optimize per operating point
-        "modulation_variance_snu": None,
-        "clock_hz": 25e6,
-    },
-    "raman_table": {
-        "path": None,  # None -> built-in table
-        "reference_pump_nm": 1550.0,
-    },
-}
 
 
 def _finite(value) -> bool:
@@ -285,42 +213,40 @@ class SimulationConfig:
 
     # ---- builders -------------------------------------------------------
 
-    def scenario(self, case: int | None = None) -> RoomScenario:
-        case = self.data["case"] if case is None else case
-        room = self.data["room"]
-        if case not in CASE_PRESETS:
-            raise ConfigError(f"case must be one of {sorted(CASE_PRESETS)}, got {case}")
-        preset = CASE_PRESETS[case]
-        tx_x = room["tx_x_m"]
-        tx_y = room["tx_y_m"]
-        semi = room["tx_semi_angle_deg"]
-        return RoomScenario(
-            room_x_m=room["x_m"],
-            room_y_m=room["y_m"],
-            room_z_m=room["z_m"],
-            tx_x_m=preset["tx_frac"][0] * room["x_m"] if tx_x is None else tx_x,
-            tx_y_m=preset["tx_frac"][1] * room["y_m"] if tx_y is None else tx_y,
-            tx_semi_angle_deg=preset["semi_angle_deg"] if semi is None else semi,
-            rx_fov_deg=room["fov_deg"],
-            concentrator_index=room["concentrator_index"],
-            detector_area_m2=room["detector_area_m2"],
-            filter_transmission=room["filter_transmission"],
-            case=case,
-        )
+    # Each builder reads its record's fields through the record's ``KeyTable``
+    # (``KEYS``), and a record's ValueError names every key the table read.
 
-    def bulb_model(self, wavelength_nm: float) -> BulbNoiseModel:
-        bulb = self.data["bulb"]
-        return BulbNoiseModel(
-            psd_w_per_nm=bulb["psd_w_per_nm"],
-            filter_bandwidth_nm=bulb["filter_bandwidth_nm"],
-            gate_s=self.gate_s,
-            wavelength_m=wavelength_nm * 1e-9,
-            collection_factor=bulb["collection_factor"],
-        )
+    def _build(self, make, *tables, data: dict | None = None, keys=(), **given):
+        """``make`` of the fields that ``tables`` read from ``data`` (this config's by
+        default), with ``given`` in their place where given.  A ValueError, but for a
+        grid the Raman table does not cover, names the tables' keys and then ``keys``."""
+        try:
+            fields = {}
+            for table in tables:
+                fields.update(table.read(self.data if data is None else data))
+            return make(**{**fields, **given})
+        except TableRangeError:
+            raise
+        except ValueError as exc:
+            *rest, last = dict.fromkeys([key for table in tables for entry in table.values()
+                                         for key in entry] + list(keys))
+            raise ConfigError(f"{exc}; change {', '.join(rest)} or {last}") from exc
+
+    def scenario(self, case: int | None = None) -> RoomScenario:
+        data = self.data if case is None else {**self.data, "case": case}
+        if data["case"] not in CASE_PRESETS:
+            raise ConfigError(f"case must be one of {sorted(CASE_PRESETS)}, got {data['case']}")
+        return self._build(RoomScenario, RoomScenario.KEYS, data=data)
+
+    def bulb_model(self, wavelength_nm: float,
+                   key: str = "link.wireless_wavelength_nm") -> BulbNoiseModel:
+        """The bulb seen at ``wavelength_nm``, the leaf at ``key``."""
+        return self._build(BulbNoiseModel, BulbNoiseModel.KEYS, keys=(key,),
+                           wavelength_m=wavelength_nm * 1e-9)
 
     @property
     def gate_s(self) -> float:
-        return self.data["dv"]["gate_ps"] * 1e-12
+        return self.detectors().gate_s
 
     def plan(self) -> DwdmPlan:
         """The fiber plan, bound to the Raman table and the receiver bandwidth."""
@@ -331,26 +257,13 @@ class SimulationConfig:
         n = len(net["quantum_nm"]) if explicit else net["n_users"]
         if not explicit and not 1 <= n <= MAX_USERS:
             raise ConfigError(f"network.n_users must be in [1, {MAX_USERS}], got {n}")
-        common = dict(
-            raman_table=self.raman_table(),
-            rx_bandwidth_nm=net["rx_bandwidth_nm"],
-            feeder_km=net["feeder_km"],
-            drop_km=(net["drop_km"],) * n,
-            awg_insertion_loss_db=net["awg_insertion_loss_db"],
-            attenuation=AttenuationCoefficient(net["attenuation_db_per_km"]),
-            sensitivity_dbm=net["sensitivity_dbm"],
-        )
+        given = dict(raman_table=self.raman_table(), drop_km=(net["drop_km"],) * n)
         try:
             if explicit:
-                return DwdmPlan(quantum_nm=tuple(net["quantum_nm"]), data_nm=tuple(net["data_nm"]),
-                                **common)
-            return DwdmPlan.from_grid(
-                n_users=n,
-                quantum_start_nm=net["quantum_start_nm"],
-                data_start_nm=net["data_start_nm"],
-                spacing_nm=net["channel_spacing_nm"],
-                **common,
-            )
+                return self._build(DwdmPlan, DwdmPlan.KEYS, quantum_nm=tuple(net["quantum_nm"]),
+                                   data_nm=tuple(net["data_nm"]),
+                                   keys=("network.quantum_nm", "network.data_nm"), **given)
+            return self._build(DwdmPlan.from_grid, DwdmPlan.GRID_KEYS, DwdmPlan.KEYS, **given)
         except TableRangeError as exc:
             grid = ("network.quantum_nm and network.data_nm" if explicit else
                     "network.n_users, network.channel_spacing_nm, network.quantum_start_nm, "
@@ -358,42 +271,16 @@ class SimulationConfig:
             raise ConfigError(f"{exc}; change {grid} or raman_table.path") from None
 
     def detectors(self) -> DetectorParams:
-        dv = self.data["dv"]
-        return DetectorParams(
-            eta_wireless=dv["eta_wireless"],
-            eta_telecom=dv["eta_telecom"],
-            dark_count_per_pulse=dv["dark_count_per_pulse"],
-            gate_s=self.gate_s,
-        )
+        return self._build(DetectorParams, DetectorParams.KEYS)
 
     def bb84_params(self) -> Bb84Params:
-        dv = self.data["dv"]
-        return Bb84Params(
-            mu=dv["mu"],
-            sift_factor=dv["sift_factor"],
-            ec_inefficiency=dv["ec_inefficiency"],
-            misalignment=dv["misalignment"],
-        )
+        return self._build(Bb84Params, Bb84Params.KEYS)
 
     def mdi_params(self) -> MdiParams:
-        dv = self.data["dv"]
-        return MdiParams(
-            mu=dv["mu"],
-            nu=dv["nu"],
-            sift_factor=dv["sift_factor"],
-            ec_inefficiency=dv["ec_inefficiency"],
-            misalignment=dv["misalignment"],
-            fast_detectors=dv["fast_detectors"],
-        )
+        return self._build(MdiParams, MdiParams.KEYS)
 
     def gg02_params(self) -> Gg02Params:
-        cv = self.data["cv"]
-        return Gg02Params(
-            modulation_variance=cv["modulation_variance_snu"],
-            beta=cv["beta"],
-            receiver_efficiency=cv["receiver_efficiency"],
-            electronic_noise=cv["electronic_noise"],
-        )
+        return self._build(Gg02Params, Gg02Params.KEYS)
 
     def raman_table(self) -> RamanCrossSectionTable:
         source = self.data["raman_table"]

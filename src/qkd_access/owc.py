@@ -20,8 +20,8 @@ relative to the receiver axis is zero.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
+from .defaults import DEFAULTS, GATE_S, KeyTable, keyed_record
 from .numerics import LIGHTSPEED_M_S, PLANCK_J_S
 
 
@@ -77,7 +77,7 @@ def los_gain_from_angles(
     incidence_deg: float,
     fov_deg: float,
     refractive_index: float,
-    filter_transmission: float = 1.0,
+    filter_transmission: float = DEFAULTS["room"]["filter_transmission"],
 ) -> float:
     """Line-of-sight DC gain for explicit geometry angles.
 
@@ -104,16 +104,29 @@ def los_gain_from_angles(
     return min(max(gain, 0.0), 1.0)
 
 
-class RoomScenario(namedtuple(
-    "RoomScenario",
-    "room_x_m room_y_m room_z_m tx_x_m tx_y_m tx_semi_angle_deg rx_fov_deg concentrator_index"
-    " detector_area_m2 filter_transmission case",
-    defaults=(4.0, 4.0, 3.0, 2.0, 2.0, 20.0, 6.0, 1.5, 1e-4, 1.0, 1),
-)):
+def _placed(axis: int):
+    """The transmitter's coordinate on ``axis``: its room leaf, or when that is
+    None the case preset's fraction of the room's extent."""
+    return lambda tx, extent, case: (CASE_PRESETS[case]["tx_frac"][axis] * extent if tx is None
+                                     else tx)
+
+
+class RoomScenario(keyed_record("RoomScenario", KeyTable(
+    room_x_m="room.x_m", room_y_m="room.y_m", room_z_m="room.z_m",
+    tx_x_m=(("room.tx_x_m", "room.x_m", "case"), _placed(0)),
+    tx_y_m=(("room.tx_y_m", "room.y_m", "case"), _placed(1)),
+    tx_semi_angle_deg=(("room.tx_semi_angle_deg", "case"),
+                       lambda semi, case: CASE_PRESETS[case]["semi_angle_deg"] if semi is None
+                       else semi),
+    rx_fov_deg="room.fov_deg", concentrator_index="room.concentrator_index",
+    detector_area_m2="room.detector_area_m2", filter_transmission="room.filter_transmission",
+    case="case",
+))):
     """Room geometry and transceiver placement for one of the three cases.
 
     The transmitter sits on the floor at (tx_x_m, tx_y_m, 0); the receiver
-    is fixed at the ceiling centre (room_x_m/2, room_y_m/2, room_z_m).
+    is fixed at the ceiling centre (room_x_m/2, room_y_m/2, room_z_m).  The
+    defaults are the configured case's placement (case 3).
     """
 
     __slots__ = ()
@@ -178,10 +191,11 @@ def los_dc_gain(scenario: RoomScenario) -> float:
     )
 
 
-class BulbNoiseModel(namedtuple(
-    "BulbNoiseModel", "psd_w_per_nm filter_bandwidth_nm gate_s wavelength_m collection_factor",
-    defaults=(0.8, 100e-12, 1555.62e-9, 2.4e-7),
-)):
+class BulbNoiseModel(keyed_record("BulbNoiseModel", KeyTable(
+    psd_w_per_nm="bulb.psd_w_per_nm", filter_bandwidth_nm="bulb.filter_bandwidth_nm",
+    gate_s=GATE_S, wavelength_m=("network.quantum_start_nm", lambda nm: nm * 1e-9),
+    collection_factor="bulb.collection_factor",
+), required=1)):
     """Parametric background-noise model for the room's light source.
 
     The photon count per detection gate is

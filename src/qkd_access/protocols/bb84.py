@@ -23,6 +23,7 @@ import math
 from collections import namedtuple
 
 from ..budget import LinkBudget
+from ..defaults import KeyTable, keyed_record
 from ..numerics import binary_entropy
 
 __all__ = [
@@ -40,9 +41,10 @@ __all__ = [
 ERRONEOUS_CLICK_ERROR = 0.5
 
 
-class Bb84Params(namedtuple(
-    "Bb84Params", "mu sift_factor ec_inefficiency misalignment", defaults=(0.5, 1.0, 1.16, 0.033)
-)):
+class Bb84Params(keyed_record("Bb84Params", KeyTable(
+    mu="dv.mu", sift_factor="dv.sift_factor", ec_inefficiency="dv.ec_inefficiency",
+    misalignment="dv.misalignment",
+))):
     """Source and post-processing parameters for (decoy-state) BB84.
 
     ``mu`` is the mean photon number per signal pulse, ``sift_factor`` is q

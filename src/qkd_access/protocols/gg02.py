@@ -35,9 +35,9 @@ still gives ``optimal_modulation_variance``.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from ..budget import CvLinkBudget
+from ..defaults import KeyTable, keyed_record
 from ..numerics import holevo_g_excess
 
 __all__ = [
@@ -67,10 +67,10 @@ NO_KEY_MARGIN = 1e-9
 DISCRIMINANT_TOL = 1e-9
 
 
-class Gg02Params(namedtuple(
-    "Gg02Params", "modulation_variance beta receiver_efficiency electronic_noise",
-    defaults=(None, 0.95, 0.6, 0.015),
-)):
+class Gg02Params(keyed_record("Gg02Params", KeyTable(
+    modulation_variance="cv.modulation_variance_snu", beta="cv.beta",
+    receiver_efficiency="cv.receiver_efficiency", electronic_noise="cv.electronic_noise",
+))):
     """Receiver and post-processing parameters for the CV protocol.
 
     ``modulation_variance`` is V_A in SNU; ``None`` means "optimize per
@@ -193,24 +193,16 @@ def _fraction_terms(transmissivity, excess, receiver_eff, electronic):
     return terms
 
 
-def mutual_information(
-    v_a: float,
-    transmissivity: float,
-    excess: float,
-    receiver_eff: float = 0.6,
-    electronic: float = 0.015,
-) -> float:
+def mutual_information(v_a: float, transmissivity: float, excess: float,
+                       receiver_eff: float = Gg02Params.KEYS.nominal["receiver_efficiency"],
+                       electronic: float = Gg02Params.KEYS.nominal["electronic_noise"]) -> float:
     """Alice-Bob mutual information in bits per pulse (homodyne detection)."""
     return _fraction_terms(transmissivity, excess, receiver_eff, electronic)(v_a)[0]
 
 
-def holevo_bound(
-    v_a: float,
-    transmissivity: float,
-    excess: float,
-    receiver_eff: float = 0.6,
-    electronic: float = 0.015,
-) -> float:
+def holevo_bound(v_a: float, transmissivity: float, excess: float,
+                 receiver_eff: float = Gg02Params.KEYS.nominal["receiver_efficiency"],
+                 electronic: float = Gg02Params.KEYS.nominal["electronic_noise"]) -> float:
     """Holevo information of the eavesdropper about Bob's measurement, bits/pulse."""
     return _fraction_terms(transmissivity, excess, receiver_eff, electronic)(v_a)[1]
 

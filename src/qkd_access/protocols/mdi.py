@@ -16,6 +16,7 @@ import math
 from collections import namedtuple
 
 from ..budget import MdiLinkBudget
+from ..defaults import KeyTable, keyed_record
 from ..numerics import bessel_i0, binary_entropy
 from .bb84 import check_post_processing
 
@@ -32,10 +33,10 @@ __all__ = [
 ]
 
 
-class MdiParams(namedtuple(
-    "MdiParams", "mu nu sift_factor ec_inefficiency misalignment fast_detectors",
-    defaults=(0.5, 0.5, 1.0, 1.16, 0.033, True),
-)):
+class MdiParams(keyed_record("MdiParams", KeyTable(
+    mu="dv.mu", nu="dv.nu", sift_factor="dv.sift_factor", ec_inefficiency="dv.ec_inefficiency",
+    misalignment="dv.misalignment", fast_detectors="dv.fast_detectors",
+))):
     """Source and post-processing parameters for the MDI protocol.
 
     ``mu`` and ``nu`` are Alice's and Bob's mean photon numbers per signal
@@ -117,7 +118,8 @@ def _errors(eta_a: float, eta_b: float, noise: float, misalignment: float, y: fl
     interference = quiet * eta_a * eta_b / 2.0
     e_x = 0.5 - (0.5 - misalignment) * interference / y
     e_z = 0.5 - (0.5 - misalignment) * (1.0 - 2.0 * noise) * interference / y
-    return min(max(e_x, 0.0), 1.0), min(max(e_z, 0.0), 1.0)
+    # e_x is 0.5 less a product >= 0, so it needs no upper clamp
+    return max(e_x, 0.0), min(max(e_z, 0.0), 1.0)
 
 
 def _gains(eta_a: float, eta_b: float, noise: float, mu: float, nu: float, misalignment: float,

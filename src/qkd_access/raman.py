@@ -138,13 +138,14 @@ class RamanCrossSectionTable:
 
         Each is the linear interpolation ``slope*(d - x[j]) + f[j]`` on the
         segment [x[j], x[j+1]) holding the detuning d, or f[j] itself when d
-        is a node: the arithmetic of ``numpy.interp``, bit for bit.
+        is a node: the arithmetic of ``numpy.interp``, bit for bit.  A d at
+        the top node x[-1] gives j = len(x) - 1 and is a node.
         """
         pumps = tuple(map(float, pumps_nm))
         if rx_nm <= 0.0 or any(p <= 0.0 for p in pumps):
             raise ValueError("wavelengths must be > 0")
         xp, fp = self._detuning_hz, self._gamma_by_detuning
-        lo, hi, top = xp[0], xp[-1], len(xp) - 1
+        lo, hi = xp[0], xp[-1]
         nu_rx = LIGHTSPEED_M_S / (rx_nm * 1e-9)
         out = []
         for pump in pumps:
@@ -156,7 +157,7 @@ class RamanCrossSectionTable:
                     f"[{lo / 1e12:.3f}, {hi / 1e12:.3f}] THz"
                 )
             j = bisect_right(xp, d) - 1
-            if j == top or xp[j] == d:
+            if xp[j] == d:
                 out.append(fp[j])
             else:
                 slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])

@@ -33,7 +33,7 @@ def test_star_import_gives_every_listed_name(name):
     assert set(importlib.import_module(name).__all__) <= namespace.keys()
 
 
-PACKAGE_MODULES = ["budget", "config", "numerics", "owc", "protocols", "raman", "sweep"]
+PACKAGE_MODULES = ["budget", "config", "defaults", "numerics", "owc", "protocols", "raman", "sweep"]
 
 
 @pytest.mark.parametrize("name", PACKAGE_MODULES)
