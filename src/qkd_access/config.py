@@ -238,10 +238,12 @@ class SimulationConfig:
             raise ConfigError(f"case must be one of {sorted(CASE_PRESETS)}, got {data['case']}")
         return self._build(RoomScenario, RoomScenario.KEYS, data=data)
 
-    def bulb_model(self, wavelength_nm: float,
-                   key: str = "link.wireless_wavelength_nm") -> BulbNoiseModel:
-        """The bulb seen at ``wavelength_nm``, the leaf at ``key``."""
-        return self._build(BulbNoiseModel, BulbNoiseModel.KEYS, keys=(key,),
+    def bulb_model(self, wavelength_nm: float) -> BulbNoiseModel:
+        """The bulb seen at ``wavelength_nm``.  Only the room link's wavelength can be
+        rejected here, as user 1's quantum one is checked with the plan, so an error
+        also names ``link.wireless_wavelength_nm``."""
+        return self._build(BulbNoiseModel, BulbNoiseModel.KEYS,
+                           keys=("link.wireless_wavelength_nm",),
                            wavelength_m=wavelength_nm * 1e-9)
 
     @property

@@ -51,7 +51,6 @@ DEFAULTS: dict = {
 }
 
 
-
 class KeyTable(dict):
     """A record's fields, each mapped to the dotted ``DEFAULTS`` keys it is read from.
 

@@ -117,13 +117,6 @@ def test_defaults_is_one_object_declared_once():
     assert owners == ["defaults"]
 
 
-def test_tables_read_split_paths():
-    # the builders run twice per command, so no key is split per call
-    for _, table in RECORDS:
-        for _, paths, _ in table._reads:
-            assert all(isinstance(path, tuple) for path in paths)
-
-
 @pytest.mark.parametrize("assignment,key", [
     ("dv.dark_count_per_pulse=2", "dv.dark_count_per_pulse"),
     ("dv.mu=-1", "dv.mu"),
